@@ -6,12 +6,10 @@ high-level advice under a COACH ADVICE header.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from importlib import resources
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .domain import BALL, OWN, Domain, Scenario, WorldState
 from .errors import (
@@ -159,7 +157,17 @@ def parse_advice_block(response_text: str) -> str:
 
 def retrieve_roles(world: WorldState, scenario: Scenario, domain: Domain) -> dict:
     """Map each own agent to a scenario role by minimum-cost one-to-one
-    matching (cost: Euclidean distance agent -> role's assigned waypoint)."""
+    matching (cost: Euclidean distance agent -> role's assigned waypoint).
+
+    Exact dynamic programme over subsets of roles, O(n^2 * 2^n) for n own
+    agents.  Totals are compared exactly, as the unrounded sum of the
+    `math.hypot` costs, so the result does not depend on summation order.
+    Ties: among assignments of exactly equal total cost, the one whose role
+    indices (in scenario order), read over the own agents in sorted id
+    order, form the lexicographically smallest tuple wins.  So two roles on
+    one waypoint go to the agents in id order, and two agents on one pose
+    take the roles in scenario order.
+    """
     own = sorted(
         (agent_id, pose)
         for agent_id, (pose, agent) in world.agents.items()
@@ -174,14 +182,30 @@ def retrieve_roles(world: WorldState, scenario: Scenario, domain: Domain) -> dic
         raise CardinalityMismatch(
             f"{len(own)} own agents vs {len(role_slots)} scenario roles"
         )
-    cost = np.array(
-        [
-            [
-                float(np.hypot(pose.x - wx, pose.y - wy))
-                for _, (wx, wy) in role_slots
-            ]
-            for _, pose in own
-        ]
-    )
-    rows, cols = linear_sum_assignment(cost)
-    return {own[r][0]: role_slots[c][0] for r, c in zip(rows, cols)}
+    # Every float is an integer over a power of two: scaling all costs to
+    # the largest denominator makes their sums exact integers.
+    ratios = [
+        [math.hypot(pose.x - wx, pose.y - wy).as_integer_ratio()
+         for _, (wx, wy) in role_slots]
+        for _, pose in own
+    ]
+    scale = max((den for row in ratios for _, den in row), default=1)
+    cost = [[num * (scale // den) for num, den in row] for row in ratios]
+    # best[mask] = (total, roles) assigning the first popcount(mask) agents
+    # to the roles in mask; (total, roles) tuples compare cost first, then
+    # lexicographically, which is the tie rule above.
+    n = len(own)
+    full = (1 << n) - 1
+    best = [None] * (full + 1)
+    best[0] = (0, ())
+    for mask in range(full):
+        total, cols = best[mask]
+        row = cost[len(cols)]
+        for j in range(n):
+            bit = 1 << j
+            if not mask & bit:
+                cand = (total + row[j], cols + (j,))
+                if best[mask | bit] is None or cand < best[mask | bit]:
+                    best[mask | bit] = cand
+    _, cols = best[full]
+    return {agent_id: role_slots[c][0] for (agent_id, _), c in zip(own, cols)}

@@ -65,7 +65,9 @@ def cluster_scenarios(library: Library, k: int, domain: Domain):
 
     Seeding is farthest-first from the lexicographically-first frame_id;
     assignment and medoid updates break ties by frame_id.  Returns a list of
-    (medoid record, sorted member frame_ids).
+    (medoid record, sorted member frame_ids).  Raises KTooLarge when k
+    exceeds the number of records or of distinct scenarios (records at
+    distance 0 from each other).
     """
     records = library.records
     if k < 1 or k > len(records):
@@ -78,10 +80,19 @@ def cluster_scenarios(library: Library, k: int, domain: Domain):
     by_id = {r.frame_id: r for r in records}
     medoids = [min(r.frame_id for r in records)]
     while len(medoids) < k:
-        best = max(
-            (r.frame_id for r in records if r.frame_id not in medoids),
-            key=lambda fid: (min(dist[(fid, m)] for m in medoids), fid),
+        spread, best = max(
+            (min(dist[(r.frame_id, m)] for m in medoids), r.frame_id)
+            for r in records
+            if r.frame_id not in medoids
         )
+        # Even the farthest record sits at distance 0 from a medoid: there
+        # are fewer than k distinct scenarios, and another medoid would be
+        # left with an empty cluster.
+        if spread == 0.0:
+            raise KTooLarge(
+                f"k={k} with {len(medoids)} distinct scenarios "
+                f"among {len(records)} records"
+            )
         medoids.append(best)
 
     def assign(medoid_ids):

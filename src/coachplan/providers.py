@@ -7,6 +7,7 @@ a mismatched response.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -130,8 +131,9 @@ class RecordingChatProvider:
 class OpenAIChatProvider:
     """Minimal live provider against an OpenAI-style chat endpoint.
 
-    One retry, then fail; no silent fallback.  Credentials come from the
-    environment and are never read in replay mode.
+    One retry, then fail; no silent fallback.  Client errors (4xx) are not
+    retried, except 408 (timeout) and 429 (rate limit).  Credentials come
+    from the environment and are never read in replay mode.
     """
 
     def __init__(self, model: str, base_url: str = "https://api.openai.com/v1",
@@ -142,7 +144,10 @@ class OpenAIChatProvider:
         self.provider_id = f"openai:{model}"
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        import requests
+        # Imported here: only live runs pay for the HTTP stack.
+        import http.client
+        import urllib.error
+        import urllib.request
 
         api_key = os.environ.get(self.api_key_env)
         if not api_key:
@@ -151,24 +156,36 @@ class OpenAIChatProvider:
         if request.system_text:
             messages.append({"role": "system", "content": request.system_text})
         messages.append({"role": "user", "content": request.user_text})
-        payload = {"model": self.model, "messages": messages}
+        http_request = urllib.request.Request(
+            f"{self.base_url}/chat/completions",
+            data=json.dumps({"model": self.model, "messages": messages}).encode(),
+            headers={
+                "Authorization": f"Bearer {api_key}",
+                "Content-Type": "application/json",
+            },
+            method="POST",
+        )
         last_error = None
         for _ in range(2):  # one retry
             start = time.monotonic()
             try:
-                resp = requests.post(
-                    f"{self.base_url}/chat/completions",
-                    json=payload,
-                    headers={"Authorization": f"Bearer {api_key}"},
-                    timeout=120,
-                )
-                resp.raise_for_status()
-                text = resp.json()["choices"][0]["message"]["content"]
+                with urllib.request.urlopen(http_request, timeout=120) as resp:
+                    reply = json.load(resp)
+                text = reply["choices"][0]["message"]["content"]
+            except urllib.error.HTTPError as exc:
+                exc.close()
+                if 400 <= exc.code < 500 and exc.code not in (408, 429):
+                    raise ProviderError(
+                        f"provider call failed: HTTP {exc.code} {exc.reason}"
+                    ) from exc
+                last_error = exc
+            except (OSError, http.client.HTTPException,
+                    ValueError, LookupError, TypeError) as exc:
+                last_error = exc
+            else:
                 return ChatResponse(
                     text=text,
                     provider_id=self.provider_id,
                     latency=time.monotonic() - start,
                 )
-            except Exception as exc:  # noqa: BLE001 - wrapped below
-                last_error = exc
         raise ProviderError(f"provider call failed after retry: {last_error}")

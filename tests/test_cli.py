@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -228,3 +230,17 @@ def test_ingest_actions_round_trip(tmp_path, base, data_dir, schemas):
         assert rec.embed(schema.description).vector == pytest.approx(
             mock.embed(schema.description).vector
         )
+
+
+def test_cli_import_loads_no_third_party_modules():
+    # A fresh interpreter: this test process may have imported them already.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cp.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = (
+        "import sys, coachplan.cli; "
+        "print(sorted(m for m in ('numpy', 'scipy', 'requests') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out == "[]\n"

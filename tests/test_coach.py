@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -187,3 +188,44 @@ class TestRetrieveRoles:
                 for aid, pose in own
             )
             assert got_cost == pytest.approx(best_cost)
+
+    def test_tie_two_roles_on_one_waypoint(self, domain):
+        # Equal totals either way: roles go to agents in scenario order.
+        world = make_world([("a", OWN, 1.0, 1.0), ("b", OWN, -2.0, 0.5)])
+        for first, second in (("STRIKER", "JOLLY"), ("JOLLY", "STRIKER")):
+            scenario = cp.Scenario(((first, "CENTER_FIELD"), (second, "CENTER_FIELD")))
+            assert retrieve_roles(world, scenario, domain) == {"a": first, "b": second}
+
+    def test_tie_two_agents_on_one_pose(self, domain):
+        # The first agent in id order takes the first role in scenario order,
+        # even when the second role's waypoint is nearer.
+        world = make_world([("b", OWN, 3.0, 0.0), ("a", OWN, 3.0, 0.0)])
+        scenario = cp.Scenario((("GOALIE", "OUR_GOAL"), ("STRIKER", "KICKING_POSITION")))
+        assert retrieve_roles(world, scenario, domain) == {"a": "GOALIE", "b": "STRIKER"}
+
+    def test_tie_rule_matches_exhaustive_on_grid(self, domain):
+        # Agents on waypoints and shared waypoints make many exact ties; the
+        # reference sums each permutation exactly and takes the smallest
+        # (total, role indices) in sorted agent order.
+        rng = random.Random(7)
+        role_names = list(domain.roles)
+        spots = sorted(w.position for w in domain.waypoints.values())[:5]
+        tokens = [t for t, w in domain.waypoints.items() if w.position in spots]
+        for _ in range(200):
+            n = rng.randint(2, 5)
+            scenario = cp.Scenario(
+                tuple((r, rng.choice(tokens)) for r in rng.sample(role_names, n))
+            )
+            world = make_world(
+                [(f"a{i}", OWN, *rng.choice(spots)) for i in range(n)]
+            )
+            own = sorted((aid, pose) for aid, (pose, _) in world.agents.items())
+            slots = [(s, domain.waypoint(t).position) for s, t in scenario.assignments]
+            _, perm = min(
+                (sum(Fraction(math.hypot(own[i][1].x - slots[j][1][0],
+                                         own[i][1].y - slots[j][1][1]))
+                     for i, j in enumerate(perm)), perm)
+                for perm in itertools.permutations(range(n))
+            )
+            expected = {own[i][0]: slots[j][0] for i, j in enumerate(perm)}
+            assert retrieve_roles(world, scenario, domain) == expected

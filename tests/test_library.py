@@ -97,6 +97,17 @@ class TestCluster:
         with pytest.raises(KTooLarge):
             cluster_scenarios(lib, 0, domain)
 
+    def test_k_exceeds_distinct_scenarios(self, domain, kick_plan):
+        lib = cp.new_library()
+        for i, token in enumerate(["CENTER_FIELD", "CENTER_FIELD", "OUR_GOAL"]):
+            lib = cp.add(lib, record(kick_plan, scenario_at(token), f"f{i}"))
+        with pytest.raises(KTooLarge):
+            cluster_scenarios(lib, 3, domain)
+        clusters = cluster_scenarios(lib, 2, domain)
+        assert [(m.frame_id, ms) for m, ms in clusters] == [
+            ("f0", ["f0", "f1"]), ("f2", ["f2"]),
+        ]
+
     def test_k_equals_n(self, domain, kick_plan):
         lib = cp.new_library()
         for i, token in enumerate(["OUR_GOAL", "CENTER_FIELD", "OPPONENT_GOAL"]):

@@ -1,5 +1,9 @@
+import io
 import json
 import os
+import socket
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -12,7 +16,13 @@ from coachplan.errors import (
     ValidationFailed,
 )
 from coachplan.pipeline import DEFAULT_GOAL, RunManifest, make_record, run_generate
-from coachplan.providers import ChatRequest, RecordingChatProvider, ReplayChatProvider, Transcript
+from coachplan.providers import (
+    ChatRequest,
+    OpenAIChatProvider,
+    RecordingChatProvider,
+    ReplayChatProvider,
+    Transcript,
+)
 
 
 class TestChatRequest:
@@ -68,6 +78,90 @@ class TestTranscript:
         assert replay.complete(request).text == "canned reply"
         with pytest.raises(ProviderError):
             replay.complete(ChatRequest("sys", "different"))
+
+
+class TestOpenAIChatProvider:
+    """The live provider against a fake `urlopen`; no socket is opened."""
+
+    @pytest.fixture()
+    def urlopen(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("provider tests must not open sockets")
+
+        monkeypatch.setattr(socket.socket, "connect", refuse)
+        monkeypatch.setattr(socket, "getaddrinfo", refuse)
+        monkeypatch.setenv("TEST_OPENAI_KEY", "sk-test")
+        calls = []
+        outcomes = []
+
+        def fake(request, timeout):
+            calls.append(request)
+            outcome = outcomes.pop(0)
+            if isinstance(outcome, Exception):
+                raise outcome
+            return io.BytesIO(json.dumps(outcome).encode())
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake)
+        return calls, outcomes
+
+    @staticmethod
+    def provider():
+        return OpenAIChatProvider("m1", base_url="http://example.invalid/v1",
+                                  api_key_env="TEST_OPENAI_KEY")
+
+    @staticmethod
+    def reply(text):
+        return {"choices": [{"message": {"content": text}}]}
+
+    @staticmethod
+    def http_error(code):
+        return urllib.error.HTTPError("http://example.invalid/v1", code,
+                                      "status", {}, io.BytesIO(b"{}"))
+
+    def test_success(self, urlopen):
+        calls, outcomes = urlopen
+        outcomes.append(self.reply("hello back"))
+        response = self.provider().complete(ChatRequest("sys", "hello"))
+        assert (response.text, response.provider_id) == ("hello back", "openai:m1")
+        (request,) = calls
+        assert request.full_url == "http://example.invalid/v1/chat/completions"
+        assert request.get_method() == "POST"
+        assert request.get_header("Authorization") == "Bearer sk-test"
+        assert json.loads(request.data) == {
+            "model": "m1",
+            "messages": [
+                {"role": "system", "content": "sys"},
+                {"role": "user", "content": "hello"},
+            ],
+        }
+
+    def test_client_error_not_retried(self, urlopen):
+        calls, outcomes = urlopen
+        outcomes.append(self.http_error(401))
+        with pytest.raises(ProviderError, match="401"):
+            self.provider().complete(ChatRequest("sys", "hello"))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("code", [408, 429, 500])
+    def test_retryable_error_then_success(self, urlopen, code):
+        calls, outcomes = urlopen
+        outcomes.extend([self.http_error(code), self.reply("second try")])
+        assert self.provider().complete(ChatRequest("sys", "hi")).text == "second try"
+        assert len(calls) == 2
+
+    def test_fails_after_one_retry(self, urlopen):
+        calls, outcomes = urlopen
+        outcomes.extend([self.http_error(500), {"choices": []}])
+        with pytest.raises(ProviderError, match="after retry"):
+            self.provider().complete(ChatRequest("sys", "hi"))
+        assert len(calls) == 2
+
+    def test_missing_key(self, urlopen, monkeypatch):
+        calls, _ = urlopen
+        monkeypatch.delenv("TEST_OPENAI_KEY")
+        with pytest.raises(ProviderError, match="TEST_OPENAI_KEY"):
+            self.provider().complete(ChatRequest("sys", "hi"))
+        assert calls == []
 
 
 class TestRunManifest:
