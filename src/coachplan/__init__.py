@@ -11,12 +11,10 @@ from .actions import (
     VectorIndex,
     build_index,
     cosine_similarity,
-    embed,
     parse_action_file,
     retrieve_actions,
 )
 from .coach import (
-    CoachOutput,
     build_coach_prompt,
     parse_advice_block,
     parse_scenario_block,

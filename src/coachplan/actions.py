@@ -267,10 +267,6 @@ class RecordedEmbeddingProvider:
         return Embedding(self.vectors[key], self.dim)
 
 
-def embed(text: str, provider) -> Embedding:
-    return provider.embed(text)
-
-
 def cosine_similarity(a: Embedding, b: Embedding) -> float:
     if a.dim != b.dim:
         raise DimMismatch(f"{a.dim} != {b.dim}")

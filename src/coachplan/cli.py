@@ -6,24 +6,18 @@ Exit codes: 0 success, 1 validation violations, 2 parse/config errors,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import glob
+import hashlib
 import json
 import os
 import sys
 
 from . import library as planlib
-from .actions import (
-    MockEmbeddingProvider,
-    RecordedEmbeddingProvider,
-    build_index,
-    parse_action_file,
-)
-from .coach import retrieve_roles
+from .actions import MockEmbeddingProvider, RecordedEmbeddingProvider, parse_action_file
 from .domain import (
-    Agent,
     PlanningGoal,
     Tactics,
-    WorldState,
     parse_domain_file,
     parse_world_file,
     scenario_from_world,
@@ -31,6 +25,7 @@ from .domain import (
 )
 from .errors import (
     CoachPlanError,
+    ConfigInvalid,
     ProviderError,
     StageError,
     ValidationFailed,
@@ -83,36 +78,24 @@ def _chat_provider(args):
 
 
 def _sim_config(args) -> SimConfig:
-    if getattr(args, "sim_config", None):
-        with open(args.sim_config) as fh:
-            payload = json.load(fh)
-        payload.pop("opponents", None)
-        return SimConfig(**payload)
-    return SimConfig()
+    if not getattr(args, "sim_config", None):
+        return SimConfig()
+    with open(args.sim_config) as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ConfigInvalid("sim config must be a JSON object")
+    payload.pop("opponents", None)
+    known = {f.name for f in dataclasses.fields(SimConfig)}
+    unknown = sorted(set(payload) - known)
+    if unknown:
+        raise ConfigInvalid(f"unknown sim config key(s): {', '.join(unknown)}")
+    return SimConfig(**payload)
 
 
 def _config_hash(args, keys):
-    import hashlib
-
     payload = {k: getattr(args, k, None) for k in keys}
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _world_for_plan(world: WorldState, fsm_agents, record, domain) -> WorldState:
-    """Rename own agents to the plan's role names when needed, using
-    minimum-cost matching against the record's scenario."""
-    if all(aid in world.agents for aid in fsm_agents):
-        return world
-    mapping = retrieve_roles(world, record.scenario, domain)
-    agents = {}
-    for agent_id, (pose, agent) in world.agents.items():
-        if agent_id in mapping:
-            role = mapping[agent_id]
-            agents[role] = (pose, Agent(role, agent.team, role))
-        else:
-            agents[agent_id] = (pose, agent)
-    return WorldState(agents, world.ball, world.timestamp)
 
 
 # --- subcommands -----------------------------------------------------------
@@ -120,12 +103,10 @@ def _world_for_plan(world: WorldState, fsm_agents, record, domain) -> WorldState
 def cmd_ingest_actions(args):
     schemas = parse_action_file(_read(args.actions))
     provider = MockEmbeddingProvider(dim=args.dim)
-    import hashlib
-
     lines = []
     for schema in schemas:
         emb = provider.embed(schema.description)
-        key = hashlib.sha256(schema.description.encode()).hexdigest()
+        key = RecordedEmbeddingProvider.key_for(schema.description)
         lines.append(key + " " + " ".join(f"{v:.9g}" for v in emb.vector))
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -200,20 +181,12 @@ def cmd_evaluate(args):
     domain, schemas = _load_domain_actions(args)
     schemas_by_id = {s.action_id: s for s in schemas}
     lib = planlib.load_library(args.library, schemas_by_id, domain.roles, domain)
-    if not lib.records:
-        raise CoachPlanError("library is empty")
     world_files = sorted(glob.glob(os.path.join(args.scenarios, "*.world")))
     if not world_files:
         raise CoachPlanError(f"no *.world files in {args.scenarios}")
-    config = _sim_config(args)
-    results = []
-    for path in world_files:
-        world = parse_world_file(_read(path), domain)
-        record = planlib.select_plan(lib, world, domain)
-        fsms = compile_fsm(record.plan)
-        world = _world_for_plan(world, fsms, record, domain)
-        policy = make_opponent_policy(args.opponents, seed=args.seed)
-        results.append(run_match(fsms, world, domain, config, policy))
+    worlds = [parse_world_file(_read(path), domain) for path in world_files]
+    policy = make_opponent_policy(args.opponents, seed=args.seed)
+    results = planlib.evaluate(lib, worlds, domain, _sim_config(args), policy)
     metrics = aggregate(results)
     if args.format == "tsv":
         sys.stdout.write(format_metrics_delimited(metrics))

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from importlib import resources
 
 from .domain import BALL, OWN, Domain, Scenario, WorldState
@@ -27,35 +26,29 @@ SYSTEM_TEXT = "You are the coach of a robot soccer team playing in the RoboCup S
 
 ADVICE_HEADER = "COACH ADVICE:"
 
-DEFAULT_SCENARIO_EXAMPLE = """\
+SCENARIO_EXAMPLE = """\
 SCENARIO:
 STRIKER is at CENTER_FIELD
 JOLLY is at FORWARD_LEFT
 OPPONENT_1 is at OPPONENT_PENALTY_MARK
 BALL is at CENTER_FIELD"""
 
-# Slots filled by build_coach_prompt; skeleton brackets such as
-# [ROLE_OWN_TEAM] are shown to the model verbatim and stay in place.
-_COACH_SLOTS = (
-    "[SCENARIO_EXAMPLE]",
-    "[ROLES]",
-    "[WAYPOINTS]",
-    "[ACTIONS]",
-    "[PLANNING_GOAL]",
-    "[TACTICS_SENTENCE]",
-)
-
 TACTICS_SENTENCE = "Your attitude is to perform the following tactics [TACTICS]"
 
 
-@dataclass(frozen=True)
-class CoachOutput:
-    scenario: Scenario
-    advice: str
+def fill_template(name: str, slots: dict) -> str:
+    """Load a packaged prompt template and replace each slot, in order.
 
-
-def load_template(name: str) -> str:
-    return resources.files("coachplan.data.templates").joinpath(name).read_text()
+    Brackets that are not slots (the coach skeleton's [ROLE_OWN_TEAM], say)
+    are shown to the model verbatim; a slot still present afterwards raises
+    UnresolvedPlaceholder."""
+    text = resources.files("coachplan.data.templates").joinpath(name).read_text()
+    for slot, value in slots.items():
+        text = text.replace(slot, value)
+    for slot in slots:
+        if slot in text:
+            raise UnresolvedPlaceholder(f"unfilled template slot {slot}")
+    return text
 
 
 def describe_roles(domain: Domain) -> str:
@@ -75,19 +68,7 @@ def describe_waypoints(domain: Domain) -> str:
     )
 
 
-def _fill(template: str, slots: dict, required=None) -> str:
-    text = template
-    for slot, value in slots.items():
-        text = text.replace(slot, value)
-    for slot in required or slots:
-        if slot in text:
-            raise UnresolvedPlaceholder(f"unfilled template slot {slot}")
-    return text
-
-
-def build_coach_prompt(domain: Domain, retrieved_actions, goal, tactics,
-                       example_output: str = DEFAULT_SCENARIO_EXAMPLE,
-                       image_ref: str | None = None) -> ChatRequest:
+def build_coach_prompt(domain: Domain, retrieved_actions, goal, tactics) -> ChatRequest:
     if not retrieved_actions:
         raise UnresolvedPlaceholder("no retrieved actions to fill [ACTIONS]")
     if tactics.text.strip():
@@ -95,18 +76,17 @@ def build_coach_prompt(domain: Domain, retrieved_actions, goal, tactics,
     else:
         tactics_sentence = ""
     slots = {
-        "[SCENARIO_EXAMPLE]": example_output,
+        "[SCENARIO_EXAMPLE]": SCENARIO_EXAMPLE,
         "[ROLES]": describe_roles(domain),
         "[WAYPOINTS]": describe_waypoints(domain),
         "[ACTIONS]": ", ".join(s.action_id for s in retrieved_actions),
         "[PLANNING_GOAL]": goal.text,
         "[TACTICS_SENTENCE]": tactics_sentence,
     }
-    user_text = _fill(load_template("coach.txt"), slots, required=_COACH_SLOTS)
+    user_text = fill_template("coach.txt", slots)
     # Drop the blank line left behind when the tactics sentence is omitted.
     user_text = re.sub(r"\n{3,}", "\n\n", user_text.replace("\n\n\n", "\n\n"))
-    return ChatRequest(system_text=SYSTEM_TEXT, user_text=user_text,
-                       image_ref=image_ref)
+    return ChatRequest(system_text=SYSTEM_TEXT, user_text=user_text)
 
 
 _ASSIGNMENT_RE = re.compile(r"(\S+)\s+is\s+at\s+(\w+)\s*\.?\s*$")

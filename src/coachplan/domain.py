@@ -7,13 +7,17 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import EmptyDomain, MissingRole, ParseError, UnknownWaypoint
 
 # SPL field, origin at center: 9.0 m x 6.0 m, own goal at x = -4.5.
 FIELD_X = 4.5
 FIELD_Y = 3.0
+
+# Distance (m) within which an agent controls the ball: it holds the ball
+# at the start of a match, takes a free ball and completes a pass.
+CONTROL_RADIUS = 0.3
 
 # Cost added per subject present in only one of two scenarios (half the
 # field width, so role mismatches dominate small positional drifts).
@@ -242,13 +246,26 @@ def parse_domain_file(text: str) -> Domain:
     return Domain(waypoints, roles)
 
 
+def _finite(text: str, lineno: int) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise ParseError(f"bad number {text!r}", line=lineno) from None
+    if not math.isfinite(value):
+        raise ParseError(f"number must be finite, got {text!r}", line=lineno)
+    return value
+
+
 def parse_world_file(text: str, domain: Domain) -> WorldState:
     """World-state ingestion format (one line per entity):
 
     AGENT <id> <OWN|OPPONENT> <role|-> <x> <y> <theta>
     BALL <x> <y>
+
+    Numbers must be finite, and no two OWN agents may share a role.
     """
     agents = {}
+    own_roles = set()
     ball = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -266,16 +283,20 @@ def parse_world_file(text: str, domain: Domain) -> WorldState:
                 raise ParseError(f"unknown role {role_name}", line=lineno)
             if aid in agents:
                 raise ParseError(f"duplicate agent {aid}", line=lineno)
+            if team == OWN and role_name is not None:
+                if role_name in own_roles:
+                    raise ParseError(f"duplicate own role {role_name}", line=lineno)
+                own_roles.add(role_name)
             agents[aid] = (
-                Pose(float(x), float(y), float(theta)),
+                Pose(_finite(x, lineno), _finite(y, lineno), _finite(theta, lineno)),
                 Agent(aid, team, role_name),
             )
         elif parts[0] == "BALL":
             if len(parts) != 3:
                 raise ParseError(f"bad BALL record: {raw!r}", line=lineno)
             ball = (
-                max(-FIELD_X, min(FIELD_X, float(parts[1]))),
-                max(-FIELD_Y, min(FIELD_Y, float(parts[2]))),
+                max(-FIELD_X, min(FIELD_X, _finite(parts[1], lineno))),
+                max(-FIELD_Y, min(FIELD_Y, _finite(parts[2], lineno))),
             )
         else:
             raise ParseError(f"unknown record: {raw!r}", line=lineno)

@@ -106,10 +106,6 @@ class DisallowedAction(CoachPlanError):
     pass
 
 
-class SelfJoin(CoachPlanError):
-    pass
-
-
 class EmptyPlan(CoachPlanError):
     pass
 
@@ -143,10 +139,6 @@ class EmptyLibrary(CoachPlanError):
 
 
 class KTooLarge(CoachPlanError):
-    pass
-
-
-class EmptyScenarios(CoachPlanError):
     pass
 
 

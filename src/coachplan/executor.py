@@ -2,17 +2,16 @@
 
 A synchronized plan compiles to one finite-state machine per agent; JOIN
 steps become barriers.  The match loop is fixed-timestep, single-threaded
-and fully deterministic given (world, config, opponent policy, seed):
+and fully deterministic given (world, config, opponent policy):
 point-mass agents, a ball that is held, flying or free, no collision
 physics beyond opponent ball-steal contact.
 """
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .domain import FIELD_X, FIELD_Y, OWN, Domain, WorldState
+from .domain import CONTROL_RADIUS, FIELD_X, FIELD_Y, OWN, Domain, WorldState
 from .errors import ConfigInvalid, EmptyInput, InvalidPlan
 from .planlang import JOIN, GroundedAction, Plan
 
@@ -22,13 +21,18 @@ class SimConfig:
     walk_speed: float = 0.25
     pass_speed: float = 2.0
     kick_speed: float = 4.0
-    control_radius: float = 0.3
+    control_radius: float = CONTROL_RADIUS
     tick: float = 0.05
     timeout: float = 120.0
     goal_x: float = FIELD_X
     goal_half_width: float = 0.75
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if (isinstance(v, bool) or not isinstance(v, (int, float))
+                    or not math.isfinite(v)):
+                raise ConfigInvalid(f"{f.name} must be a finite number, got {v!r}")
         values = (self.walk_speed, self.pass_speed, self.kick_speed,
                   self.control_radius, self.tick, self.timeout,
                   self.goal_half_width)
@@ -96,10 +100,13 @@ NEAREST_INTERCEPT = "NEAREST_INTERCEPT"
 
 
 def make_opponent_policy(name: str = STATIC, seed: int = 0):
+    """Opponent policy by name.  Both policies are deterministic, so `seed`
+    currently has no effect; it is accepted for callers that pass one.
+    Policies keep no state, so one object can serve any number of matches."""
     if name == STATIC:
         return _StaticPolicy()
     if name == NEAREST_INTERCEPT:
-        return _InterceptPolicy(seed)
+        return _InterceptPolicy()
     raise ConfigInvalid(f"unknown opponent policy {name!r}")
 
 
@@ -114,9 +121,6 @@ class _StaticPolicy:
 class _InterceptPolicy:
     name = NEAREST_INTERCEPT
     steals = True
-
-    def __init__(self, seed):
-        self.rng = random.Random(seed)
 
     def move(self, pos, ball, config):
         return _step_towards(pos, ball, config.walk_speed * config.tick)
@@ -200,9 +204,6 @@ class _Match:
             line += f" {details}"
         self.trace.append(line)
 
-    def _waypoint_pos(self, token):
-        return self.domain.waypoint(token).position
-
     def _holds_ball(self, agent_id):
         return self.ball.mode == "HELD" and self.ball.holder == agent_id
 
@@ -214,7 +215,7 @@ class _Match:
         pos = self.own[agent_id]
         if aid in ("move_to", "mark_opponent", "dribble_to", "defend_goal"):
             token = args.get("TARGET", "OUR_GOAL" if aid == "defend_goal" else None)
-            target = self._waypoint_pos(token)
+            target = self.domain.waypoint(token).position
             new_pos = _clamp(_step_towards(pos, target, cfg.walk_speed * cfg.tick))
             self.own[agent_id] = new_pos
             if self._holds_ball(agent_id):
@@ -363,7 +364,6 @@ class _Match:
 
     def run(self) -> MatchResult:
         cfg = self.config
-        plan_live = True
         while True:
             self.ticks += 1
             self.t = self.ticks * cfg.tick
@@ -472,14 +472,14 @@ def format_metrics_table(metrics: AggregateMetrics) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_metrics_delimited(metrics: AggregateMetrics, sep: str = "\t") -> str:
+def format_metrics_delimited(metrics: AggregateMetrics) -> str:
     time_cell = (
         f"{metrics.avg_scoring_time:.6g}"
         if metrics.avg_scoring_time is not None
         else ""
     )
     return (
-        sep.join(["success_rate", "avg_passes", "avg_scoring_time"]) + "\n"
-        + sep.join([f"{metrics.success_rate:.6g}", f"{metrics.avg_passes:.6g}", time_cell])
+        "success_rate\tavg_passes\tavg_scoring_time\n"
+        + "\t".join([f"{metrics.success_rate:.6g}", f"{metrics.avg_passes:.6g}", time_cell])
         + "\n"
     )

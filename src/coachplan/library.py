@@ -1,13 +1,23 @@
-"""Scenario-keyed plan library: persistence, nearest-scenario selection and
-k-medoids clustering under the scenario distance."""
+"""Scenario-keyed plan library: persistence, nearest-scenario selection,
+evaluation over simulated matches and k-medoids clustering under the
+scenario distance."""
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 
-from .coach import parse_scenario_block
-from .domain import Domain, Scenario, WorldState, scenario_distance, scenario_from_world, serialize_scenario
+from .coach import parse_scenario_block, retrieve_roles
+from .domain import (
+    Agent,
+    Domain,
+    Scenario,
+    WorldState,
+    scenario_distance,
+    scenario_from_world,
+    serialize_scenario,
+)
 from .errors import DuplicateFrameId, EmptyLibrary, InvalidPlan, KTooLarge
+from .executor import SimConfig, compile_fsm, run_match
 from .planlang import Plan, parse_plan, serialize_plan
 from .refine import validate_plan
 
@@ -58,6 +68,39 @@ def select_plan(library: Library, world: WorldState, domain: Domain) -> PlanReco
             r.frame_id,
         ),
     )
+
+
+def _world_for_plan(world: WorldState, fsm_agents, record: PlanRecord,
+                    domain: Domain) -> WorldState:
+    """Rename own agents to the plan's role names when needed, using
+    minimum-cost matching against the record's scenario."""
+    if all(aid in world.agents for aid in fsm_agents):
+        return world
+    mapping = retrieve_roles(world, record.scenario, domain)
+    agents = {}
+    for agent_id, (pose, agent) in world.agents.items():
+        if agent_id in mapping:
+            role = mapping[agent_id]
+            agents[role] = (pose, Agent(role, agent.team, role))
+        else:
+            agents[agent_id] = (pose, agent)
+    return WorldState(agents, world.ball, world.timestamp)
+
+
+def evaluate(library: Library, worlds, domain: Domain, config: SimConfig,
+             policy) -> list:
+    """One match per world, in order: select the nearest plan, compile it,
+    rename the world's own agents to the plan's roles when needed and run
+    it against `policy`.  Returns the MatchResults."""
+    if not library.records:
+        raise EmptyLibrary("library is empty")
+    results = []
+    for world in worlds:
+        record = select_plan(library, world, domain)
+        fsms = compile_fsm(record.plan)
+        world = _world_for_plan(world, fsms, record, domain)
+        results.append(run_match(fsms, world, domain, config, policy))
+    return results
 
 
 def cluster_scenarios(library: Library, k: int, domain: Domain):

@@ -63,8 +63,7 @@ def retrieval_query(goal: PlanningGoal, domain) -> str:
 
 def run_generate(domain, schemas, world, chat_provider, embed_provider,
                  k: int = 8, goal: PlanningGoal = DEFAULT_GOAL,
-                 tactics: Tactics = Tactics(), config_hash: str = "",
-                 query_mode: str = "goal+domain"):
+                 tactics: Tactics = Tactics(), config_hash: str = ""):
     """Run the four-stage pipeline; returns (manifest, plan, scenario).
 
     Aborts with a stage-tagged error on the first hard failure.
@@ -74,7 +73,7 @@ def run_generate(domain, schemas, world, chat_provider, embed_provider,
     # Stage 1: action retrieval.
     try:
         index = build_index(schemas, embed_provider)
-        query = goal.text if query_mode == "goal" else retrieval_query(goal, domain)
+        query = retrieval_query(goal, domain)
         retrieved = retrieve_actions(query, index, embed_provider, k=k)
     except CoachPlanError as exc:
         raise RetrievalFailed(str(exc)) from exc

@@ -9,11 +9,13 @@ state and apply a conflict-checked union of effects.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .actions import ACTING_AGENT, Predicate
-from .domain import OWN, Domain, WorldState, nearest_waypoint, serialize_scenario
+from .actions import ACTING_AGENT, Predicate, parse_predicate, serialize_actions
+from .coach import SYSTEM_TEXT, describe_roles, describe_waypoints, fill_template
+from .domain import CONTROL_RADIUS, OWN, Domain, WorldState, nearest_waypoint, serialize_scenario
 from .errors import InvalidInputPlan, ParseError, UnresolvedPlaceholder
 from .planlang import JOIN, SINGLE, GroundedAction, Plan, PlanStep
 from .providers import ChatRequest
@@ -24,7 +26,7 @@ SELF_JOIN = "SELF_JOIN"
 EFFECT_CONFLICT = "EFFECT_CONFLICT"
 PASS_CONSTRAINT = "PASS_CONSTRAINT"
 
-DEFAULT_CONSTRAINTS = """\
+GROUNDING_CONSTRAINTS = """\
 Don't write actions for the opponent team players.
 Only use the listed actions, with exactly their declared arguments.
 Each agent may only perform actions its role allows.
@@ -173,13 +175,10 @@ def validate_plan(plan: Plan, schemas: dict, initial: frozenset) -> ValidationRe
     return ValidationReport(tuple(violations), state)
 
 
-def initial_state_from_world(world: WorldState, domain: Domain,
-                             control_radius: float = 0.3) -> frozenset:
+def initial_state_from_world(world: WorldState, domain: Domain) -> frozenset:
     """Seed facts from a world: own agents are `at` their nearest waypoint;
-    the ball is held by the nearest own agent within control radius, else
+    the ball is held by the nearest own agent within CONTROL_RADIUS, else
     `ball_at` its nearest waypoint."""
-    import math
-
     facts = set()
     holder = None
     holder_d = None
@@ -189,7 +188,7 @@ def initial_state_from_world(world: WorldState, domain: Domain,
         token = nearest_waypoint((pose.x, pose.y), domain)
         facts.add(Predicate("at", (agent.role, token)))
         d = math.hypot(pose.x - world.ball[0], pose.y - world.ball[1])
-        if d <= control_radius and (holder_d is None or d < holder_d):
+        if d <= CONTROL_RADIUS and (holder_d is None or d < holder_d):
             holder, holder_d = agent.role, d
     if holder is not None:
         facts.add(Predicate("ball_held_by", (holder,)))
@@ -200,8 +199,6 @@ def initial_state_from_world(world: WorldState, domain: Domain,
 
 def parse_facts_file(text: str) -> frozenset:
     """One ground predicate per line, `#` comments."""
-    from .actions import parse_predicate
-
     facts = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -278,15 +275,8 @@ def auto_parallelize(plan: Plan, schemas: dict, initial: frozenset | None = None
 
 # --- prompts ---------------------------------------------------------------
 
-def _load_template(name: str) -> str:
-    return resources.files("coachplan.data.templates").joinpath(name).read_text()
-
-
-def build_grounding_prompt(domain: Domain, retrieved_actions, scenario, advice,
-                           constraints: str = DEFAULT_CONSTRAINTS) -> ChatRequest:
-    from .actions import serialize_actions
-    from .coach import SYSTEM_TEXT, describe_roles, describe_waypoints
-
+def build_grounding_prompt(domain: Domain, retrieved_actions, scenario,
+                           advice) -> ChatRequest:
     if not advice.strip():
         raise UnresolvedPlaceholder("advice is empty")
     if not retrieved_actions:
@@ -297,18 +287,12 @@ def build_grounding_prompt(domain: Domain, retrieved_actions, scenario, advice,
         "[ACTION_IDS]": ", ".join(s.action_id for s in retrieved_actions),
         "[AGENT_IDS]": ", ".join(domain.roles),
         "[ROLES]": describe_roles(domain),
-        "[CONSTRAINTS]": constraints,
+        "[CONSTRAINTS]": GROUNDING_CONSTRAINTS,
         "[SCENARIO]": serialize_scenario(scenario),
         "[ADVICE]": advice,
     }
-    template = _load_template("grounding.txt")
-    text = template
-    for slot, value in slots.items():
-        text = text.replace(slot, value)
-    for slot in slots:
-        if slot in text:
-            raise UnresolvedPlaceholder(f"unfilled template slot {slot}")
-    return ChatRequest(system_text=SYSTEM_TEXT, user_text=text)
+    return ChatRequest(system_text=SYSTEM_TEXT,
+                       user_text=fill_template("grounding.txt", slots))
 
 
 def load_sync_examples(text: str | None = None):
@@ -348,8 +332,6 @@ def load_sync_examples(text: str | None = None):
 
 def build_sync_prompt(grounded_plan_text: str, positive_example: str,
                       negative_examples) -> ChatRequest:
-    from .coach import SYSTEM_TEXT
-
     if not grounded_plan_text.strip():
         raise UnresolvedPlaceholder("grounded plan text is empty")
     if not positive_example:
@@ -364,10 +346,5 @@ def build_sync_prompt(grounded_plan_text: str, positive_example: str,
         "[NEGATIVE_EXAMPLES]": negatives,
         "[PLAN]": grounded_plan_text.strip(),
     }
-    text = _load_template("sync.txt")
-    for slot, value in slots.items():
-        text = text.replace(slot, value)
-    for slot in slots:
-        if slot in text:
-            raise UnresolvedPlaceholder(f"unfilled template slot {slot}")
-    return ChatRequest(system_text=SYSTEM_TEXT, user_text=text)
+    return ChatRequest(system_text=SYSTEM_TEXT,
+                       user_text=fill_template("sync.txt", slots))

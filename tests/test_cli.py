@@ -106,6 +106,66 @@ class TestSimulate:
                      "--sim-config", cfg, *base]) == 2
 
 
+class TestMalformedInput:
+    """Bad world files and sim configs end in a one-line error and exit 2."""
+
+    @pytest.fixture()
+    def plan(self, tmp_path):
+        return write(tmp_path / "p.plan", "kick_to_goal STRIKER {}\n")
+
+    def simulate(self, tmp_path, base, plan, world_text, *extra):
+        world = write(tmp_path / "w.world", world_text)
+        return main(["simulate", "--plan", plan, "--world", world, *extra, *base])
+
+    @pytest.mark.parametrize("world_text, line", [
+        ("AGENT STRIKER OWN STRIKER 1.x 0.0 0.0\nBALL 3.3 0.0\n", 1),
+        ("AGENT STRIKER OWN STRIKER 3.2 nan 0.0\nBALL 3.3 0.0\n", 1),
+        ("AGENT STRIKER OWN STRIKER 3.2 0.0 inf\nBALL 3.3 0.0\n", 1),
+        ("AGENT STRIKER OWN STRIKER 3.2 0.0 0.0\nBALL 3.3 NaN\n", 2),
+        ("# comment\nBALL inf 0.0\n", 2),
+    ])
+    def test_bad_world_number(self, tmp_path, base, plan, capsys, world_text, line):
+        assert self.simulate(tmp_path, base, plan, world_text) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line}: ")
+        assert "Traceback" not in err
+
+    def test_repeated_own_role(self, tmp_path, base, plan, capsys):
+        world_text = ("AGENT a OWN STRIKER 0.0 0.0 0.0\n"
+                      "AGENT b OWN STRIKER 3.0 1.0 0.0\n"
+                      "BALL 0.0 0.0\n")
+        assert self.simulate(tmp_path, base, plan, world_text) == 2
+        assert capsys.readouterr().err == "error: line 2: duplicate own role STRIKER\n"
+
+    @pytest.mark.parametrize("payload", [
+        {"tick_rate": 1},
+        {"tick": "fast"},
+        {"timeout": None},
+        {"walk_speed": True},
+        {"timeout": float("inf")},  # written as Infinity, read back as a float
+        [0.05],
+    ])
+    def test_bad_sim_config(self, tmp_path, base, plan, capsys, payload):
+        cfg = write(tmp_path / "sim.json", json.dumps(payload))
+        world_text = "AGENT STRIKER OWN STRIKER 3.2 0.0 0.0\nBALL 3.3 0.0\n"
+        assert self.simulate(tmp_path, base, plan, world_text, "--sim-config", cfg) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_bad_evaluate_world(self, tmp_path, base, golden_dir):
+        scenarios = tmp_path / "scenarios"
+        scenarios.mkdir()
+        write(scenarios / "a.world", "BALL 0.0 zero\n")
+        lib = tmp_path / "lib"
+        assert main([
+            "generate", *base,
+            "--world", os.path.join(golden_dir, "frame_0.world"),
+            "--transcript", os.path.join(golden_dir, "transcript.txt"),
+            "--library", str(lib),
+        ]) == 0
+        assert main(["evaluate", *base, "--library", str(lib),
+                     "--scenarios", str(scenarios)]) == 2
+
+
 class TestGenerate:
     def test_offline_generate(self, tmp_path, base, golden_dir, capsys):
         manifest_path = tmp_path / "manifest.json"
@@ -184,6 +244,13 @@ class TestEvaluateAndLibrary:
         assert code == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert header.split("\t")[0] == "success_rate"
+
+    def test_evaluate_empty_library_exit_two(self, tmp_path, base, golden_dir, capsys):
+        assert main([
+            "evaluate", *base, "--library", str(tmp_path / "none"),
+            "--scenarios", os.path.join(golden_dir, "scenarios"),
+        ]) == 2
+        assert capsys.readouterr().err == "error: library is empty\n"
 
     def test_evaluate_empty_dir_exit_two(self, tmp_path, base, lib_dir):
         empty = tmp_path / "empty"

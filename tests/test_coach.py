@@ -11,6 +11,7 @@ from coachplan.coach import (
     ADVICE_HEADER,
     SYSTEM_TEXT,
     build_coach_prompt,
+    fill_template,
     parse_advice_block,
     parse_scenario_block,
     retrieve_roles,
@@ -76,6 +77,14 @@ class TestBuildCoachPrompt:
                                cp.PlanningGoal("keep possession"), cp.Tactics())
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
+
+
+def test_fill_template_slot_left_over():
+    # A value that reintroduces an already-filled slot leaves it unfilled.
+    with pytest.raises(UnresolvedPlaceholder, match=r"\[PLAN\]"):
+        fill_template("sync.txt", {
+            "[PLAN]": "kick", "[POSITIVE_EXAMPLE]": "[PLAN]", "[NEGATIVE_EXAMPLES]": "n",
+        })
 
 
 class TestParseScenarioBlock:

@@ -207,6 +207,16 @@ class TestFileFormats:
         with pytest.raises(ParseError):
             cp.parse_world_file("AGENT s OWN STRIKER 0 0 0\n", domain)
 
+    def test_world_role_repeated_across_teams(self, domain):
+        # Only own roles must be unique; opponents may carry any labels.
+        world = cp.parse_world_file(
+            "AGENT s OWN STRIKER 0 0 0\n"
+            "AGENT o1 OPPONENT STRIKER 1 0 0\nAGENT o2 OPPONENT STRIKER 2 0 0\n"
+            "BALL 0 0\n",
+            domain,
+        )
+        assert len(world.agents) == 3
+
 
 @given(st.lists(st.sampled_from(["STRIKER", "JOLLY", "GOALIE", BALL]), unique=True, min_size=1))
 def test_serialize_scenario_header(subjects):

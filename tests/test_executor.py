@@ -1,11 +1,16 @@
+import re
+
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import coachplan as cp
+from coachplan.domain import FIELD_X, FIELD_Y, OPPONENT, OWN
 from coachplan.errors import ConfigInvalid, EmptyInput, InvalidPlan
 from coachplan.executor import (
     NEAREST_INTERCEPT,
     STATIC,
     AggregateMetrics,
+    _Match,
     aggregate,
     compile_fsm,
     format_metrics_delimited,
@@ -231,3 +236,65 @@ class TestMetrics:
         header, row = out.splitlines()
         assert header.split("\t") == ["success_rate", "avg_passes", "avg_scoring_time"]
         assert row.split("\t") == ["1", "2", "7.9"]
+
+
+# --- simulator properties: corpus plans x generated worlds x both policies ---
+
+POINTS = st.tuples(st.floats(-FIELD_X, FIELD_X), st.floats(-FIELD_Y, FIELD_Y))
+TRACE_TIME = re.compile(r"t=(\d+\.\d\d) EVENT ")
+
+
+@st.composite
+def full_team_worlds(draw, roles):
+    """Every role on the field (so any corpus plan runs), up to three
+    opponents, and the ball either loose or at one own agent."""
+    agents = {}
+    for role in roles:
+        x, y = draw(POINTS)
+        agents[role] = (cp.Pose(x, y), cp.Agent(role, OWN, role))
+    for i in range(draw(st.integers(0, 3))):
+        x, y = draw(POINTS)
+        agents[f"O{i}"] = (cp.Pose(x, y), cp.Agent(f"O{i}", OPPONENT))
+    holder = draw(st.sampled_from([None, *roles]))
+    if holder is None:
+        ball = draw(POINTS)
+    else:
+        pose = agents[holder][0]
+        ball = (pose.x, pose.y)
+    return cp.WorldState(agents, ball)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(),
+       policy_name=st.sampled_from([STATIC, NEAREST_INTERCEPT]),
+       tick=st.sampled_from([0.05, 0.1, 0.03]),
+       timeout=st.sampled_from([1.0, 12.5, 120.0]))
+def test_match_invariants(domain, corpus_plans, data, policy_name, tick, timeout):
+    plan = corpus_plans[data.draw(st.sampled_from(sorted(corpus_plans)), label="plan")]
+    world = data.draw(full_team_worlds(list(domain.roles)), label="world")
+    config = cp.SimConfig(tick=tick, timeout=timeout)
+    match = _Match(compile_fsm(plan), world, domain, config,
+                   make_opponent_policy(policy_name))
+    result = match.run()
+
+    assert match.ticks <= config.timeout / config.tick + 1
+    times = [float(TRACE_TIME.match(line).group(1)) for line in result.trace]
+    assert all(t <= config.timeout for t in times)
+    assert times == sorted(times)
+    assert result.passes == sum(" EVENT PASS_COMPLETE " in line for line in result.trace)
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), policy_name=st.sampled_from([STATIC, NEAREST_INTERCEPT]))
+def test_policy_object_is_reusable(domain, corpus_plans, data, policy_name):
+    # One policy object serves many matches (as in library.evaluate).
+    plan = corpus_plans[data.draw(st.sampled_from(sorted(corpus_plans)), label="plan")]
+    worlds = data.draw(st.lists(full_team_worlds(list(domain.roles)), min_size=2, max_size=2))
+    config = cp.SimConfig(timeout=12.5)
+    shared = make_opponent_policy(policy_name)
+    for world in worlds + worlds:
+        fresh = run_match(compile_fsm(plan), world, domain, config,
+                          make_opponent_policy(policy_name))
+        assert run_match(compile_fsm(plan), world, domain, config, shared) == fresh

@@ -1,3 +1,5 @@
+import glob
+import os
 import random
 
 import pytest
@@ -5,7 +7,9 @@ import pytest
 import coachplan as cp
 from coachplan.domain import BALL
 from coachplan.errors import DuplicateFrameId, EmptyLibrary, InvalidPlan, KTooLarge
-from coachplan.library import cluster_scenarios
+from coachplan.executor import STATIC, aggregate, format_metrics_table, make_opponent_policy
+from coachplan.library import cluster_scenarios, evaluate
+from coachplan.pipeline import make_record, run_generate
 
 
 def record(plan, scenario, frame_id, created_at="2024-01-01T00:00:00Z"):
@@ -87,6 +91,40 @@ class TestSelectPlan:
                 ),
             )
             assert cp.select_plan(lib, world, domain).frame_id == expected.frame_id
+
+
+class TestEvaluate:
+    def test_golden_report(self, domain, schemas, golden_dir):
+        # The golden frame's plan over the eight scenario worlds, without the CLI.
+        def world(path):
+            with open(path) as fh:
+                return cp.parse_world_file(fh.read(), domain)
+
+        transcript = cp.Transcript.load(os.path.join(golden_dir, "transcript.txt"))
+        _, plan, scenario = run_generate(
+            domain, list(schemas.values()), world(os.path.join(golden_dir, "frame_0.world")),
+            cp.ReplayChatProvider(transcript), cp.MockEmbeddingProvider(),
+        )
+        lib = cp.add(cp.new_library(),
+                     make_record(plan, scenario, "frame_0", "1970-01-01T00:00:00Z"))
+        paths = sorted(glob.glob(os.path.join(golden_dir, "scenarios", "*.world")))
+        results = evaluate(lib, [world(p) for p in paths], domain, cp.SimConfig(),
+                           make_opponent_policy(STATIC))
+        assert len(results) == 8
+        with open(os.path.join(golden_dir, "report.txt")) as fh:
+            assert format_metrics_table(aggregate(results)) == fh.read()
+
+    def test_renames_agents_to_plan_roles(self, domain, kick_plan):
+        # The world's striker is called s; the plan names it STRIKER.
+        lib = cp.add(cp.new_library(), record(kick_plan, scenario_at("KICKING_POSITION"), "f"))
+        [result] = evaluate(lib, [world_at(domain, 3.2, 0.0)], domain, cp.SimConfig(),
+                            make_opponent_policy(STATIC))
+        assert result.success
+
+    def test_empty_library(self, domain):
+        with pytest.raises(EmptyLibrary):
+            evaluate(cp.new_library(), [world_at(domain, 0, 0)], domain, cp.SimConfig(),
+                     make_opponent_policy(STATIC))
 
 
 class TestCluster:
