@@ -6,10 +6,13 @@ with a full scan (stores hold tens of actions; no ANN structure).
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import re
 from dataclasses import dataclass
+from importlib import resources
+from types import MappingProxyType
 
 from .errors import (
     DimMismatch,
@@ -34,6 +37,13 @@ VALUE_DOMAINS = ("ROLE", "WAYPOINT", "AGENT", "FREE_TEXT")
 
 # The implicit acting-agent variable, usable without declaration.
 ACTING_AGENT = "AGENT"
+
+# Action kinds: what an action does on the field, read from its add effects.
+KICK = "KICK"        # ball_at(OPPONENT_GOAL)
+PASS = "PASS"        # ball_at(X) and has_passed(.)
+RECEIVE = "RECEIVE"  # ball_held_by(AGENT)
+MOVE = "MOVE"        # at(AGENT,T)
+INSTANT = "INSTANT"  # no position or ball fact
 
 
 @dataclass(frozen=True)
@@ -193,6 +203,34 @@ def parse_action_file(text: str) -> list:
     return schemas
 
 
+def classify(schema: ActionSchema) -> str | None:
+    """The kind of an action, from its schema's add effects; None when they
+    fit no single kind (two position or ball facts, a ball moved to a
+    waypoint without a pass, another agent moved, ...)."""
+    adds = [p for p in schema.effects if not p.negated]
+    placed = [(p.name, p.args[0].lstrip("?")) for p in adds
+              if p.name in ("at", "ball_at", "ball_held_by")]
+    passes = any(p.name == "has_passed" for p in adds)
+    if not placed:
+        return INSTANT
+    if placed == [("at", ACTING_AGENT)]:
+        return MOVE
+    if placed == [("ball_held_by", ACTING_AGENT)]:
+        return RECEIVE
+    if placed == [("ball_at", "OPPONENT_GOAL")]:
+        return None if passes else KICK
+    if len(placed) == 1 and placed[0][0] == "ball_at" and passes:
+        return PASS
+    return None
+
+
+@functools.cache
+def packaged_schemas():
+    """The packaged `actions.txt`, parsed once: action_id -> ActionSchema."""
+    text = resources.files("coachplan.data").joinpath("actions.txt").read_text()
+    return MappingProxyType({s.action_id: s for s in parse_action_file(text)})
+
+
 def serialize_action(schema: ActionSchema) -> str:
     lines = [
         f"ACTION_ID: {schema.action_id}",
@@ -267,12 +305,22 @@ class RecordedEmbeddingProvider:
         return Embedding(self.vectors[key], self.dim)
 
 
+def _power_of_two_scaled(vector):
+    """The vector times the power of two that brings its largest component
+    into [0.5, 1).  Exact for normal floats, so the cosine keeps every bit,
+    and it keeps squares of tiny vectors (1e-158, say) out of underflow."""
+    top = max(map(abs, vector), default=0.0)
+    shift = -math.frexp(top)[1]
+    return [math.ldexp(v, shift) for v in vector]
+
+
 def cosine_similarity(a: Embedding, b: Embedding) -> float:
     if a.dim != b.dim:
         raise DimMismatch(f"{a.dim} != {b.dim}")
-    dot = sum(x * y for x, y in zip(a.vector, b.vector))
-    na = math.sqrt(sum(x * x for x in a.vector))
-    nb = math.sqrt(sum(y * y for y in b.vector))
+    va, vb = _power_of_two_scaled(a.vector), _power_of_two_scaled(b.vector)
+    dot = sum(x * y for x, y in zip(va, vb))
+    na = math.sqrt(sum(x * x for x in va))
+    nb = math.sqrt(sum(y * y for y in vb))
     if na == 0.0 or nb == 0.0:
         raise ZeroVector("cosine similarity undefined for a zero vector")
     return dot / (na * nb)

@@ -58,7 +58,7 @@ def _read(path):
 def _load_domain_actions(args):
     domain = parse_domain_file(_read(args.domain))
     schemas = parse_action_file(_read(args.actions))
-    return domain, schemas
+    return domain, {s.action_id: s for s in schemas}
 
 
 def _embed_provider(args):
@@ -124,14 +124,12 @@ def cmd_generate(args):
         args, ["domain", "actions", "world", "transcript", "k", "tactics", "seed", "goal"]
     )
     manifest, plan, scenario = run_generate(
-        domain, schemas, world, chat, embed,
+        domain, list(schemas.values()), world, chat, embed,
         k=args.k, goal=goal, tactics=Tactics(args.tactics or ""),
         config_hash=config_hash,
     )
     if args.library:
-        lib = planlib.load_library(
-            args.library, {s.action_id: s for s in schemas}, domain.roles, domain
-        )
+        lib = planlib.load_library(args.library, schemas, domain.roles, domain)
         record = make_record(plan, scenario, args.frame_id, args.created_at)
         lib = planlib.add(lib, record)
         planlib.save_library(lib, args.library)
@@ -145,9 +143,9 @@ def cmd_generate(args):
 
 def cmd_validate(args):
     domain, schemas = _load_domain_actions(args)
-    plan = parse_plan(_read(args.plan), {s.action_id: s for s in schemas}, domain.roles)
+    plan = parse_plan(_read(args.plan), schemas, domain.roles)
     initial = parse_facts_file(_read(args.initial)) if args.initial else frozenset()
-    report = validate_plan(plan, {s.action_id: s for s in schemas}, initial)
+    report = validate_plan(plan, schemas, initial)
     if args.format == "lines":
         sys.stdout.write(report.serialize())
     else:
@@ -162,8 +160,8 @@ def cmd_validate(args):
 def cmd_simulate(args):
     domain, schemas = _load_domain_actions(args)
     world = parse_world_file(_read(args.world), domain)
-    plan = parse_plan(_read(args.plan), {s.action_id: s for s in schemas}, domain.roles)
-    fsms = compile_fsm(plan)
+    plan = parse_plan(_read(args.plan), schemas, domain.roles)
+    fsms = compile_fsm(plan, schemas)
     config = _sim_config(args)
     policy = make_opponent_policy(args.opponents, seed=args.seed)
     result = run_match(fsms, world, domain, config, policy)
@@ -179,14 +177,13 @@ def cmd_simulate(args):
 
 def cmd_evaluate(args):
     domain, schemas = _load_domain_actions(args)
-    schemas_by_id = {s.action_id: s for s in schemas}
-    lib = planlib.load_library(args.library, schemas_by_id, domain.roles, domain)
+    lib = planlib.load_library(args.library, schemas, domain.roles, domain)
     world_files = sorted(glob.glob(os.path.join(args.scenarios, "*.world")))
     if not world_files:
         raise CoachPlanError(f"no *.world files in {args.scenarios}")
     worlds = [parse_world_file(_read(path), domain) for path in world_files]
     policy = make_opponent_policy(args.opponents, seed=args.seed)
-    results = planlib.evaluate(lib, worlds, domain, _sim_config(args), policy)
+    results = planlib.evaluate(lib, worlds, domain, _sim_config(args), policy, schemas)
     metrics = aggregate(results)
     if args.format == "tsv":
         sys.stdout.write(format_metrics_delimited(metrics))
@@ -197,15 +194,14 @@ def cmd_evaluate(args):
 
 def cmd_library(args):
     domain, schemas = _load_domain_actions(args)
-    schemas_by_id = {s.action_id: s for s in schemas}
-    lib = planlib.load_library(args.library, schemas_by_id, domain.roles, domain)
+    lib = planlib.load_library(args.library, schemas, domain.roles, domain)
     if args.library_cmd == "ls":
         for record in lib.records:
             print(f"{record.frame_id}\t{record.created_at}\t"
                   f"{len(record.plan.steps)} steps")
         return EXIT_OK
     if args.library_cmd == "add":
-        plan = parse_plan(_read(args.plan), schemas_by_id, domain.roles)
+        plan = parse_plan(_read(args.plan), schemas, domain.roles)
         from .coach import parse_scenario_block
 
         scenario = parse_scenario_block(_read(args.scenario), domain)

@@ -232,7 +232,7 @@ def parse_domain_file(text: str) -> Domain:
             token, x, y, desc = m.groups()
             if token in waypoints:
                 raise ParseError(f"duplicate waypoint {token}", line=lineno)
-            waypoints[token] = Waypoint(token, desc, (float(x), float(y)))
+            waypoints[token] = Waypoint(token, desc, (_finite(x, lineno), _finite(y, lineno)))
         elif line.startswith("ROLE"):
             m = _ROLE_RE.match(line)
             if not m:

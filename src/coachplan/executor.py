@@ -9,11 +9,14 @@ physics beyond opponent ball-steal contact.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, fields
 
+from .actions import INSTANT, KICK, MOVE, PASS, RECEIVE, classify, packaged_schemas
 from .domain import CONTROL_RADIUS, FIELD_X, FIELD_Y, OWN, Domain, WorldState
 from .errors import ConfigInvalid, EmptyInput, InvalidPlan
-from .planlang import JOIN, GroundedAction, Plan
+from .planlang import JOIN, Plan
+from .refine import grounded_effects
 
 
 @dataclass(frozen=True)
@@ -44,15 +47,16 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class FSMState:
-    action: GroundedAction
+    action_id: str
+    kind: str  # an action kind from `actions`: MOVE | PASS | RECEIVE | KICK | INSTANT
+    target: str | None = None  # the MOVE waypoint or the PASS receiver
     barrier_id: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class AgentFSM:
     agent_id: str
     states: tuple  # of FSMState
-    current: int = 0
 
 
 @dataclass(frozen=True)
@@ -73,10 +77,13 @@ class AggregateMetrics:
     avg_scoring_time: float | None
 
 
-def compile_fsm(plan: Plan) -> dict:
+def compile_fsm(plan: Plan, schemas=None) -> dict:
     """One FSM per agent, actions in plan order; each JOIN contributes one
     barrier shared by exactly its members.  Agents absent from a step simply
-    have no state for it."""
+    have no state for it.  Each state runs as the kind its action's schema
+    gives (default: the packaged actions); InvalidPlan if there is none."""
+    if schemas is None:
+        schemas = packaged_schemas()
     fsms: dict[str, list] = {}
     for index, step in enumerate(plan.steps, start=1):
         if step.kind == JOIN:
@@ -87,10 +94,27 @@ def compile_fsm(plan: Plan) -> dict:
         else:
             barrier = None
         for action in step.actions:
-            fsms.setdefault(action.agent_id, []).append(FSMState(action, barrier))
+            state = _compile_state(index, action, schemas, barrier)
+            fsms.setdefault(action.agent_id, []).append(state)
     if not fsms:
         raise InvalidPlan("plan has no actions")
     return {aid: AgentFSM(aid, tuple(states)) for aid, states in sorted(fsms.items())}
+
+
+def _compile_state(index, action, schemas, barrier) -> FSMState:
+    where = f"step {index}: {action.action_id} {action.agent_id}"
+    kind = classify(schemas[action.action_id]) if action.action_id in schemas else None
+    if kind is None:
+        raise InvalidPlan(f"{where}: no schema whose effects fit one action kind")
+    if kind not in (MOVE, PASS):
+        return FSMState(action.action_id, kind, None, barrier)
+    adds, _ = grounded_effects(action, schemas)
+    senders = sorted(f.args[0] for f in adds if f.name == "has_passed")
+    if kind == PASS and senders != [action.agent_id]:
+        raise InvalidPlan(f"{where}: the pass is made by {', '.join(senders)}, "
+                          "not the acting agent")
+    target = next(f.args[-1] for f in adds if f.name in ("at", "ball_at"))
+    return FSMState(action.action_id, kind, target, barrier)
 
 
 # --- opponent policies -----------------------------------------------------
@@ -146,7 +170,7 @@ def _clamp(pos):
 @dataclass
 class _Ball:
     pos: tuple
-    mode: str = "FREE"  # FREE | HELD | PASS | KICK
+    mode: str = "FREE"  # FREE | HELD | PASS | KICK (in flight, by the kind that launched it)
     holder: str | None = None
     receiver: str | None = None
     velocity: tuple = (0.0, 0.0)
@@ -158,7 +182,7 @@ class _Match:
         missing = [aid for aid in fsms if aid not in world0.agents]
         if missing:
             raise ConfigInvalid(f"world is missing plan agents: {missing}")
-        self.fsms = fsms
+        self.states = {aid: fsms[aid].states for aid in sorted(fsms)}  # in id order
         self.domain = domain
         self.config = config
         self.policy = opponent_policy
@@ -170,16 +194,15 @@ class _Match:
             else:
                 self.opponents[agent_id] = (pose.x, pose.y)
         self.ball = _Ball(world0.ball)
-        self.barrier_total: dict[str, int] = {}
-        self.barrier_done: dict[str, int] = {}
-        for fsm in fsms.values():
-            for state in fsm.states:
-                if state.barrier_id:
-                    self.barrier_total[state.barrier_id] = (
-                        self.barrier_total.get(state.barrier_id, 0) + 1
-                    )
-        self.completed: dict[str, set] = {aid: set() for aid in fsms}
-        self.launched: set = set()  # (agent_id, state index) pairs
+        # Members per barrier, and members done at it so far.
+        self.barrier_total = Counter(state.barrier_id for states in self.states.values()
+                                     for state in states if state.barrier_id)
+        self.barrier_done = Counter()
+        # Run state: each agent's current state, and the agents whose
+        # current state is done, or has launched the ball.
+        self.cursor = dict.fromkeys(self.states, 0)
+        self.done: set = set()
+        self.launched: set = set()
         self.t = 0.0
         self.ticks = 0
         self.trace: list[str] = []
@@ -207,62 +230,51 @@ class _Match:
     def _holds_ball(self, agent_id):
         return self.ball.mode == "HELD" and self.ball.holder == agent_id
 
-    # -- per-action behavior; returns True when the action is finished.
-    def _act(self, agent_id, action: GroundedAction, state_idx: int):
+    # -- per-kind behavior; returns True when the action is finished.
+    def _act(self, agent_id, state: FSMState):
         cfg = self.config
-        args = dict(action.args)
-        aid = action.action_id
+        kind = state.kind
         pos = self.own[agent_id]
-        if aid in ("move_to", "mark_opponent", "dribble_to", "defend_goal"):
-            token = args.get("TARGET", "OUR_GOAL" if aid == "defend_goal" else None)
-            target = self.domain.waypoint(token).position
+        if kind == MOVE:
+            target = self.domain.waypoint(state.target).position
             new_pos = _clamp(_step_towards(pos, target, cfg.walk_speed * cfg.tick))
             self.own[agent_id] = new_pos
             if self._holds_ball(agent_id):
                 self.ball.pos = new_pos
             return new_pos == tuple(target)
-        if aid == "align_to_goal":
+        if kind == INSTANT:
             return True
-        if aid == "receive_ball":
+        if kind == RECEIVE:
             if self._holds_ball(agent_id):
                 return True
             if self.ball.mode == "FREE":
                 self._try_take(agent_id)
             return self._holds_ball(agent_id)
-        if "pass" in aid:
-            receiver = args.get("RECEIVER")
-            if self._holds_ball(agent_id):
-                self.ball.mode = "PASS"
-                self.ball.holder = None
-                self.ball.receiver = receiver
-                self.launched.add((agent_id, state_idx))
-                self._event("PASS_LAUNCH", agent_id, f"to={receiver}")
-                return False
-            if self.ball.mode == "PASS" and self.ball.receiver is not None:
-                # In flight: the pass completes when the receiver controls it.
-                return False
-            self._chase_ball(agent_id)
+        # PASS or KICK: get the ball, unless a flight of this kind is under
+        # way (a launched one ends in _settle_flights).
+        if not self._holds_ball(agent_id):
+            if self.ball.mode != kind:
+                self._chase_ball(agent_id)
             return False
-        if "kick" in aid:
-            if self._holds_ball(agent_id):
-                goal = (cfg.goal_x, 0.0)
-                dx, dy = goal[0] - self.ball.pos[0], goal[1] - self.ball.pos[1]
-                dist = math.hypot(dx, dy)
-                if dist == 0.0:
-                    return True
-                self.ball.mode = "KICK"
-                self.ball.holder = None
-                self.ball.velocity = (dx / dist * cfg.kick_speed,
-                                      dy / dist * cfg.kick_speed)
-                self.launched.add((agent_id, state_idx))
-                self._event("KICK", agent_id)
-                return False
-            if self.ball.mode == "KICK":
-                return False
-            self._chase_ball(agent_id)
+        if kind == PASS:
+            self.ball.mode = PASS
+            self.ball.holder = None
+            self.ball.receiver = state.target
+            self.launched.add(agent_id)
+            self._event("PASS_LAUNCH", agent_id, f"to={state.target}")
             return False
-        # Unknown action ids execute as instant no-ops.
-        return True
+        goal = (cfg.goal_x, 0.0)
+        dx, dy = goal[0] - self.ball.pos[0], goal[1] - self.ball.pos[1]
+        dist = math.hypot(dx, dy)
+        if dist == 0.0:
+            return True
+        self.ball.mode = KICK
+        self.ball.holder = None
+        self.ball.velocity = (dx / dist * cfg.kick_speed,
+                              dy / dist * cfg.kick_speed)
+        self.launched.add(agent_id)
+        self._event("KICK", agent_id)
+        return False
 
     def _chase_ball(self, agent_id):
         cfg = self.config
@@ -344,23 +356,21 @@ class _Match:
                     self.ball.pos = pos
                     self._event("STEAL", oid)
 
-    def _current_state(self, fsm: AgentFSM):
-        if fsm.current >= len(fsm.states):
-            return None
-        return fsm.states[fsm.current]
-
-    def _advance(self, fsm: AgentFSM):
-        """Move past completed states whose barriers (if any) have released."""
-        while fsm.current < len(fsm.states):
-            state = fsm.states[fsm.current]
-            key = fsm.current
-            if key not in self.completed[fsm.agent_id]:
-                return
-            if state.barrier_id is not None:
-                done = self.barrier_done.get(state.barrier_id, 0)
-                if done < self.barrier_total[state.barrier_id]:
-                    return  # hold at the barrier
-            fsm.current += 1
+    def _advance(self, aid):
+        """Move past done states whose barriers (if any) have released.
+        Returns the agent's current state, or None once its plan is over."""
+        states = self.states[aid]
+        while self.cursor[aid] < len(states):
+            state = states[self.cursor[aid]]
+            if aid not in self.done:
+                return state
+            barrier = state.barrier_id
+            if barrier is not None and self.barrier_done[barrier] < self.barrier_total[barrier]:
+                return state  # hold at the barrier
+            self.cursor[aid] += 1
+            self.done.discard(aid)
+            self.launched.discard(aid)
+        return None
 
     def run(self) -> MatchResult:
         cfg = self.config
@@ -371,23 +381,16 @@ class _Match:
                 self.t = round(cfg.timeout, 10)
                 self._event("TIMEOUT", "MATCH")
                 break
-            for aid in sorted(self.fsms):
-                fsm = self.fsms[aid]
-                self._advance(fsm)
-                state = self._current_state(fsm)
-                if state is None or fsm.current in self.completed[aid]:
-                    continue
-                finished = self._act(aid, state.action, fsm.current)
-                if finished:
-                    self._finish(fsm, state)
+            for aid in self.states:
+                state = self._advance(aid)
+                if state is not None and aid not in self.done and self._act(aid, state):
+                    self._finish(aid, state)
             self._move_opponents()
             self._update_ball()
             self._settle_flights()
             if self.success:
                 break
-            plan_live = any(
-                self._incomplete(self.fsms[aid]) for aid in self.fsms
-            )
+            plan_live = any(self._advance(aid) is not None for aid in self.states)
             if not plan_live and self.ball.mode not in ("PASS", "KICK"):
                 self._event("PLAN_DONE", "MATCH")
                 break
@@ -398,38 +401,21 @@ class _Match:
             trace=tuple(self.trace),
         )
 
-    def _incomplete(self, fsm: AgentFSM):
-        self._advance(fsm)
-        return fsm.current < len(fsm.states)
-
     def _settle_flights(self):
         """Complete pass/kick actions whose ball flight has resolved."""
-        for aid in sorted(self.fsms):
-            fsm = self.fsms[aid]
-            state = self._current_state(fsm)
-            if state is None or fsm.current in self.completed[aid]:
-                continue
-            if (aid, fsm.current) not in self.launched:
-                continue
-            action_id = state.action.action_id
-            if "pass" in action_id and "receive" not in action_id:
-                receiver = dict(state.action.args).get("RECEIVER")
-                if self.ball.mode == "HELD" and self.ball.holder == receiver:
-                    self._finish(fsm, state)
-            elif "kick" in action_id:
-                if self.success or (
-                    self.ball.mode == "FREE"
-                    and self.ball.velocity == (0.0, 0.0)
-                ):
-                    self._finish(fsm, state)
+        for aid in sorted(self.launched - self.done):
+            state = self.states[aid][self.cursor[aid]]
+            if state.kind == PASS:
+                if self.ball.mode == "HELD" and self.ball.holder == state.target:
+                    self._finish(aid, state)
+            elif self.ball.mode == "FREE" and self.ball.velocity == (0.0, 0.0):
+                self._finish(aid, state)  # KICK: scored or stopped
 
-    def _finish(self, fsm: AgentFSM, state: FSMState):
-        self.completed[fsm.agent_id].add(fsm.current)
-        self._event("ACTION_DONE", fsm.agent_id, state.action.action_id)
+    def _finish(self, aid, state: FSMState):
+        self.done.add(aid)
+        self._event("ACTION_DONE", aid, state.action_id)
         if state.barrier_id is not None:
-            self.barrier_done[state.barrier_id] = (
-                self.barrier_done.get(state.barrier_id, 0) + 1
-            )
+            self.barrier_done[state.barrier_id] += 1
 
 
 def run_match(fsms, world0: WorldState, domain: Domain, config: SimConfig,

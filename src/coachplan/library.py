@@ -88,16 +88,16 @@ def _world_for_plan(world: WorldState, fsm_agents, record: PlanRecord,
 
 
 def evaluate(library: Library, worlds, domain: Domain, config: SimConfig,
-             policy) -> list:
-    """One match per world, in order: select the nearest plan, compile it,
-    rename the world's own agents to the plan's roles when needed and run
-    it against `policy`.  Returns the MatchResults."""
+             policy, schemas=None) -> list:
+    """One match per world, in order: select the nearest plan, compile it
+    against `schemas`, rename the world's own agents to the plan's roles
+    when needed and run it against `policy`.  Returns the MatchResults."""
     if not library.records:
         raise EmptyLibrary("library is empty")
     results = []
     for world in worlds:
         record = select_plan(library, world, domain)
-        fsms = compile_fsm(record.plan)
+        fsms = compile_fsm(record.plan, schemas)
         world = _world_for_plan(world, fsms, record, domain)
         results.append(run_match(fsms, world, domain, config, policy))
     return results

@@ -137,17 +137,8 @@ def run_generate(domain, schemas, world, chat_provider, embed_provider,
     manifest.record("validation", {"report": report.serialize()})
     if not report.ok:
         raise ValidationFailed(report.serialize())
-
-    advice_hash = hashlib.sha256(advice.encode()).hexdigest()
-    from dataclasses import replace
-
-    synced = replace(synced, provenance=("", scenario, advice_hash))
     return manifest, synced, scenario
 
 
 def make_record(plan, scenario: Scenario, frame_id: str, created_at: str):
-    if plan.provenance is not None:
-        from dataclasses import replace
-
-        plan = replace(plan, provenance=(frame_id,) + plan.provenance[1:])
     return planlib.PlanRecord(plan, scenario, frame_id, created_at)

@@ -48,7 +48,6 @@ class PlanStep:
 @dataclass(frozen=True)
 class Plan:
     steps: tuple  # of PlanStep
-    provenance: tuple | None = None  # (frame_id, scenario, advice_hash)
 
     def grounded_actions(self):
         return [a for step in self.steps for a in step.actions]

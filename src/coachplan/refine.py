@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-from .actions import ACTING_AGENT, Predicate, parse_predicate, serialize_actions
+from .actions import ACTING_AGENT, KICK, PASS, Predicate, classify, parse_predicate, serialize_actions
 from .coach import SYSTEM_TEXT, describe_roles, describe_waypoints, fill_template
 from .domain import CONTROL_RADIUS, OWN, Domain, WorldState, nearest_waypoint, serialize_scenario
 from .errors import InvalidInputPlan, ParseError, UnresolvedPlaceholder
@@ -35,12 +35,6 @@ action changes the game situation. Constraints on passing: a robot
 cannot pass or kick the ball if it has passed it before, receive
 the ball only if you are at the target location otherwise, consider
 robot movement actions."""
-
-
-def _is_pass_or_kick(action_id: str) -> bool:
-    if "receive" in action_id:
-        return False
-    return "pass" in action_id or "kick" in action_id
 
 
 @dataclass(frozen=True)
@@ -120,7 +114,7 @@ def _check_preconditions(action, schemas, state, step_index, violations):
                     f"{action.action_id} {action.agent_id}: requires {pred}",
                 )
             )
-    if _is_pass_or_kick(action.action_id):
+    if classify(schemas[action.action_id]) in (PASS, KICK):
         if Predicate("has_passed", (action.agent_id,)) in state:
             violations.append(
                 Violation(
@@ -270,7 +264,7 @@ def auto_parallelize(plan: Plan, schemas: dict, initial: frozenset | None = None
             flush()
             group.append(action)
     flush()
-    return Plan(tuple(out_steps), provenance=plan.provenance)
+    return Plan(tuple(out_steps))
 
 
 # --- prompts ---------------------------------------------------------------

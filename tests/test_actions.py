@@ -6,8 +6,15 @@ from hypothesis import given, strategies as st
 
 import coachplan as cp
 from coachplan.actions import (
+    INSTANT,
+    KICK,
+    MOVE,
+    PASS,
+    RECEIVE,
     MockEmbeddingProvider,
     RecordedEmbeddingProvider,
+    classify,
+    packaged_schemas,
     parse_predicate,
     serialize_actions,
 )
@@ -127,6 +134,13 @@ class TestCosine:
             return
         assert cp.cosine_similarity(a, b) == pytest.approx(1.0, abs=1e-9)
 
+    def test_tiny_vectors(self):
+        # Squaring 2.76e-158 underflows into subnormals; the cosine of a
+        # vector with half of itself must still be 1.
+        a = cp.Embedding((0.0, 0.0, 0.0, 2.762167180876126e-158), 4)
+        b = cp.Embedding(tuple(v * 0.5 for v in a.vector), 4)
+        assert cp.cosine_similarity(a, b) == 1.0
+
     def test_bounds(self):
         rng = random.Random(2)
         for _ in range(100):
@@ -212,3 +226,50 @@ class TestProviders:
         path.write_text("# nothing here\n")
         with pytest.raises(ProviderError):
             RecordedEmbeddingProvider(path)
+
+
+# --- action kinds, read from the schemas' add effects ----------------------
+
+def one_schema(effects, args=""):
+    text = f"ACTION_ID: custom\nARGS: {args}\nEFFECTS: {effects}\n"
+    return cp.parse_action_file(text)[0]
+
+
+def test_packaged_action_kinds(schemas):
+    assert {aid: classify(s) for aid, s in schemas.items()} == {
+        "move_to": MOVE,
+        "pass_the_ball": PASS,
+        "receive_ball": RECEIVE,
+        "kick_to_goal": KICK,
+        "align_to_goal": INSTANT,
+        "dribble_to": MOVE,
+        "defend_goal": MOVE,
+        "mark_opponent": MOVE,
+    }
+
+
+@pytest.mark.parametrize("effects, args, kind", [
+    ("ball_at(OPPONENT_GOAL)", "", KICK),
+    ("!ball_held_by(AGENT), ball_at(OPPONENT_GOAL)", "", KICK),
+    ("ball_at(R), has_passed(AGENT)", "R : ROLE", PASS),
+    ("ball_held_by(?AGENT)", "", RECEIVE),
+    ("at(AGENT,T)", "T : WAYPOINT", MOVE),
+    ("at(AGENT,LEFT_WING), aligned_to_goal(AGENT)", "", MOVE),
+    ("", "", INSTANT),
+    ("aligned_to_goal(AGENT), !at(AGENT,OUR_GOAL)", "", INSTANT),
+    # Fit no single kind:
+    ("at(AGENT,T), ball_at(T)", "T : WAYPOINT", None),
+    ("ball_at(T)", "T : WAYPOINT", None),
+    ("ball_at(OPPONENT_GOAL), has_passed(AGENT)", "", None),
+    ("at(R,T)", "R : ROLE, T : WAYPOINT", None),
+    ("ball_held_by(R)", "R : ROLE", None),
+])
+def test_classify(effects, args, kind):
+    assert classify(one_schema(effects, args)) == kind
+
+
+def test_packaged_schemas_parsed_once(schemas):
+    assert packaged_schemas() is packaged_schemas()
+    assert dict(packaged_schemas()) == schemas
+    with pytest.raises(TypeError):
+        packaged_schemas()["shoot"] = None

@@ -106,6 +106,85 @@ class TestSimulate:
                      "--sim-config", cfg, *base]) == 2
 
 
+CUSTOM_ACTIONS = """
+ACTION_ID: shoot
+DESCRIPTION: Shoot at the opponent goal.
+ARGS:
+PRECONDITIONS: ball_held_by(AGENT)
+EFFECTS: !ball_held_by(AGENT), ball_at(OPPONENT_GOAL)
+
+ACTION_ID: go_to_kickoff
+DESCRIPTION: Walk to a kickoff position.
+ARGS: TARGET : WAYPOINT
+PRECONDITIONS:
+EFFECTS: at(AGENT,TARGET)
+"""
+
+
+class TestActionsFileSemantics:
+    """`simulate` and `evaluate` run each action as its --actions effects say,
+    whatever its id."""
+
+    NEAR_GOAL = "AGENT STRIKER OWN STRIKER 3.2 0.0 0.0\nBALL 3.3 0.0\n"
+
+    @pytest.fixture()
+    def custom(self, tmp_path, data_dir):
+        with open(os.path.join(data_dir, "domain.txt")) as fh:
+            domain_text = fh.read().replace(
+                'ACTIONS=pass_the_ball,', 'ACTIONS=shoot,go_to_kickoff,pass_the_ball,', 1)
+        with open(os.path.join(data_dir, "actions.txt")) as fh:
+            actions_text = fh.read() + CUSTOM_ACTIONS
+        return ["--domain", write(tmp_path / "domain.txt", domain_text),
+                "--actions", write(tmp_path / "actions.txt", actions_text)]
+
+    def simulate(self, tmp_path, custom, plan_text, capsys):
+        plan = write(tmp_path / "p.plan", plan_text)
+        world = write(tmp_path / "w.world", self.NEAR_GOAL)
+        assert main(["simulate", "--plan", plan, "--world", world, "--trace", *custom]) == 0
+        return capsys.readouterr().out
+
+    def test_shoot_scores(self, tmp_path, custom, capsys):
+        out = self.simulate(tmp_path, custom, "shoot STRIKER {}\n", capsys)
+        assert out.startswith("success=True passes=0 ")
+        assert "EVENT KICK STRIKER" in out and "EVENT GOAL BALL" in out
+
+    def test_go_to_kickoff_walks(self, tmp_path, custom, capsys):
+        out = self.simulate(tmp_path, custom,
+                            "go_to_kickoff STRIKER {TARGET: CENTER_FIELD}\n", capsys)
+        assert out.startswith("success=False passes=0 scoring_time=None")
+        assert "KICK" not in out
+        assert "EVENT ACTION_DONE STRIKER go_to_kickoff" in out
+        assert out.rstrip().endswith("EVENT PLAN_DONE MATCH")
+
+    def test_evaluate_uses_actions_file(self, tmp_path, custom, capsys):
+        lib, scenarios = tmp_path / "lib", tmp_path / "scenarios"
+        scenarios.mkdir()
+        write(scenarios / "a.world", self.NEAR_GOAL)
+        plan = write(tmp_path / "p.plan", "shoot STRIKER {}\n")
+        scenario = write(tmp_path / "s.scenario", "SCENARIO:\n"
+                         "STRIKER is at KICKING_POSITION\nBALL is at KICKING_POSITION\n")
+        assert main(["library", "add", "--library", str(lib), "--plan", plan,
+                     "--scenario", scenario, "--frame-id", "f1", *custom]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--library", str(lib), "--scenarios", str(scenarios),
+                     "--format", "tsv", *custom]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split("\t")[0] == "1"
+
+    def test_pass_by_another_agent(self, tmp_path, base, capsys):
+        # The validator accepts it; the simulator cannot run it as validated.
+        plan = write(tmp_path / "p.plan",
+                     "pass_the_ball JOLLY {SENDER: STRIKER, RECEIVER: JOLLY}\n")
+        init = write(tmp_path / "init.facts", "ball_held_by(STRIKER)\n")
+        assert main(["validate", "--plan", plan, "--initial", init,
+                     "--format", "lines", *base]) == 0
+        assert capsys.readouterr().out == "OK\n"
+        world = write(tmp_path / "w.world",
+                      "AGENT STRIKER OWN STRIKER 0.1 0.1 0.0\n"
+                      "AGENT JOLLY OWN JOLLY 3.2 0.0 0.0\nBALL 0.2 0.1\n")
+        assert main(["simulate", "--plan", plan, "--world", world, *base]) == 2
+        assert "made by STRIKER, not the acting agent" in capsys.readouterr().err
+
+
 class TestMalformedInput:
     """Bad world files and sim configs end in a one-line error and exit 2."""
 
@@ -129,6 +208,13 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: line {line}: ")
         assert "Traceback" not in err
+
+    def test_bad_waypoint_number(self, tmp_path, data_dir, plan, capsys):
+        domain = write(tmp_path / "domain.txt", 'WAYPOINT A 1.2.3 0 "x"\n')
+        code = main(["validate", "--plan", plan, "--domain", domain,
+                     "--actions", os.path.join(data_dir, "actions.txt")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: line 1: bad number '1.2.3'\n"
 
     def test_repeated_own_role(self, tmp_path, base, plan, capsys):
         world_text = ("AGENT a OWN STRIKER 0.0 0.0 0.0\n"

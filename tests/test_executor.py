@@ -1,9 +1,14 @@
+import dataclasses
+import glob
+import hashlib
+import os
 import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import coachplan as cp
+from coachplan.actions import INSTANT, KICK, MOVE, PASS, RECEIVE
 from coachplan.domain import FIELD_X, FIELD_Y, OPPONENT, OWN
 from coachplan.errors import ConfigInvalid, EmptyInput, InvalidPlan
 from coachplan.executor import (
@@ -87,6 +92,51 @@ class TestCompileFsm:
         with pytest.raises(InvalidPlan):
             compile_fsm(plan)
 
+    def test_states_carry_kind_and_target(self, schemas, roles):
+        plan = parse(
+            "pass_the_ball STRIKER {SENDER: STRIKER, RECEIVER: JOLLY}\n"
+            "receive_ball JOLLY {SENDER: STRIKER}\n"
+            "move_to STRIKER {TARGET: LEFT_WING}\n"
+            "align_to_goal JOLLY {}\n"
+            "kick_to_goal JOLLY {}\n"
+            "defend_goal GOALIE {}",
+            schemas, roles,
+        )
+        fsms = compile_fsm(plan, schemas)
+        assert [(st.kind, st.target) for st in fsms["STRIKER"].states] == [
+            (PASS, "JOLLY"), (MOVE, "LEFT_WING")]
+        assert [(st.kind, st.target) for st in fsms["JOLLY"].states] == [
+            (RECEIVE, None), (INSTANT, None), (KICK, None)]
+        # defend_goal's waypoint comes from its effect at(AGENT,OUR_GOAL).
+        assert fsms["GOALIE"].states[0].target == "OUR_GOAL"
+
+    def test_fsm_is_immutable(self, schemas, roles):
+        fsm = compile_fsm(parse(PASS_KICK_PLAN, schemas, roles))["JOLLY"]
+        assert [f.name for f in dataclasses.fields(fsm)] == ["agent_id", "states"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fsm.states = ()
+
+    def test_pass_by_another_agent_rejected(self, schemas, roles):
+        # Validates (the effects only name SENDER), but JOLLY cannot pass a
+        # ball STRIKER holds.
+        plan = parse("pass_the_ball JOLLY {SENDER: STRIKER, RECEIVER: JOLLY}",
+                     schemas, roles)
+        with pytest.raises(InvalidPlan, match="made by STRIKER"):
+            compile_fsm(plan)
+
+    def test_unclassifiable_action_rejected(self, roles):
+        custom = {s.action_id: s for s in cp.parse_action_file(
+            "ACTION_ID: move_to\nARGS: TARGET : WAYPOINT\n"
+            "EFFECTS: at(AGENT,TARGET), ball_at(TARGET)\n")}
+        plan = parse("move_to STRIKER {TARGET: LEFT_WING}", custom, roles)
+        with pytest.raises(InvalidPlan, match="fit one action kind"):
+            compile_fsm(plan, custom)
+
+    def test_action_missing_from_schemas_rejected(self, schemas, roles):
+        plan = parse("kick_to_goal STRIKER {}", schemas, roles)
+        with pytest.raises(InvalidPlan):
+            compile_fsm(plan, {})
+
 
 class TestRunMatch:
     def test_clear_shot_scores(self, domain, schemas, roles):
@@ -118,6 +168,14 @@ class TestRunMatch:
         assert (a.success, a.passes, a.scoring_time) == (
             b.success, b.passes, b.scoring_time
         )
+
+    def test_compiled_plan_is_reusable(self, domain, schemas, roles):
+        # The match owns its run state, so a second run starts from the top.
+        world = cp.parse_world_file(PASS_KICK_WORLD, domain)
+        fsms = compile_fsm(parse(PASS_KICK_PLAN, schemas, roles))
+        first = run_match(fsms, world, domain, cp.SimConfig())
+        assert first.passes == 1
+        assert run_match(fsms, world, domain, cp.SimConfig()) == first
 
     def test_trace_timestamps_monotone(self, domain, schemas, roles):
         world = cp.parse_world_file(PASS_KICK_WORLD, domain)
@@ -298,3 +356,35 @@ def test_policy_object_is_reusable(domain, corpus_plans, data, policy_name):
         fresh = run_match(compile_fsm(plan), world, domain, config,
                           make_opponent_policy(policy_name))
         assert run_match(compile_fsm(plan), world, domain, config, shared) == fresh
+
+
+# --- pinned behaviour: every runnable corpus x golden-world x policy match ---
+
+# sha256 over the traces of the 140 runnable matches (20 corpus plans x the
+# 8 golden scenario worlds plus frame_0 x both policies; a plan whose agents
+# a world lacks is skipped).  Any change to what the simulator does moves it.
+TRACE_DIGEST = "d3006552a2750df512c2b29385c03d247c45ea33de99a8fd0133287d47a56976"
+
+
+def test_corpus_traces_pinned(domain, corpus_plans, golden_dir):
+    paths = sorted(glob.glob(os.path.join(golden_dir, "scenarios", "*.world")))
+    paths.append(os.path.join(golden_dir, "frame_0.world"))
+    worlds = []
+    for path in paths:
+        with open(path) as fh:
+            worlds.append((os.path.basename(path), cp.parse_world_file(fh.read(), domain)))
+    digest = hashlib.sha256()
+    runnable = 0
+    for name, plan in sorted(corpus_plans.items()):
+        for world_name, world in worlds:
+            for policy_name in (STATIC, NEAREST_INTERCEPT):
+                try:
+                    result = run_match(compile_fsm(plan), world, domain, cp.SimConfig(),
+                                       make_opponent_policy(policy_name))
+                except ConfigInvalid:
+                    continue
+                runnable += 1
+                digest.update(f"{name} {world_name} {policy_name}\n".encode())
+                digest.update(result.trace_text().encode())
+    assert runnable == 140
+    assert digest.hexdigest() == TRACE_DIGEST

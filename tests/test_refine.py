@@ -58,6 +58,17 @@ class TestValidatePlan:
         assert (3, PASS_CONSTRAINT) in kinds(report)
         assert (3, PRECONDITION) in kinds(report)
 
+    def test_pass_constraint_follows_the_kind(self, schemas, domain):
+        # `shoot` is a KICK by its effect, whatever its id says.
+        custom = dict(schemas, **{s.action_id: s for s in cp.parse_action_file(
+            "ACTION_ID: shoot\nEFFECTS: ball_at(OPPONENT_GOAL)\n")})
+        roles = {"STRIKER": cp.Role("STRIKER", "", frozenset({"pass_the_ball", "shoot"}))}
+        plan = cp.parse_plan(
+            "pass_the_ball STRIKER {SENDER: STRIKER, RECEIVER: STRIKER}\n"
+            "shoot STRIKER {}", custom, roles)
+        report = cp.validate_plan(plan, custom, HELD)
+        assert kinds(report) == [(2, PASS_CONSTRAINT)]
+
     def test_receive_clears_has_passed(self, schemas, roles):
         plan = cp.parse_plan(
             "pass_the_ball STRIKER {SENDER: STRIKER, RECEIVER: JOLLY}\n"
