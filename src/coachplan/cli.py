@@ -143,7 +143,7 @@ def cmd_generate(args):
 
 def cmd_validate(args):
     domain, schemas = _load_domain_actions(args)
-    plan = parse_plan(_read(args.plan), schemas, domain.roles)
+    plan = parse_plan(_read(args.plan), schemas, domain.roles, domain.waypoints)
     initial = parse_facts_file(_read(args.initial)) if args.initial else frozenset()
     report = validate_plan(plan, schemas, initial)
     if args.format == "lines":
@@ -160,7 +160,7 @@ def cmd_validate(args):
 def cmd_simulate(args):
     domain, schemas = _load_domain_actions(args)
     world = parse_world_file(_read(args.world), domain)
-    plan = parse_plan(_read(args.plan), schemas, domain.roles)
+    plan = parse_plan(_read(args.plan), schemas, domain.roles, domain.waypoints)
     fsms = compile_fsm(plan, schemas)
     config = _sim_config(args)
     policy = make_opponent_policy(args.opponents, seed=args.seed)
@@ -201,7 +201,7 @@ def cmd_library(args):
                   f"{len(record.plan.steps)} steps")
         return EXIT_OK
     if args.library_cmd == "add":
-        plan = parse_plan(_read(args.plan), schemas, domain.roles)
+        plan = parse_plan(_read(args.plan), schemas, domain.roles, domain.waypoints)
         from .coach import parse_scenario_block
 
         scenario = parse_scenario_block(_read(args.scenario), domain)

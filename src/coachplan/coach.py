@@ -36,19 +36,22 @@ BALL is at CENTER_FIELD"""
 TACTICS_SENTENCE = "Your attitude is to perform the following tactics [TACTICS]"
 
 
-def fill_template(name: str, slots: dict) -> str:
-    """Load a packaged prompt template and replace each slot, in order.
+_SLOT_RE = re.compile(r"\[[A-Z_]+\]")
 
-    Brackets that are not slots (the coach skeleton's [ROLE_OWN_TEAM], say)
-    are shown to the model verbatim; a slot still present afterwards raises
+
+def fill_template(name: str, slots: dict) -> str:
+    """Load a packaged prompt template and replace its `[SLOT]`s in one pass.
+
+    Only the template's own text is searched, so a value is inserted
+    verbatim even if it names a slot (advice that mentions [ROLES], say).
+    Brackets that are not slots (the coach skeleton's [ROLE_OWN_TEAM]) are
+    shown to the model verbatim; a slot the template lacks raises
     UnresolvedPlaceholder."""
     text = resources.files("coachplan.data.templates").joinpath(name).read_text()
-    for slot, value in slots.items():
-        text = text.replace(slot, value)
     for slot in slots:
-        if slot in text:
-            raise UnresolvedPlaceholder(f"unfilled template slot {slot}")
-    return text
+        if slot not in text:
+            raise UnresolvedPlaceholder(f"template {name} has no slot {slot}")
+    return _SLOT_RE.sub(lambda m: slots.get(m.group(0), m.group(0)), text)
 
 
 def describe_roles(domain: Domain) -> str:

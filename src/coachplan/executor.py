@@ -161,10 +161,10 @@ def _step_towards(pos, target, step):
 
 
 def _clamp(pos):
-    return (
-        max(-FIELD_X, min(FIELD_X, pos[0])),
-        max(-FIELD_Y, min(FIELD_Y, pos[1])),
-    )
+    x, y = pos
+    if -FIELD_X <= x <= FIELD_X and -FIELD_Y <= y <= FIELD_Y:
+        return pos
+    return (max(-FIELD_X, min(FIELD_X, x)), max(-FIELD_Y, min(FIELD_Y, y)))
 
 
 @dataclass
@@ -176,6 +176,10 @@ class _Ball:
     velocity: tuple = (0.0, 0.0)
 
 
+# Ticks between two checks for a match whose state has stopped changing.
+SETTLE_PERIOD = 16
+
+
 class _Match:
     def __init__(self, fsms, world0: WorldState, domain: Domain,
                  config: SimConfig, opponent_policy):
@@ -183,7 +187,11 @@ class _Match:
         if missing:
             raise ConfigInvalid(f"world is missing plan agents: {missing}")
         self.states = {aid: fsms[aid].states for aid in sorted(fsms)}  # in id order
-        self.domain = domain
+        # Each MOVE target's position, resolved once (UnknownWaypoint here).
+        self.move_targets = {
+            state.target: tuple(domain.waypoint(state.target).position)
+            for states in self.states.values() for state in states if state.kind == MOVE
+        }
         self.config = config
         self.policy = opponent_policy
         self.own = {}
@@ -236,12 +244,12 @@ class _Match:
         kind = state.kind
         pos = self.own[agent_id]
         if kind == MOVE:
-            target = self.domain.waypoint(state.target).position
+            target = self.move_targets[state.target]
             new_pos = _clamp(_step_towards(pos, target, cfg.walk_speed * cfg.tick))
             self.own[agent_id] = new_pos
             if self._holds_ball(agent_id):
                 self.ball.pos = new_pos
-            return new_pos == tuple(target)
+            return new_pos == target
         if kind == INSTANT:
             return True
         if kind == RECEIVE:
@@ -341,7 +349,7 @@ class _Match:
                 ball.pos = new_pos
 
     def _move_opponents(self):
-        for oid in sorted(self.opponents):
+        for oid in self.opponents:  # in id order
             self.opponents[oid] = _clamp(
                 self.policy.move(self.opponents[oid], self.ball.pos, self.config)
             )
@@ -372,12 +380,24 @@ class _Match:
             self.launched.discard(aid)
         return None
 
+    def _snapshot(self):
+        """Everything a tick reads and writes, except the clock; the trace
+        length stands for the events (and counts) a tick may log."""
+        ball = self.ball
+        return (tuple(self.own.values()), tuple(self.opponents.values()),
+                ball.pos, ball.mode, ball.holder, ball.receiver, ball.velocity,
+                tuple(self.cursor.values()), frozenset(self.done),
+                frozenset(self.launched), tuple(self.barrier_done.items()),
+                len(self.trace))
+
     def run(self) -> MatchResult:
         cfg = self.config
+        before = settled = None
         while True:
             self.ticks += 1
             self.t = self.ticks * cfg.tick
-            if self.t > cfg.timeout:
+            # A settled match would idle to the timeout, so it ends there now.
+            if self.t > cfg.timeout or settled:
                 self.t = round(cfg.timeout, 10)
                 self._event("TIMEOUT", "MATCH")
                 break
@@ -394,6 +414,14 @@ class _Match:
             if not plan_live and self.ball.mode not in ("PASS", "KICK"):
                 self._event("PLAN_DONE", "MATCH")
                 break
+            # The tick reads no clock, so a tick that changed nothing will
+            # change nothing ever again.  Checked on two ticks in every
+            # SETTLE_PERIOD, since a snapshot per tick costs more than it saves.
+            phase = self.ticks % SETTLE_PERIOD
+            if phase == 0:
+                before = self._snapshot()
+            elif phase == 1:
+                settled = self._snapshot() == before
         return MatchResult(
             success=self.success,
             passes=self.passes,

@@ -195,7 +195,7 @@ def load_library(path, schemas: dict, roles: dict, domain: Domain) -> Library:
                 continue
             frame_id, created_at = line.split("\t")
             with open(os.path.join(path, f"{frame_id}.plan")) as pf:
-                plan = parse_plan(pf.read(), schemas, roles)
+                plan = parse_plan(pf.read(), schemas, roles, domain.waypoints)
             with open(os.path.join(path, f"{frame_id}.scenario")) as sf:
                 scenario = parse_scenario_block(sf.read(), domain)
             records.append(PlanRecord(plan, scenario, frame_id, created_at))

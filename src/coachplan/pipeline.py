@@ -105,7 +105,7 @@ def run_generate(domain, schemas, world, chat_provider, embed_provider,
         request = build_grounding_prompt(domain, retrieved, scenario, advice)
         response = chat_provider.complete(request)
         grounded = parse_plan(response.text, {s.action_id: s for s in retrieved},
-                              domain.roles)
+                              domain.roles, domain.waypoints)
     except CoachPlanError as exc:
         raise GroundingFailed(str(exc)) from exc
     grounded_text = serialize_plan(grounded)
@@ -121,7 +121,7 @@ def run_generate(domain, schemas, world, chat_provider, embed_provider,
         request = build_sync_prompt(grounded_text, positive, negatives)
         response = chat_provider.complete(request)
         synced = parse_plan(response.text, {s.action_id: s for s in retrieved},
-                            domain.roles)
+                            domain.roles, domain.waypoints)
     except CoachPlanError as exc:
         raise SyncFailed(str(exc)) from exc
     manifest.record("synchronizer", {

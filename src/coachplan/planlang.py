@@ -21,6 +21,7 @@ from .errors import (
     PlanSyntaxError,
     UnknownAction,
     UnknownAgent,
+    UnknownWaypoint,
 )
 
 SINGLE = "SINGLE"
@@ -93,11 +94,12 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, tokens, schemas, roles):
+    def __init__(self, tokens, schemas, roles, waypoints):
         self.tokens = tokens
         self.pos = 0
         self.schemas = schemas
         self.roles = roles
+        self.waypoints = waypoints
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -217,16 +219,21 @@ class _Parser:
                     raise ArgMismatch(
                         f"{schema.action_id}: {name}={value!r} is not a waypoint token"
                     )
+                if self.waypoints is not None and value not in self.waypoints:
+                    raise UnknownWaypoint(
+                        f"{schema.action_id}: {name}={value!r} is not a waypoint of the domain"
+                    )
             args.append((name, value))
         return tuple(args)
 
 
-def parse_plan(text: str, schemas: dict, roles: dict) -> Plan:
-    """Parse plan text against known action schemas and roles."""
+def parse_plan(text: str, schemas: dict, roles: dict, waypoints=None) -> Plan:
+    """Parse plan text against known action schemas and roles, and, when
+    `waypoints` (the domain's tokens) is given, WAYPOINT values against it."""
     tokens = _tokenize(text)
     if not tokens:
         raise EmptyPlan("plan text contains no steps")
-    return _Parser(tokens, schemas, roles).parse_plan()
+    return _Parser(tokens, schemas, roles, waypoints).parse_plan()
 
 
 def serialize_action(action: GroundedAction) -> str:

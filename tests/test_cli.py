@@ -64,6 +64,16 @@ class TestValidate:
     def test_missing_file_exit_two(self, tmp_path, base):
         assert main(["validate", "--plan", str(tmp_path / "nope.plan"), *base]) == 2
 
+    def test_unknown_waypoint_exit_two(self, tmp_path, base, capsys):
+        # Checked against the domain when parsed, not first in the simulator.
+        plan = write(tmp_path / "p.plan", "move_to STRIKER {TARGET: NOWHERE}\n")
+        assert main(["validate", "--plan", plan, *base]) == 2
+        assert capsys.readouterr().err == (
+            "error: move_to: TARGET='NOWHERE' is not a waypoint of the domain\n")
+        world = write(tmp_path / "w.world", "AGENT STRIKER OWN STRIKER 0.0 0.0 0.0\nBALL 1 0\n")
+        assert main(["simulate", "--plan", plan, "--world", world, *base]) == 2
+        assert "NOWHERE" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_clear_shot(self, tmp_path, base, capsys):

@@ -79,11 +79,23 @@ class TestBuildCoachPrompt:
         assert a.fingerprint() != c.fingerprint()
 
 
-def test_fill_template_slot_left_over():
-    # A value that reintroduces an already-filled slot leaves it unfilled.
-    with pytest.raises(UnresolvedPlaceholder, match=r"\[PLAN\]"):
+def test_fill_template_values_kept_verbatim():
+    # One pass over the template: a value that names a slot, earlier or
+    # later in the template, is inserted as it is.
+    text = fill_template("sync.txt", {
+        "[PLAN]": "kick [NEGATIVE_EXAMPLES]", "[POSITIVE_EXAMPLE]": "[PLAN]",
+        "[NEGATIVE_EXAMPLES]": "n",
+    })
+    assert text.count("[PLAN]") == 1
+    assert "kick [NEGATIVE_EXAMPLES]" in text
+    assert "\nn\n" in text
+
+
+def test_fill_template_slot_missing_from_template():
+    with pytest.raises(UnresolvedPlaceholder, match=r"\[ADVICE\]"):
         fill_template("sync.txt", {
-            "[PLAN]": "kick", "[POSITIVE_EXAMPLE]": "[PLAN]", "[NEGATIVE_EXAMPLES]": "n",
+            "[PLAN]": "kick", "[POSITIVE_EXAMPLE]": "p", "[NEGATIVE_EXAMPLES]": "n",
+            "[ADVICE]": "a",
         })
 
 

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import coachplan as cp
 from coachplan.actions import INSTANT, KICK, MOVE, PASS, RECEIVE
 from coachplan.domain import FIELD_X, FIELD_Y, OPPONENT, OWN
-from coachplan.errors import ConfigInvalid, EmptyInput, InvalidPlan
+from coachplan.errors import ConfigInvalid, EmptyInput, InvalidPlan, UnknownWaypoint
 from coachplan.executor import (
     NEAREST_INTERCEPT,
     STATIC,
@@ -228,6 +228,12 @@ class TestRunMatch:
         with pytest.raises(ConfigInvalid):
             run_match(compile_fsm(plan), world, domain, cp.SimConfig())
 
+    def test_unknown_waypoint_before_first_tick(self, domain, schemas, roles):
+        world = cp.parse_world_file(PASS_KICK_WORLD, domain)
+        fsms = compile_fsm(parse("move_to JOLLY {TARGET: NOWHERE}", schemas, roles))
+        with pytest.raises(UnknownWaypoint):
+            _Match(fsms, world, domain, cp.SimConfig(), make_opponent_policy(STATIC))
+
     def test_intercept_policy_can_steal(self, domain, schemas, roles):
         # An opponent parked on the pass lane steals a slow rolling ball.
         world = cp.parse_world_file(
@@ -388,3 +394,50 @@ def test_corpus_traces_pinned(domain, corpus_plans, golden_dir):
                 digest.update(result.trace_text().encode())
     assert runnable == 140
     assert digest.hexdigest() == TRACE_DIGEST
+
+
+# --- settled matches end at once, with the trace they would have had ---
+
+def run_every_tick(*args):
+    with pytest.MonkeyPatch.context() as mp:
+        # No two snapshots compare equal, so the match runs every tick.
+        mp.setattr(_Match, "_snapshot", lambda self: object())
+        return run_match(*args)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), policy_name=st.sampled_from([STATIC, NEAREST_INTERCEPT]))
+def test_settled_exit_changes_nothing(domain, corpus_plans, data, policy_name):
+    plan = corpus_plans[data.draw(st.sampled_from(sorted(corpus_plans)), label="plan")]
+    world = data.draw(full_team_worlds(list(domain.roles)), label="world")
+    fsms = compile_fsm(plan)
+    policy = make_opponent_policy(policy_name)
+    result = run_match(fsms, world, domain, cp.SimConfig(), policy)
+    assert run_every_tick(fsms, world, domain, cp.SimConfig(), policy) == result
+
+
+def test_walking_opponent_is_not_settled(domain, schemas, roles):
+    # JOLLY waits for a pass that never comes while O1 walks 265 ticks to
+    # the loose ball: only the opponent moves until the steal.
+    world = cp.parse_world_file(
+        "AGENT JOLLY OWN JOLLY -4.0 0.0 0.0\n"
+        "AGENT O1 OPPONENT - 3.0 2.0 0.0\n"
+        "BALL 0.0 0.0\n", domain)
+    fsms = compile_fsm(parse("receive_ball JOLLY {SENDER: STRIKER}", schemas, roles))
+    args = (fsms, world, domain, cp.SimConfig(), make_opponent_policy(NEAREST_INTERCEPT))
+    result = run_match(*args)
+    assert [line.split()[2] for line in result.trace] == ["STEAL", "TIMEOUT"]
+    assert run_every_tick(*args) == result
+
+
+def test_settled_intercept_match_ends_early(domain, corpus_plans, golden_dir):
+    # JOLLY's kick is stolen at t=7.50; nothing happens after that, so the
+    # match stops within a few ticks instead of running 2250 idle ones.
+    with open(os.path.join(golden_dir, "scenarios", "scenario_1.world")) as fh:
+        world = cp.parse_world_file(fh.read(), domain)
+    match = _Match(compile_fsm(corpus_plans["p04_join_move_pass.plan"]), world, domain,
+                   cp.SimConfig(), make_opponent_policy(NEAREST_INTERCEPT))
+    result = match.run()
+    assert result.trace[-2:] == ("t=7.50 EVENT STEAL O1", "t=120.00 EVENT TIMEOUT MATCH")
+    assert match.ticks < 400

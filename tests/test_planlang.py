@@ -8,6 +8,7 @@ from coachplan.errors import (
     PlanSyntaxError,
     UnknownAction,
     UnknownAgent,
+    UnknownWaypoint,
 )
 from coachplan.planlang import JOIN, SINGLE
 
@@ -95,6 +96,17 @@ class TestParsePlan:
                 "pass_the_ball STRIKER {SENDER: STRIKER, RECEIVER: NOBODY}",
                 schemas, roles,
             )
+
+    def test_waypoint_arg_checked_against_domain(self, domain, schemas, roles):
+        text = "move_to STRIKER {TARGET: NOWHERE}"
+        # Without the domain's waypoints only the token shape is checked.
+        assert cp.parse_plan(text, schemas, roles).steps[0].actions[0].args == (
+            ("TARGET", "NOWHERE"),)
+        with pytest.raises(UnknownWaypoint, match="NOWHERE"):
+            cp.parse_plan(text, schemas, roles, domain.waypoints)
+        plan = cp.parse_plan("move_to STRIKER {TARGET: CENTER_FIELD}", schemas, roles,
+                             domain.waypoints)
+        assert plan.steps[0].actions[0].args == (("TARGET", "CENTER_FIELD"),)
 
     def test_nested_join(self, schemas, roles):
         text = "JOIN {kick_to_goal STRIKER {}, JOIN {kick_to_goal JOLLY {}}}"

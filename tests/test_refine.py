@@ -252,6 +252,14 @@ class TestPrompts:
         assert "STRIKER is at CENTER_FIELD" in req.user_text
         assert "1. STRIKER kicks." in req.user_text
 
+    def test_grounding_advice_may_name_a_slot(self, domain, schemas):
+        # Model output that names a template slot is inserted verbatim.
+        scenario = cp.Scenario((("STRIKER", "CENTER_FIELD"),))
+        advice = "1. STRIKER checks the [ROLES] list, then kicks."
+        req = build_grounding_prompt(domain, list(schemas.values()), scenario, advice)
+        assert req.user_text.count("[ROLES]") == 1
+        assert advice in req.user_text
+
     def test_grounding_requires_advice(self, domain, schemas):
         scenario = cp.Scenario((("STRIKER", "CENTER_FIELD"),))
         with pytest.raises(UnresolvedPlaceholder):
