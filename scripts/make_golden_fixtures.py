@@ -13,7 +13,8 @@ import sys
 import tempfile
 from importlib import resources
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+sys.path.insert(0, SRC)
 
 import coachplan as cp
 from coachplan.actions import MockEmbeddingProvider, build_index, retrieve_actions
@@ -149,8 +150,11 @@ def main():
 
     # Drive the CLI end to end to produce the golden report.
     data_dir = os.path.join(os.path.dirname(GOLDEN))
+    # The CLI children import this checkout's package, installed or not.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
     with tempfile.TemporaryDirectory() as tmp:
-        lib_dir = os.path.join(tmp, "library")
+        lib_path = os.path.join(tmp, "library.jsonl")
         base = [
             "--domain", os.path.join(data_dir, "domain.txt"),
             "--actions", os.path.join(data_dir, "actions.txt"),
@@ -159,13 +163,13 @@ def main():
             [sys.executable, "-m", "coachplan.cli", "generate", *base,
              "--world", os.path.join(GOLDEN, "frame_0.world"),
              "--transcript", os.path.join(GOLDEN, "transcript.txt"),
-             "--library", lib_dir, "--frame-id", "frame_0"],
-            check=True,
+             "--library", lib_path, "--frame-id", "frame_0"],
+            check=True, env=env,
         )
         report = subprocess.run(
             [sys.executable, "-m", "coachplan.cli", "evaluate", *base,
-             "--library", lib_dir, "--scenarios", scen_dir],
-            check=True, capture_output=True, text=True,
+             "--library", lib_path, "--scenarios", scen_dir],
+            check=True, capture_output=True, text=True, env=env,
         ).stdout
     with open(os.path.join(GOLDEN, "report.txt"), "w") as fh:
         fh.write(report)

@@ -15,6 +15,7 @@ import sys
 
 from . import library as planlib
 from .actions import MockEmbeddingProvider, RecordedEmbeddingProvider, parse_action_file
+from .coach import parse_scenario_block
 from .domain import (
     PlanningGoal,
     Tactics,
@@ -61,6 +62,11 @@ def _load_domain_actions(args):
     return domain, {s.action_id: s for s in schemas}
 
 
+def _open_library(args):
+    domain, schemas = _load_domain_actions(args)
+    return domain, schemas, planlib.load_library(args.library, schemas, domain.roles, domain)
+
+
 def _embed_provider(args):
     if getattr(args, "embeddings", None):
         return RecordedEmbeddingProvider(args.embeddings)
@@ -68,12 +74,17 @@ def _embed_provider(args):
 
 
 def _chat_provider(args):
+    if args.provider:
+        # Live mode: the exchange is recorded into a new --transcript file.
+        if not args.transcript:
+            raise CoachPlanError("--provider needs --transcript OUT to record into")
+        if os.path.exists(args.transcript):
+            raise CoachPlanError(f"{args.transcript} exists; a live run records "
+                                 "into a new transcript file")
+        return RecordingChatProvider(OpenAIChatProvider(model=args.provider))
     if args.transcript:
         # Replay mode: never touches the network, never reads credentials.
         return ReplayChatProvider(Transcript.load(args.transcript))
-    if args.provider:
-        live = OpenAIChatProvider(model=args.provider)
-        return RecordingChatProvider(live)
     raise CoachPlanError("either --transcript or --provider is required")
 
 
@@ -84,7 +95,6 @@ def _sim_config(args) -> SimConfig:
         payload = json.load(fh)
     if not isinstance(payload, dict):
         raise ConfigInvalid("sim config must be a JSON object")
-    payload.pop("opponents", None)
     known = {f.name for f in dataclasses.fields(SimConfig)}
     unknown = sorted(set(payload) - known)
     if unknown:
@@ -123,11 +133,15 @@ def cmd_generate(args):
     config_hash = _config_hash(
         args, ["domain", "actions", "world", "transcript", "k", "tactics", "seed", "goal"]
     )
-    manifest, plan, scenario = run_generate(
-        domain, list(schemas.values()), world, chat, embed,
-        k=args.k, goal=goal, tactics=Tactics(args.tactics or ""),
-        config_hash=config_hash,
-    )
+    try:
+        manifest, plan, scenario = run_generate(
+            domain, list(schemas.values()), world, chat, embed,
+            k=args.k, goal=goal, tactics=Tactics(args.tactics or ""),
+            config_hash=config_hash,
+        )
+    finally:
+        if args.provider:  # kept even when a stage failed
+            chat.transcript.save(args.transcript)
     if args.library:
         lib = planlib.load_library(args.library, schemas, domain.roles, domain)
         record = make_record(plan, scenario, args.frame_id, args.created_at)
@@ -176,8 +190,7 @@ def cmd_simulate(args):
 
 
 def cmd_evaluate(args):
-    domain, schemas = _load_domain_actions(args)
-    lib = planlib.load_library(args.library, schemas, domain.roles, domain)
+    domain, schemas, lib = _open_library(args)
     world_files = sorted(glob.glob(os.path.join(args.scenarios, "*.world")))
     if not world_files:
         raise CoachPlanError(f"no *.world files in {args.scenarios}")
@@ -192,32 +205,32 @@ def cmd_evaluate(args):
     return EXIT_OK
 
 
-def cmd_library(args):
-    domain, schemas = _load_domain_actions(args)
-    lib = planlib.load_library(args.library, schemas, domain.roles, domain)
-    if args.library_cmd == "ls":
-        for record in lib.records:
-            print(f"{record.frame_id}\t{record.created_at}\t"
-                  f"{len(record.plan.steps)} steps")
-        return EXIT_OK
-    if args.library_cmd == "add":
-        plan = parse_plan(_read(args.plan), schemas, domain.roles, domain.waypoints)
-        from .coach import parse_scenario_block
+def cmd_library_ls(args):
+    _, _, lib = _open_library(args)
+    for record in lib.records:
+        print(f"{record.frame_id}\t{record.created_at}\t"
+              f"{len(record.plan.steps)} steps")
+    return EXIT_OK
 
-        scenario = parse_scenario_block(_read(args.scenario), domain)
-        record = planlib.PlanRecord(plan, scenario, args.frame_id, args.created_at)
-        lib = planlib.add(lib, record)
-        planlib.save_library(lib, args.library)
-        print(f"added {args.frame_id}")
-        return EXIT_OK
-    if args.library_cmd == "select":
-        world = parse_world_file(_read(args.world), domain)
-        record = planlib.select_plan(lib, world, domain)
-        print(record.frame_id)
-        print(serialize_scenario(scenario_from_world(world, domain)))
-        print(serialize_plan(record.plan), end="")
-        return EXIT_OK
-    raise CoachPlanError(f"unknown library command {args.library_cmd!r}")
+
+def cmd_library_add(args):
+    domain, schemas, lib = _open_library(args)
+    plan = parse_plan(_read(args.plan), schemas, domain.roles, domain.waypoints)
+    scenario = parse_scenario_block(_read(args.scenario), domain)
+    record = planlib.PlanRecord(plan, scenario, args.frame_id, args.created_at)
+    planlib.save_library(planlib.add(lib, record), args.library)
+    print(f"added {args.frame_id}")
+    return EXIT_OK
+
+
+def cmd_library_select(args):
+    domain, _, lib = _open_library(args)
+    world = parse_world_file(_read(args.world), domain)
+    record = planlib.select_plan(lib, world, domain)
+    print(record.frame_id)
+    print(serialize_scenario(scenario_from_world(world, domain)))
+    print(serialize_plan(record.plan), end="")
+    return EXIT_OK
 
 
 # --- argument parsing ------------------------------------------------------
@@ -239,10 +252,13 @@ def build_parser():
     p.add_argument("--domain", required=True)
     p.add_argument("--actions", required=True)
     p.add_argument("--world", required=True)
-    p.add_argument("--transcript", help="replay transcript (offline mode)")
-    p.add_argument("--provider", help="live chat model name (records a transcript)")
+    p.add_argument("--transcript",
+                   help="transcript to replay (offline mode); with --provider, "
+                        "a new file to record the exchange into")
+    p.add_argument("--provider",
+                   help="live chat model name; needs --transcript to record into")
     p.add_argument("--embeddings", help="recorded-embedding file (default: mock provider)")
-    p.add_argument("--library", help="library directory to append the plan to")
+    p.add_argument("--library", help="library file (JSON Lines) to append the plan to")
     p.add_argument("--manifest", help="write the run manifest JSON here")
     p.add_argument("--k", type=int, default=8)
     p.add_argument("--tactics", default="")
@@ -286,16 +302,26 @@ def build_parser():
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("library", help="inspect or edit a plan library")
-    p.add_argument("library_cmd", choices=["ls", "add", "select"])
-    p.add_argument("--library", required=True)
-    p.add_argument("--domain", required=True)
-    p.add_argument("--actions", required=True)
-    p.add_argument("--plan")
-    p.add_argument("--scenario")
-    p.add_argument("--frame-id")
+    library_sub = p.add_subparsers(dest="library_cmd", required=True)
+    store = argparse.ArgumentParser(add_help=False)
+    store.add_argument("--library", required=True, help="library file (JSON Lines)")
+    store.add_argument("--domain", required=True)
+    store.add_argument("--actions", required=True)
+
+    p = library_sub.add_parser("ls", parents=[store], help="list the stored plans")
+    p.set_defaults(func=cmd_library_ls)
+
+    p = library_sub.add_parser("add", parents=[store], help="store a plan and its scenario")
+    p.add_argument("--plan", required=True)
+    p.add_argument("--scenario", required=True, help="file holding a SCENARIO: block")
+    p.add_argument("--frame-id", required=True)
     p.add_argument("--created-at", default="1970-01-01T00:00:00Z")
-    p.add_argument("--world")
-    p.set_defaults(func=cmd_library)
+    p.set_defaults(func=cmd_library_add)
+
+    p = library_sub.add_parser("select", parents=[store],
+                               help="print the stored plan nearest to a world")
+    p.add_argument("--world", required=True)
+    p.set_defaults(func=cmd_library_select)
 
     return parser
 

@@ -37,6 +37,11 @@ class UndeclaredVariable(ParseError):
     pass
 
 
+class MalformedRecord(ParseError):
+    """A line of a JSON Lines store (plan library, chat transcript) that is
+    not one of its records."""
+
+
 # --- embeddings / retrieval ----------------------------------------------
 
 class DimMismatch(CoachPlanError):

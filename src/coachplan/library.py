@@ -6,6 +6,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from . import jsonl
 from .coach import parse_scenario_block, retrieve_roles
 from .domain import (
     Agent,
@@ -167,36 +168,30 @@ def cluster_scenarios(library: Library, k: int, domain: Domain):
 
 # --- persistence -----------------------------------------------------------
 
-MANIFEST = "manifest.txt"
+# One JSON Lines record per plan: its frame id, its creation time and the
+# serialize_scenario and serialize_plan texts.
+_FIELDS = ["created_at", "frame_id", "plan", "scenario"]
 
 
 def save_library(library: Library, path):
-    os.makedirs(path, exist_ok=True)
-    lines = []
-    for record in library.records:
-        lines.append(f"{record.frame_id}\t{record.created_at}")
-        with open(os.path.join(path, f"{record.frame_id}.plan"), "w") as fh:
-            fh.write(serialize_plan(record.plan))
-        with open(os.path.join(path, f"{record.frame_id}.scenario"), "w") as fh:
-            fh.write(serialize_scenario(record.scenario) + "\n")
-    with open(os.path.join(path, MANIFEST), "w") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+    """Write the library to the file `path`, one record per line."""
+    jsonl.write_records(path, (
+        {"created_at": r.created_at, "frame_id": r.frame_id,
+         "plan": serialize_plan(r.plan), "scenario": serialize_scenario(r.scenario)}
+        for r in library.records
+    ))
 
 
 def load_library(path, schemas: dict, roles: dict, domain: Domain) -> Library:
-    manifest = os.path.join(path, MANIFEST)
-    if not os.path.exists(manifest):
+    """Read a library file; a missing file is an empty library.  A line that
+    is no record, or repeats a frame id, raises MalformedRecord; the plan and
+    scenario texts are checked as parse_plan and parse_scenario_block check
+    them."""
+    if not os.path.exists(path):
         return new_library()
-    records = []
-    with open(manifest) as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            frame_id, created_at = line.split("\t")
-            with open(os.path.join(path, f"{frame_id}.plan")) as pf:
-                plan = parse_plan(pf.read(), schemas, roles, domain.waypoints)
-            with open(os.path.join(path, f"{frame_id}.scenario")) as sf:
-                scenario = parse_scenario_block(sf.read(), domain)
-            records.append(PlanRecord(plan, scenario, frame_id, created_at))
-    return Library(tuple(records))
+    return Library(tuple(
+        PlanRecord(parse_plan(r["plan"], schemas, roles, domain.waypoints),
+                   parse_scenario_block(r["scenario"], domain),
+                   r["frame_id"], r["created_at"])
+        for r in jsonl.read_records(path, _FIELDS, "frame_id")
+    ))

@@ -12,6 +12,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
+from . import jsonl
 from .errors import ProviderError
 
 
@@ -64,41 +65,18 @@ class Transcript:
             raise ProviderError(f"no transcript record for fingerprint {fingerprint}")
         return self.records[fingerprint]
 
-    def dump(self) -> str:
-        chunks = []
-        for fp, text in self.records.items():
-            chunks.append(f"FINGERPRINT: {fp}\nRESPONSE:\n{text.rstrip()}")
-        return "\n\n".join(chunks) + "\n"
-
-    @classmethod
-    def loads(cls, text: str) -> "Transcript":
-        transcript = cls()
-        fp = None
-        body = None
-        for raw in text.splitlines():
-            if raw.startswith("FINGERPRINT:"):
-                if fp is not None:
-                    transcript.add(fp, "\n".join(body).rstrip())
-                fp = raw.split(":", 1)[1].strip()
-                body = None
-            elif raw.startswith("RESPONSE:"):
-                if fp is None:
-                    raise ProviderError("RESPONSE before FINGERPRINT in transcript")
-                body = []
-            elif body is not None:
-                body.append(raw)
-        if fp is not None:
-            transcript.add(fp, "\n".join(body or []).rstrip())
-        return transcript
-
     @classmethod
     def load(cls, path) -> "Transcript":
-        with open(path) as fh:
-            return cls.loads(fh.read())
+        transcript = cls()
+        for r in jsonl.read_records(path, ["fingerprint", "response"], "fingerprint"):
+            transcript.add(r["fingerprint"], r["response"])
+        return transcript
 
     def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.dump())
+        """One {"fingerprint", "response"} JSON object per line, in order."""
+        jsonl.write_records(path, (
+            {"fingerprint": fp, "response": text} for fp, text in self.records.items()
+        ))
 
 
 class ReplayChatProvider:

@@ -1,12 +1,17 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import urllib.request
 
 import pytest
 
 import coachplan as cp
 from coachplan.cli import main
+from coachplan.providers import ChatRequest, Transcript
+
+CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 
 pytestmark = pytest.mark.usefixtures("no_network")
 
@@ -247,6 +252,16 @@ class TestMalformedInput:
         assert self.simulate(tmp_path, base, plan, world_text, "--sim-config", cfg) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_sim_config_opponents_key(self, tmp_path, base, golden_dir, capsys):
+        # The policy is chosen by --opponents only; the key is not dropped quietly.
+        argv = ["simulate", *base, "--plan", os.path.join(CORPUS_DIR, "p04_join_move_pass.plan"),
+                "--world", os.path.join(golden_dir, "scenarios", "scenario_1.world")]
+        assert main([*argv, "--opponents", "NEAREST_INTERCEPT"]) == 0
+        assert capsys.readouterr().out.startswith("success=False ")
+        cfg = write(tmp_path / "sim.json", json.dumps({"opponents": "NEAREST_INTERCEPT"}))
+        assert main([*argv, "--sim-config", cfg]) == 2
+        assert capsys.readouterr().err == "error: unknown sim config key(s): opponents\n"
+
     def test_bad_evaluate_world(self, tmp_path, base, golden_dir):
         scenarios = tmp_path / "scenarios"
         scenarios.mkdir()
@@ -280,15 +295,15 @@ class TestGenerate:
 
     def test_generate_appends_to_library(self, tmp_path, base, golden_dir, domain,
                                          schemas, roles):
-        lib_dir = tmp_path / "lib"
+        lib_path = tmp_path / "lib"
         code = main([
             "generate", *base,
             "--world", os.path.join(golden_dir, "frame_0.world"),
             "--transcript", os.path.join(golden_dir, "transcript.txt"),
-            "--library", str(lib_dir), "--frame-id", "demo",
+            "--library", str(lib_path), "--frame-id", "demo",
         ])
         assert code == 0
-        lib = cp.load_library(lib_dir, schemas, roles, domain)
+        lib = cp.load_library(lib_path, schemas, roles, domain)
         assert lib.frame_ids() == ["demo"]
 
     def test_stale_transcript_exit_three(self, tmp_path, base, golden_dir):
@@ -307,33 +322,106 @@ class TestGenerate:
         ])
         assert code == 2
 
-
-class TestEvaluateAndLibrary:
-    @pytest.fixture()
-    def lib_dir(self, tmp_path, base, golden_dir):
-        lib_dir = tmp_path / "lib"
+    def test_frame_id_stays_in_the_library_file(self, tmp_path, base, golden_dir):
+        store = tmp_path / "store"
+        store.mkdir()
         assert main([
             "generate", *base,
             "--world", os.path.join(golden_dir, "frame_0.world"),
             "--transcript", os.path.join(golden_dir, "transcript.txt"),
-            "--library", str(lib_dir), "--frame-id", "frame_0",
+            "--library", str(store / "lib.jsonl"), "--frame-id", "../escaped",
         ]) == 0
-        return str(lib_dir)
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
+            "store", os.path.join("store", "lib.jsonl")]
+        assert main(["library", "ls", "--library", str(store / "lib.jsonl"), *base]) == 0
 
-    def test_evaluate_matches_golden_report(self, base, golden_dir, lib_dir, capsys):
+
+class TestLiveRecording:
+    """`generate --provider M --transcript OUT` against a fake `urlopen` that
+    answers with the golden responses."""
+
+    @pytest.fixture()
+    def golden(self, golden_dir):
+        return Transcript.load(os.path.join(golden_dir, "transcript.txt"))
+
+    @pytest.fixture()
+    def answers(self, monkeypatch, golden):
+        """Maps a request's fingerprint to the reply text; golden by default."""
+        monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
+        answers = dict(golden.records)
+
+        def fake(request, timeout):
+            messages = {m["role"]: m["content"] for m in json.loads(request.data)["messages"]}
+            fingerprint = ChatRequest(messages.get("system", ""), messages["user"]).fingerprint()
+            reply = {"choices": [{"message": {"content": answers[fingerprint]}}]}
+            return io.BytesIO(json.dumps(reply).encode())
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake)
+        return answers
+
+    def generate(self, base, golden_dir, *extra):
+        return main(["generate", *base,
+                     "--world", os.path.join(golden_dir, "frame_0.world"), *extra])
+
+    def test_replay_of_the_recording(self, tmp_path, base, golden_dir, golden, answers,
+                                     capsys):
+        out = str(tmp_path / "out.jsonl")
+        assert self.generate(base, golden_dir, "--provider", "m1", "--transcript", out) == 0
+        live = capsys.readouterr().out
+        assert Transcript.load(out).records == golden.records
+        assert self.generate(base, golden_dir, "--transcript", out) == 0
+        assert capsys.readouterr().out == live
+        assert live.startswith("manifest_hash ")
+
+    def test_written_when_a_stage_fails(self, tmp_path, base, golden_dir, golden, answers,
+                                        capsys):
+        coach_fp, grounding_fp, _ = golden.records
+        answers[grounding_fp] = "not a plan"
+        out = tmp_path / "out.jsonl"
+        assert self.generate(base, golden_dir, "--provider", "m1",
+                             "--transcript", str(out)) == 2
+        assert "FAILED at stage plan-grounding" in capsys.readouterr().err
+        assert Transcript.load(out).records == {
+            coach_fp: golden.records[coach_fp], grounding_fp: "not a plan"}
+
+    def test_existing_transcript_is_refused(self, tmp_path, base, golden_dir, answers,
+                                            capsys):
+        out = write(tmp_path / "out.jsonl", "keep me\n")
+        assert self.generate(base, golden_dir, "--provider", "m1", "--transcript", out) == 2
+        assert "exists" in capsys.readouterr().err
+        assert (tmp_path / "out.jsonl").read_text() == "keep me\n"
+
+    def test_provider_needs_transcript(self, tmp_path, base, golden_dir, answers, capsys):
+        assert self.generate(base, golden_dir, "--provider", "m1") == 2
+        assert capsys.readouterr().err.startswith("error: --provider needs --transcript")
+
+
+class TestEvaluateAndLibrary:
+    @pytest.fixture()
+    def lib_path(self, tmp_path, base, golden_dir):
+        lib_path = tmp_path / "lib"
+        assert main([
+            "generate", *base,
+            "--world", os.path.join(golden_dir, "frame_0.world"),
+            "--transcript", os.path.join(golden_dir, "transcript.txt"),
+            "--library", str(lib_path), "--frame-id", "frame_0",
+        ]) == 0
+        return str(lib_path)
+
+    def test_evaluate_matches_golden_report(self, base, golden_dir, lib_path, capsys):
         code = main([
             "evaluate", *base,
-            "--library", lib_dir,
+            "--library", lib_path,
             "--scenarios", os.path.join(golden_dir, "scenarios"),
         ])
         assert code == 0
         with open(os.path.join(golden_dir, "report.txt")) as fh:
             assert capsys.readouterr().out == fh.read()
 
-    def test_evaluate_tsv(self, base, golden_dir, lib_dir, capsys):
+    def test_evaluate_tsv(self, base, golden_dir, lib_path, capsys):
         code = main([
             "evaluate", *base,
-            "--library", lib_dir,
+            "--library", lib_path,
             "--scenarios", os.path.join(golden_dir, "scenarios"),
             "--format", "tsv",
         ])
@@ -348,34 +436,80 @@ class TestEvaluateAndLibrary:
         ]) == 2
         assert capsys.readouterr().err == "error: library is empty\n"
 
-    def test_evaluate_empty_dir_exit_two(self, tmp_path, base, lib_dir):
+    def test_evaluate_empty_dir_exit_two(self, tmp_path, base, lib_path):
         empty = tmp_path / "empty"
         empty.mkdir()
         assert main([
-            "evaluate", *base, "--library", lib_dir, "--scenarios", str(empty),
+            "evaluate", *base, "--library", lib_path, "--scenarios", str(empty),
         ]) == 2
 
-    def test_library_ls(self, base, lib_dir, capsys):
-        assert main(["library", "ls", "--library", lib_dir, *base]) == 0
+    def test_library_ls(self, base, lib_path, capsys):
+        assert main(["library", "ls", "--library", lib_path, *base]) == 0
         assert capsys.readouterr().out.startswith("frame_0\t")
 
-    def test_library_select(self, base, golden_dir, lib_dir, capsys):
+    def test_library_select(self, base, golden_dir, lib_path, capsys):
         world = os.path.join(golden_dir, "scenarios", "scenario_2.world")
-        assert main(["library", "select", "--library", lib_dir,
+        assert main(["library", "select", "--library", lib_path,
                      "--world", world, *base]) == 0
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "frame_0"
         assert "SCENARIO:" in out
 
+    @pytest.mark.parametrize("argv", [
+        ["library", "add", "--scenario", "s", "--frame-id", "f"],
+        ["library", "add", "--plan", "p", "--scenario", "s"],
+        ["library", "add", "--plan", "p", "--frame-id", "f"],
+        ["library", "select"],
+    ])
+    def test_library_missing_argument(self, tmp_path, base, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--library", str(tmp_path / "lib.jsonl"), *base])
+        assert exc.value.code == 2
+        assert "required" in capsys.readouterr().err
+        assert not (tmp_path / "lib.jsonl").exists()
+
+    def test_library_needs_a_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["library"])
+        assert exc.value.code == 2
+        assert "required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["not json", "repeat", "directory"])
+    @pytest.mark.parametrize("command", ["ls", "evaluate", "generate"])
+    def test_bad_library_exit_two(self, tmp_path, base, golden_dir, lib_path, capsys,
+                                  bad, command):
+        if bad == "directory":
+            lib = str(tmp_path)
+        else:
+            with open(lib_path) as fh:
+                line = fh.read()
+            lib = write(tmp_path / "bad.jsonl", line + (line if bad == "repeat" else bad + "\n"))
+        argv = {
+            "ls": ["library", "ls", "--library", lib],
+            "evaluate": ["evaluate", "--library", lib,
+                         "--scenarios", os.path.join(golden_dir, "scenarios")],
+            "generate": ["generate", "--library", lib, "--frame-id", "other",
+                         "--world", os.path.join(golden_dir, "frame_0.world"),
+                         "--transcript", os.path.join(golden_dir, "transcript.txt")],
+        }[command]
+        capsys.readouterr()
+        assert main([*argv, *base]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if bad == "directory":
+            assert "Is a directory" in err
+        else:
+            assert err.startswith("error: line 2: ")
+
     def test_library_add(self, tmp_path, base, capsys):
-        lib_dir = tmp_path / "lib2"
+        lib_path = tmp_path / "lib2"
         plan = write(tmp_path / "p.plan", "kick_to_goal STRIKER {}\n")
         scenario = write(tmp_path / "s.scenario",
                          "SCENARIO:\nSTRIKER is at KICKING_POSITION\n")
-        assert main(["library", "add", "--library", str(lib_dir),
+        assert main(["library", "add", "--library", str(lib_path),
                      "--plan", plan, "--scenario", scenario,
                      "--frame-id", "manual", *base]) == 0
-        assert main(["library", "ls", "--library", str(lib_dir), *base]) == 0
+        assert main(["library", "ls", "--library", str(lib_path), *base]) == 0
         out = capsys.readouterr().out
         assert "manual" in out
 

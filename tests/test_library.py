@@ -2,11 +2,21 @@ import glob
 import os
 import random
 
+import json
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import coachplan as cp
 from coachplan.domain import BALL
-from coachplan.errors import DuplicateFrameId, EmptyLibrary, InvalidPlan, KTooLarge
+from coachplan.errors import (
+    DuplicateFrameId,
+    EmptyLibrary,
+    InvalidPlan,
+    KTooLarge,
+    MalformedRecord,
+    UnknownWaypoint,
+)
 from coachplan.executor import STATIC, aggregate, format_metrics_table, make_opponent_policy
 from coachplan.library import cluster_scenarios, evaluate
 from coachplan.pipeline import make_record, run_generate
@@ -213,3 +223,70 @@ class TestPersistence:
         path = tmp_path / "lib"
         cp.save_library(cp.new_library(), path)
         assert cp.load_library(path, schemas, roles, domain) == cp.new_library()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.text(), st.text()), max_size=4,
+                    unique_by=lambda pair: pair[0]))
+    @example([("a\tb", "t\n1"), ("../x", ""), ("\n", "\r"), ("", "\t")])
+    def test_any_frame_id_round_trips(self, tmp_path_factory, domain, schemas, roles, ids):
+        kick_plan = cp.parse_plan("kick_to_goal STRIKER {}", schemas, roles)
+        lib = cp.new_library()
+        for frame_id, created_at in ids:
+            lib = cp.add(lib, record(kick_plan, scenario_at("CENTER_FIELD"), frame_id,
+                                     created_at))
+        directory = tmp_path_factory.getbasetemp() / "any_frame_id"
+        directory.mkdir(exist_ok=True)
+        cp.save_library(lib, directory / "lib.jsonl")
+        assert cp.load_library(directory / "lib.jsonl", schemas, roles, domain) == lib
+        assert sorted(p.name for p in directory.iterdir()) == ["lib.jsonl"]
+
+    def test_one_json_object_per_line(self, tmp_path, kick_plan):
+        path = tmp_path / "lib.jsonl"
+        lib = cp.add(cp.new_library(), record(kick_plan, scenario_at("CENTER_FIELD"), "f"))
+        cp.save_library(lib, path)
+        assert path.read_text() == json.dumps({
+            "created_at": "2024-01-01T00:00:00Z",
+            "frame_id": "f",
+            "plan": "kick_to_goal STRIKER {}\n",
+            "scenario": "SCENARIO:\nSTRIKER is at CENTER_FIELD\nBALL is at CENTER_FIELD",
+        }) + "\n"
+
+    def test_failed_save_keeps_the_old_file(self, tmp_path, domain, schemas, roles,
+                                            kick_plan):
+        path = tmp_path / "lib.jsonl"
+        lib = cp.add(cp.new_library(), record(kick_plan, scenario_at("CENTER_FIELD"), "f"))
+        cp.save_library(lib, path)
+        broken = cp.add(lib, record(None, scenario_at("CENTER_FIELD"), "g"))
+        with pytest.raises(AttributeError):
+            cp.save_library(broken, path)
+        assert cp.load_library(path, schemas, roles, domain) == lib
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lib.jsonl"]
+
+    @pytest.mark.parametrize("lines, line", [
+        (["not json"], 1),
+        (["{}"], 1),
+        (["GOOD", '{"frame_id": "g", "created_at": "t", "plan": "", "scenario": 1}'], 2),
+        (["GOOD", '{"frame_id": "g", "created_at": "t", "plan": "", "scenario": "",'
+                  ' "extra": ""}'], 2),
+        (["GOOD", "GOOD"], 2),
+        (["GOOD", ""], 2),
+    ])
+    def test_malformed_line(self, tmp_path, domain, schemas, roles, kick_plan, lines, line):
+        path = tmp_path / "lib.jsonl"
+        lib = cp.add(cp.new_library(), record(kick_plan, scenario_at("CENTER_FIELD"), "f"))
+        cp.save_library(lib, path)
+        good = path.read_text().rstrip("\n")
+        path.write_text("".join((good if ln == "GOOD" else ln) + "\n" for ln in lines))
+        with pytest.raises(MalformedRecord) as exc:
+            cp.load_library(path, schemas, roles, domain)
+        assert exc.value.line == line
+
+    def test_stored_texts_are_checked(self, tmp_path, domain, schemas, roles):
+        path = tmp_path / "lib.jsonl"
+        path.write_text(json.dumps({
+            "created_at": "t", "frame_id": "f",
+            "plan": "move_to STRIKER {TARGET: NOWHERE}\n",
+            "scenario": "SCENARIO:\nSTRIKER is at CENTER_FIELD",
+        }) + "\n")
+        with pytest.raises(UnknownWaypoint):
+            cp.load_library(path, schemas, roles, domain)

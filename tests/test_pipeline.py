@@ -6,11 +6,13 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import coachplan as cp
 from coachplan.actions import MockEmbeddingProvider
 from coachplan.errors import (
     CoachParseFailed,
+    MalformedRecord,
     ProviderError,
     SyncFailed,
     ValidationFailed,
@@ -51,6 +53,39 @@ class TestTranscript:
         t.save(path)
         again = Transcript.load(path)
         assert again.records == t.records
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.text(), st.text(), max_size=4))
+    @example({"f": "line one\nRESPONSE: x\nlast  \n"})
+    @example({"FINGERPRINT: a": "FINGERPRINT: b\nRESPONSE:\n"})
+    @example({"a": "", "b": "\r", "c": "x\r\ny\r", "d": " \n\n "})
+    def test_any_text_round_trips(self, tmp_path_factory, records):
+        path = tmp_path_factory.getbasetemp() / "round_trip.transcript"
+        Transcript(records).save(path)
+        again = Transcript.load(path)
+        assert list(again.records.items()) == list(records.items())
+
+    def test_one_json_object_per_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        Transcript({"a" * 64: "x\ny"}).save(path)
+        assert path.read_text() == '{"fingerprint": "%s", "response": "x\\ny"}\n' % ("a" * 64)
+
+    @pytest.mark.parametrize("text, line", [
+        ('{"fingerprint": "a", "response": "x"}\nFINGERPRINT: b\n', 2),
+        ('{"fingerprint": "a"}\n', 1),
+        ('{"fingerprint": "a", "response": 7}\n', 1),
+        ('{"fingerprint": "a", "response": "x", "latency": "1"}\n', 1),
+        ('["a", "x"]\n', 1),
+        ('\n', 1),
+        ('{"fingerprint": "a", "response": "x"}\n{"fingerprint": "a", "response": "y"}\n', 2),
+    ])
+    def test_malformed_line(self, tmp_path, text, line):
+        path = tmp_path / "t.jsonl"
+        path.write_text(text)
+        with pytest.raises(MalformedRecord) as exc:
+            Transcript.load(path)
+        assert exc.value.line == line
+        assert str(exc.value).startswith(f"line {line}: ")
 
     def test_duplicate_fingerprint(self):
         t = Transcript()
