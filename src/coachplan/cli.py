@@ -27,6 +27,7 @@ from .domain import (
 from .errors import (
     CoachPlanError,
     ConfigInvalid,
+    DuplicateFrameId,
     ProviderError,
     StageError,
     ValidationFailed,
@@ -133,6 +134,11 @@ def cmd_generate(args):
     config_hash = _config_hash(
         args, ["domain", "actions", "world", "transcript", "k", "tactics", "seed", "goal"]
     )
+    if args.library:
+        # Read before the first model call, so an unusable library costs none.
+        lib = planlib.load_library(args.library, schemas, domain.roles, domain)
+        if args.frame_id in lib.frame_ids():
+            raise DuplicateFrameId(args.frame_id)
     try:
         manifest, plan, scenario = run_generate(
             domain, list(schemas.values()), world, chat, embed,
@@ -143,10 +149,8 @@ def cmd_generate(args):
         if args.provider:  # kept even when a stage failed
             chat.transcript.save(args.transcript)
     if args.library:
-        lib = planlib.load_library(args.library, schemas, domain.roles, domain)
         record = make_record(plan, scenario, args.frame_id, args.created_at)
-        lib = planlib.add(lib, record)
-        planlib.save_library(lib, args.library)
+        planlib.save_library(planlib.add(lib, record), args.library)
     if args.manifest:
         with open(args.manifest, "w") as fh:
             fh.write(manifest.to_json())

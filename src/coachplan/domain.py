@@ -8,8 +8,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import EmptyDomain, MissingRole, ParseError, UnknownWaypoint
+from .errors import DuplicateSubject, EmptyDomain, MissingRole, ParseError, UnknownWaypoint
 
 # SPL field, origin at center: 9.0 m x 6.0 m, own goal at x = -4.5.
 FIELD_X = 4.5
@@ -91,9 +92,16 @@ class WorldState:
 @dataclass(frozen=True)
 class Scenario:
     """Ordered (subject, waypoint-token) assignments; subject is a role
-    name, an OPPONENT_i marker, or BALL."""
+    name, an OPPONENT_i marker, or BALL.  No subject appears twice."""
 
     assignments: tuple  # of (subject, token)
+
+    def __post_init__(self):
+        seen = set()
+        for subject, _ in self.assignments:
+            if subject in seen:
+                raise DuplicateSubject(subject)
+            seen.add(subject)
 
     def subjects(self):
         return [s for s, _ in self.assignments]
@@ -129,6 +137,45 @@ class Domain:
             return self.waypoints[token]
         except KeyError:
             raise UnknownWaypoint(token) from None
+
+    @cached_property
+    def _distance_table(self) -> dict:
+        """token -> {token: metres}: table[b][a] is hypot(ax - bx, ay - by)."""
+        positions = {t: w.position for t, w in self.waypoints.items()}
+        return {
+            b: {a: math.hypot(ax - bx, ay - by) for a, (ax, ay) in positions.items()}
+            for b, (bx, by) in positions.items()
+        }
+
+    def distance_rows(self, b: Scenario) -> dict:
+        """subject -> its row of the waypoint-distance table, for scoring
+        many scenarios against `b` with distance_to."""
+        table = self._distance_table
+        try:
+            return {subject: table[token] for subject, token in b.assignments}
+        except KeyError as exc:
+            raise UnknownWaypoint(exc.args[0]) from None
+
+    def distance_to(self, rows: dict, a: Scenario) -> float:
+        """scenario_distance(a, b) for rows = distance_rows(b), summed in
+        one fixed order: a's subjects, then b's unmatched ones."""
+        total = 0.0
+        matched = 0
+        for subject, token in a.assignments:
+            row = rows.get(subject)
+            if row is None:
+                if token not in self.waypoints:
+                    raise UnknownWaypoint(token)
+                total += UNMATCHED_PENALTY
+            else:
+                try:
+                    total += row[token]
+                except KeyError:
+                    raise UnknownWaypoint(token) from None
+                matched += 1
+        for _ in range(len(rows) - matched):
+            total += UNMATCHED_PENALTY
+        return total
 
 
 def nearest_waypoint(pos: tuple[float, float], domain: Domain) -> str:
@@ -184,20 +231,10 @@ def scenario_from_world(world: WorldState, domain: Domain) -> Scenario:
 
 def scenario_distance(a: Scenario, b: Scenario, domain: Domain) -> float:
     """Sum of waypoint distances over shared subjects plus a fixed penalty
-    per unmatched subject.  Symmetric; not a metric (no triangle inequality)."""
-    pos_a = {s: domain.waypoint(t).position for s, t in a.assignments}
-    pos_b = {s: domain.waypoint(t).position for s, t in b.assignments}
-    total = 0.0
-    for subject, (ax, ay) in pos_a.items():
-        if subject in pos_b:
-            bx, by = pos_b[subject]
-            total += math.hypot(ax - bx, ay - by)
-        else:
-            total += UNMATCHED_PENALTY
-    for subject in pos_b:
-        if subject not in pos_a:
-            total += UNMATCHED_PENALTY
-    return total
+    per unmatched subject.  Symmetric; not a metric (no triangle inequality).
+    Scoring many scenarios against one `b`: build domain.distance_rows(b)
+    once and call domain.distance_to per scenario."""
+    return domain.distance_to(domain.distance_rows(b), a)
 
 
 def serialize_scenario(scenario: Scenario) -> str:

@@ -13,7 +13,6 @@ from .domain import (
     Domain,
     Scenario,
     WorldState,
-    scenario_distance,
     scenario_from_world,
     serialize_scenario,
 )
@@ -60,14 +59,12 @@ def select_plan(library: Library, world: WorldState, domain: Domain) -> PlanReco
     broken by earliest created_at, then frame_id."""
     if not library.records:
         raise EmptyLibrary("cannot select from an empty library")
-    current = scenario_from_world(world, domain)
+    rows = domain.distance_rows(scenario_from_world(world, domain))
+    distances = [domain.distance_to(rows, r.scenario) for r in library.records]
+    nearest = min(distances)
     return min(
-        library.records,
-        key=lambda r: (
-            scenario_distance(r.scenario, current, domain),
-            r.created_at,
-            r.frame_id,
-        ),
+        (r for r, d in zip(library.records, distances) if d == nearest),
+        key=lambda r: (r.created_at, r.frame_id),
     )
 
 
@@ -116,18 +113,18 @@ def cluster_scenarios(library: Library, k: int, domain: Domain):
     records = library.records
     if k < 1 or k > len(records):
         raise KTooLarge(f"k={k} with {len(records)} records")
-    dist = {
-        (a.frame_id, b.frame_id): scenario_distance(a.scenario, b.scenario, domain)
-        for a in records
-        for b in records
-    }
-    by_id = {r.frame_id: r for r in records}
-    medoids = [min(r.frame_id for r in records)]
+    ids = [r.frame_id for r in records]
+    # dist[i][j] = scenario_distance(records[i].scenario, records[j].scenario);
+    # both directions are kept, as they may round apart.
+    rows = [domain.distance_rows(r.scenario) for r in records]
+    dist = [[domain.distance_to(row, r.scenario) for row in rows] for r in records]
+    n = len(records)
+    medoids = [min(range(n), key=ids.__getitem__)]
     while len(medoids) < k:
-        spread, best = max(
-            (min(dist[(r.frame_id, m)] for m in medoids), r.frame_id)
-            for r in records
-            if r.frame_id not in medoids
+        spread, _, best = max(
+            (min(dist[i][m] for m in medoids), ids[i], i)
+            for i in range(n)
+            if i not in medoids
         )
         # Even the farthest record sits at distance 0 from a medoid: there
         # are fewer than k distinct scenarios, and another medoid would be
@@ -139,11 +136,10 @@ def cluster_scenarios(library: Library, k: int, domain: Domain):
             )
         medoids.append(best)
 
-    def assign(medoid_ids):
-        clusters = {m: [] for m in medoid_ids}
-        for r in records:
-            nearest = min(sorted(medoid_ids), key=lambda m: (dist[(r.frame_id, m)], m))
-            clusters[nearest].append(r.frame_id)
+    def assign(medoids):
+        clusters = {m: [] for m in medoids}
+        for i, row in enumerate(dist):
+            clusters[min(medoids, key=lambda m: (row[m], ids[m]))].append(i)
         return clusters
 
     while True:
@@ -151,18 +147,17 @@ def cluster_scenarios(library: Library, k: int, domain: Domain):
         new_medoids = []
         for m in medoids:
             members = clusters[m]
-            new_m = min(
-                sorted(members),
-                key=lambda c: (sum(dist[(c, o)] for o in members), c),
-            )
-            new_medoids.append(new_m)
+            new_medoids.append(min(
+                members,
+                key=lambda c: (sum(dist[c][o] for o in members), ids[c]),
+            ))
         if set(new_medoids) == set(medoids):
             break
         medoids = new_medoids
     clusters = assign(medoids)
     return [
-        (by_id[m], sorted(clusters[m]))
-        for m in sorted(medoids)
+        (records[m], sorted(ids[i] for i in clusters[m]))
+        for m in sorted(medoids, key=ids.__getitem__)
     ]
 
 

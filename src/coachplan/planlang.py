@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     ArgMismatch,
@@ -56,40 +57,40 @@ class Plan:
 
 # --- tokenizer -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # IDENT | PUNCT
     value: str
     line: int
     column: int
 
 
+# One alternative per token class; ERROR takes any character no other
+# alternative starts with, so the matches tile the line.
+_SCANNER = re.compile(r"""
+    (?P<SPACE>\s+)
+  | (?P<PUNCT>[{}:,])
+  | (?P<QUOTED>'[^']*'|"[^"]*")
+  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<ERROR>.)
+""", re.VERBOSE | re.DOTALL)
+
+
 def _tokenize(text: str):
     tokens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        col = 0
-        while col < len(line):
-            ch = line[col]
-            if ch.isspace():
-                col += 1
+        for m in _SCANNER.finditer(raw.split("#", 1)[0]):
+            kind = m.lastgroup
+            if kind == "SPACE":
                 continue
-            if ch in "{}:,":
-                tokens.append(_Token("PUNCT", ch, lineno, col + 1))
-                col += 1
-                continue
-            if ch in "'\"":
-                end = line.find(ch, col + 1)
-                if end < 0:
-                    raise PlanSyntaxError("unterminated quote", lineno, col + 1)
-                tokens.append(_Token("IDENT", line[col + 1:end], lineno, col + 1))
-                col = end + 1
-                continue
-            m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", line[col:])
-            if not m:
-                raise PlanSyntaxError(f"unexpected character {ch!r}", lineno, col + 1)
-            tokens.append(_Token("IDENT", m.group(0), lineno, col + 1))
-            col += m.end()
+            value = m.group()
+            if kind == "QUOTED":
+                tokens.append(_Token("IDENT", value[1:-1], lineno, m.start() + 1))
+            elif kind == "ERROR":
+                message = ("unterminated quote" if value in "'\""
+                           else f"unexpected character {value!r}")
+                raise PlanSyntaxError(message, lineno, m.start() + 1)
+            else:
+                tokens.append(_Token(kind, value, lineno, m.start() + 1))
     return tokens
 
 

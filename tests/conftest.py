@@ -1,9 +1,15 @@
+import io
+import json
+import math
 import os
+import socket
+import urllib.request
 from importlib import resources
 
 import pytest
 
 import coachplan as cp
+from coachplan.domain import UNMATCHED_PENALTY
 
 HERE = os.path.dirname(__file__)
 CORPUS_DIR = os.path.join(HERE, "corpus")
@@ -59,3 +65,48 @@ def golden_dir():
 @pytest.fixture(scope="session")
 def data_dir():
     return str(resources.files("coachplan.data"))
+
+
+@pytest.fixture()
+def urlopen(monkeypatch):
+    """A fake `urllib.request.urlopen`: records each request in `calls` and
+    answers with the next of `outcomes` (a JSON reply, or an exception to
+    raise).  No socket is opened."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("provider tests must not open sockets")
+
+    monkeypatch.setattr(socket.socket, "connect", refuse)
+    monkeypatch.setattr(socket, "getaddrinfo", refuse)
+    monkeypatch.setenv("TEST_OPENAI_KEY", "sk-test")
+    calls = []
+    outcomes = []
+
+    def fake(request, timeout):
+        calls.append(request)
+        outcome = outcomes.pop(0)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return io.BytesIO(json.dumps(outcome).encode())
+
+    monkeypatch.setattr(urllib.request, "urlopen", fake)
+    return calls, outcomes
+
+
+def reference_distance(a, b, domain):
+    """scenario_distance by its definition, from waypoint coordinates: the
+    distance over each shared subject plus UNMATCHED_PENALTY per subject in
+    only one scenario, added one term at a time in a's subject order, then
+    b's unmatched subjects in b's order."""
+    pos_a = {s: domain.waypoint(t).position for s, t in a.assignments}
+    pos_b = {s: domain.waypoint(t).position for s, t in b.assignments}
+    total = 0.0
+    for subject, (ax, ay) in pos_a.items():
+        if subject in pos_b:
+            bx, by = pos_b[subject]
+            total += math.hypot(ax - bx, ay - by)
+        else:
+            total += UNMATCHED_PENALTY
+    for subject in pos_b:
+        if subject not in pos_a:
+            total += UNMATCHED_PENALTY
+    return total

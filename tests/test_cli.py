@@ -501,6 +501,29 @@ class TestEvaluateAndLibrary:
         else:
             assert err.startswith("error: line 2: ")
 
+    @pytest.mark.parametrize("bad", ["directory", "not json", "taken"])
+    def test_generate_checks_library_before_model_calls(self, tmp_path, base, golden_dir,
+                                                         lib_path, urlopen, monkeypatch,
+                                                         capsys, bad):
+        calls, _ = urlopen
+        monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
+        lib = {"directory": str(tmp_path), "taken": lib_path}.get(bad)
+        if bad == "not json":
+            with open(lib_path) as fh:
+                lib = write(tmp_path / "bad.jsonl", fh.read() + "not json\n")
+        out = tmp_path / "out.jsonl"
+        capsys.readouterr()
+        assert main(["generate", *base, "--library", lib,
+                     "--frame-id", "frame_0" if bad == "taken" else "other",
+                     "--world", os.path.join(golden_dir, "frame_0.world"),
+                     "--provider", "m1", "--transcript", str(out)]) == 2
+        assert calls == []
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if bad == "taken":
+            assert err == "error: frame_0\n"
+
     def test_library_add(self, tmp_path, base, capsys):
         lib_path = tmp_path / "lib2"
         plan = write(tmp_path / "p.plan", "kick_to_goal STRIKER {}\n")

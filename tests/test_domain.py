@@ -2,11 +2,19 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import coachplan as cp
 from coachplan.domain import BALL, OWN, UNMATCHED_PENALTY, normalize_angle
-from coachplan.errors import EmptyDomain, MissingRole, ParseError, UnknownWaypoint
+from coachplan.errors import (
+    DuplicateSubject,
+    EmptyDomain,
+    MissingRole,
+    ParseError,
+    UnknownWaypoint,
+)
+
+from conftest import reference_distance
 
 
 def make_world(domain, entries, ball):
@@ -179,6 +187,89 @@ class TestScenarioDistance:
                 else:
                     expected += UNMATCHED_PENALTY
             assert d == pytest.approx(expected)
+
+
+@pytest.mark.parametrize("assignments", [
+    (("STRIKER", "OUR_GOAL"), ("STRIKER", "CENTER_FIELD")),
+    ((BALL, "OUR_GOAL"), ("STRIKER", "OUR_GOAL"), (BALL, "OUR_GOAL")),
+])
+def test_scenario_refuses_repeated_subject(assignments):
+    # Read three ways, a repeated subject meant three things: the first for
+    # waypoint_of, the last for the distance, and a SCENARIO block that
+    # parse_scenario_block refuses.
+    with pytest.raises(DuplicateSubject, match=assignments[0][0]):
+        cp.Scenario(assignments)
+
+
+SUBJECTS = ["STRIKER", "JOLLY", "SUPPORTER", "DEFENDER", "GOALIE",
+            "OPPONENT_1", "OPPONENT_2", "OPPONENT_3", BALL]
+
+
+def scenarios(tokens, min_size=0):
+    return st.lists(
+        st.tuples(st.sampled_from(SUBJECTS), st.sampled_from(tokens)),
+        min_size=min_size, unique_by=lambda pair: pair[0],
+    ).map(lambda pairs: cp.Scenario(tuple(pairs)))
+
+
+class TestDistanceKernel:
+    """scenario_distance against a reference computed from the waypoint
+    coordinates in the same addition order, compared exactly."""
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_equals_reference_exactly(self, domain, data):
+        tokens = sorted(domain.waypoints)
+        a, b = data.draw(scenarios(tokens)), data.draw(scenarios(tokens))
+        assert cp.scenario_distance(a, b, domain) == reference_distance(a, b, domain)
+        assert cp.scenario_distance(b, a, domain) == reference_distance(b, a, domain)
+
+    def test_rows_serve_many_scenarios(self, domain):
+        rng = random.Random(11)
+        tokens = sorted(domain.waypoints)
+
+        def random_scenario():
+            chosen = rng.sample(SUBJECTS, rng.randint(0, len(SUBJECTS)))
+            return cp.Scenario(tuple((s, rng.choice(tokens)) for s in chosen))
+
+        b = random_scenario()
+        rows = domain.distance_rows(b)
+        for _ in range(200):
+            a = random_scenario()
+            assert domain.distance_to(rows, a) == reference_distance(a, b, domain)
+
+    def test_penalties_added_one_at_a_time(self, domain):
+        # b's eight unmatched penalties, added as one product, round to a
+        # float one ulp away.
+        a = cp.Scenario((("OPPONENT_2", "LEFT_WING"),))
+        b = cp.Scenario((
+            ("JOLLY", "OPPONENT_PENALTY_MARK"), (BALL, "OUR_GOAL"), ("GOALIE", "RIGHT_WING"),
+            ("OPPONENT_2", "FORWARD_LEFT"), ("OPPONENT_3", "OUR_RIGHT_DEFENSE"),
+            ("OPPONENT_1", "FORWARD_RIGHT"), ("DEFENDER", "OUR_GOAL"),
+            ("SUPPORTER", "CENTER_FIELD"), ("STRIKER", "KICKING_POSITION"),
+        ))
+        d = cp.scenario_distance(a, b, domain)
+        shared = cp.scenario_distance(a, cp.Scenario(b.assignments[3:4]), domain)
+        assert d == reference_distance(a, b, domain)
+        assert d != shared + 8 * UNMATCHED_PENALTY
+
+    @settings(max_examples=100)
+    @given(data=st.data(), side=st.sampled_from(["a", "b"]))
+    def test_unknown_waypoint_on_either_side(self, domain, data, side):
+        tokens = sorted(domain.waypoints)
+        a, b = data.draw(scenarios(tokens, 1)), data.draw(scenarios(tokens, 1))
+        target = a if side == "a" else b
+        i = data.draw(st.integers(0, len(target.assignments) - 1))
+        pairs = list(target.assignments)
+        pairs[i] = (pairs[i][0], "NOWHERE")
+        if side == "a":
+            a = cp.Scenario(tuple(pairs))
+        else:
+            b = cp.Scenario(tuple(pairs))
+        with pytest.raises(UnknownWaypoint):
+            reference_distance(a, b, domain)
+        with pytest.raises(UnknownWaypoint, match="NOWHERE"):
+            cp.scenario_distance(a, b, domain)
 
 
 class TestFileFormats:

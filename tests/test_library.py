@@ -21,6 +21,8 @@ from coachplan.executor import STATIC, aggregate, format_metrics_table, make_opp
 from coachplan.library import cluster_scenarios, evaluate
 from coachplan.pipeline import make_record, run_generate
 
+from conftest import reference_distance
+
 
 def record(plan, scenario, frame_id, created_at="2024-01-01T00:00:00Z"):
     return cp.PlanRecord(plan, scenario, frame_id, created_at)
@@ -101,6 +103,132 @@ class TestSelectPlan:
                 ),
             )
             assert cp.select_plan(lib, world, domain).frame_id == expected.frame_id
+
+
+# Mirror-image waypoints: from a query on the x axis, LEFT_WING and
+# RIGHT_WING (and each left/right pair) are exactly equally far.
+TIE_TOKENS = ["CENTER_FIELD", "LEFT_WING", "RIGHT_WING", "FORWARD_LEFT", "FORWARD_RIGHT",
+              "OUR_LEFT_DEFENSE", "OUR_RIGHT_DEFENSE", "KICKING_POSITION"]
+TIE_SUBJECTS = ["STRIKER", "JOLLY", "OPPONENT_1", BALL]
+
+
+def tie_library(rng, plan, n):
+    """n records drawn from a pool of a few scenarios and two dates, with
+    frame ids in shuffled order: many exact distance and date ties."""
+    pool = []
+    for _ in range(rng.randint(2, 6)):
+        chosen = rng.sample(TIE_SUBJECTS, rng.randint(1, len(TIE_SUBJECTS)))
+        pool.append(cp.Scenario(tuple((s, rng.choice(TIE_TOKENS)) for s in chosen)))
+    ids = [f"f{i:03d}" for i in range(n)]
+    rng.shuffle(ids)
+    return cp.Library(tuple(
+        record(plan, rng.choice(pool), fid, rng.choice(["2024-01-01", "2024-01-02"]))
+        for fid in ids
+    ))
+
+
+class TestSelectPlanDifferential:
+    def test_equals_brute_force_argmin(self, domain, kick_plan):
+        rng = random.Random(23)
+        positions = [domain.waypoints[t].position for t in TIE_TOKENS]
+        distance_ties = date_ties = 0
+        for _ in range(40):
+            lib = tie_library(rng, kick_plan, rng.randint(1, 40))
+            for _ in range(5):
+                (sx, sy), (jx, jy), (ox, oy), (bx, by) = (rng.choice(positions)
+                                                          for _ in range(4))
+                text = f"AGENT s OWN STRIKER {sx} {sy} 0\nBALL {bx} {by}\n"
+                if rng.random() < 0.5:
+                    text += f"AGENT j OWN JOLLY {jx} {jy} 0\n"
+                if rng.random() < 0.5:
+                    text += f"AGENT o OPPONENT - {ox} {oy} 0\n"
+                world = cp.parse_world_file(text, domain)
+                current = cp.scenario_from_world(world, domain)
+                keys = sorted(
+                    (reference_distance(r.scenario, current, domain), r.created_at, r.frame_id)
+                    for r in lib.records
+                )
+                assert cp.select_plan(lib, world, domain).frame_id == keys[0][2]
+                if len(keys) > 1 and keys[1][0] == keys[0][0]:
+                    distance_ties += 1
+                    date_ties += keys[1][1] == keys[0][1]
+        assert distance_ties > 50 and date_ties > 20
+
+
+def oracle_cluster_scenarios(library, k, domain):
+    """cluster_scenarios written plainly, over a (frame_id, frame_id)-keyed
+    dict of reference distances: the same seeding, tie rules and summation
+    order, kept as the oracle for the table-driven version."""
+    records = library.records
+    if k < 1 or k > len(records):
+        raise KTooLarge(f"k={k} with {len(records)} records")
+    dist = {
+        (a.frame_id, b.frame_id): reference_distance(a.scenario, b.scenario, domain)
+        for a in records
+        for b in records
+    }
+    by_id = {r.frame_id: r for r in records}
+    medoids = [min(r.frame_id for r in records)]
+    while len(medoids) < k:
+        spread, best = max(
+            (min(dist[(r.frame_id, m)] for m in medoids), r.frame_id)
+            for r in records
+            if r.frame_id not in medoids
+        )
+        if spread == 0.0:
+            raise KTooLarge("fewer than k distinct scenarios")
+        medoids.append(best)
+
+    def assign(medoid_ids):
+        clusters = {m: [] for m in medoid_ids}
+        for r in records:
+            nearest = min(sorted(medoid_ids), key=lambda m: (dist[(r.frame_id, m)], m))
+            clusters[nearest].append(r.frame_id)
+        return clusters
+
+    while True:
+        clusters = assign(medoids)
+        new_medoids = []
+        for m in medoids:
+            members = clusters[m]
+            new_m = min(
+                sorted(members),
+                key=lambda c: (sum(dist[(c, o)] for o in members), c),
+            )
+            new_medoids.append(new_m)
+        if set(new_medoids) == set(medoids):
+            break
+        medoids = new_medoids
+    clusters = assign(medoids)
+    return [(by_id[m], sorted(clusters[m])) for m in sorted(medoids)]
+
+
+class TestClusterDifferential:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_oracle(self, domain, kick_plan, seed):
+        rng = random.Random(seed)
+        tokens = sorted(domain.waypoints)
+        subjects = list(domain.roles) + ["OPPONENT_1", "OPPONENT_2", BALL]
+        for n in (12, 60):
+            if seed % 2:
+                lib = tie_library(rng, kick_plan, n)
+            else:
+                ids = [f"r{i:03d}" for i in range(n)]
+                rng.shuffle(ids)
+                lib = cp.Library(tuple(
+                    record(kick_plan, cp.Scenario(tuple(
+                        (s, rng.choice(tokens))
+                        for s in rng.sample(subjects, rng.randint(1, len(subjects))))), fid)
+                    for fid in ids
+                ))
+            for k in (1, 2, 3, 5, 8):
+                def outcome(cluster):
+                    try:
+                        return [(m.frame_id, ms) for m, ms in cluster(lib, k, domain)]
+                    except KTooLarge:
+                        return KTooLarge
+
+                assert outcome(cluster_scenarios) == outcome(oracle_cluster_scenarios)
 
 
 class TestEvaluate:

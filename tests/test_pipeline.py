@@ -1,9 +1,7 @@
 import io
 import json
 import os
-import socket
 import urllib.error
-import urllib.request
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -116,28 +114,7 @@ class TestTranscript:
 
 
 class TestOpenAIChatProvider:
-    """The live provider against a fake `urlopen`; no socket is opened."""
-
-    @pytest.fixture()
-    def urlopen(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("provider tests must not open sockets")
-
-        monkeypatch.setattr(socket.socket, "connect", refuse)
-        monkeypatch.setattr(socket, "getaddrinfo", refuse)
-        monkeypatch.setenv("TEST_OPENAI_KEY", "sk-test")
-        calls = []
-        outcomes = []
-
-        def fake(request, timeout):
-            calls.append(request)
-            outcome = outcomes.pop(0)
-            if isinstance(outcome, Exception):
-                raise outcome
-            return io.BytesIO(json.dumps(outcome).encode())
-
-        monkeypatch.setattr(urllib.request, "urlopen", fake)
-        return calls, outcomes
+    """The live provider against the fake `urlopen` of conftest.py."""
 
     @staticmethod
     def provider():

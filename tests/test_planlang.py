@@ -1,4 +1,7 @@
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import coachplan as cp
 from coachplan.errors import (
@@ -10,7 +13,7 @@ from coachplan.errors import (
     UnknownAgent,
     UnknownWaypoint,
 )
-from coachplan.planlang import JOIN, SINGLE
+from coachplan.planlang import JOIN, SINGLE, _tokenize
 
 from conftest import SELF_JOIN_PLAN_TEXT
 
@@ -158,3 +161,69 @@ def test_grounded_actions_flattening(corpus_plans):
     for plan in corpus_plans.values():
         flat = plan.grounded_actions()
         assert len(flat) == sum(len(s.actions) for s in plan.steps)
+
+
+def char_by_char_tokenize(text):
+    """The oracle for _tokenize: it walks each line one character at a time
+    and returns (kind, value, line, column) tuples."""
+    tokens = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        col = 0
+        while col < len(line):
+            ch = line[col]
+            if ch.isspace():
+                col += 1
+                continue
+            if ch in "{}:,":
+                tokens.append(("PUNCT", ch, lineno, col + 1))
+                col += 1
+                continue
+            if ch in "'\"":
+                end = line.find(ch, col + 1)
+                if end < 0:
+                    raise PlanSyntaxError("unterminated quote", lineno, col + 1)
+                tokens.append(("IDENT", line[col + 1:end], lineno, col + 1))
+                col = end + 1
+                continue
+            m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", line[col:])
+            if not m:
+                raise PlanSyntaxError(f"unexpected character {ch!r}", lineno, col + 1)
+            tokens.append(("IDENT", m.group(0), lineno, col + 1))
+            col += m.end()
+    return tokens
+
+
+# Plan characters, quotes, comments, and whitespace and line breaks beyond
+# ASCII: \x0b, \x0c, \x1c and \x85 end a line for splitlines, \xa0 and
+# \u3000 are spaces, \x1f is a space that ends no line.
+PLAN_CHARS = "aZ_9{}:,'\"# \t\n\r\x0b\x0c\x1c\x1f\x85\u2028\xa0\u3000.-\xe9"
+PLAN_PIECES = ["move_to", "STRIKER", "JOIN", "{", "}", ":", ",", "'", '"', "'A B'",
+               " ", "\t", "#", "\n", "\r\n", "\x0b", "\x1c", "\x85", "\u2028", "\xa0",
+               "x1", "_", "9", "-"]
+
+
+def outcome(tokenize, text):
+    try:
+        return [tuple(t) for t in tokenize(text)]
+    except PlanSyntaxError as exc:
+        return (str(exc), exc.line, exc.column)
+
+
+@settings(max_examples=500)
+@given(st.one_of(
+    st.text(PLAN_CHARS, max_size=40),
+    st.lists(st.sampled_from(PLAN_PIECES), max_size=25).map("".join),
+))
+def test_tokenizer_matches_char_by_char_oracle(text):
+    assert outcome(_tokenize, text) == outcome(char_by_char_tokenize, text)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("move_to 'JOLLY", ("line 1, col 9: unterminated quote", 1, 9)),
+    ("a\x85\xa0b 'x#y'", ("line 2, col 4: unterminated quote", 2, 4)),
+    ("a\u2028 -", ("line 2, col 2: unexpected character '-'", 2, 2)),
+    ("\x1f\xe9", ("line 1, col 2: unexpected character '\xe9'", 1, 2)),
+])
+def test_tokenizer_errors(text, error):
+    assert outcome(_tokenize, text) == error
