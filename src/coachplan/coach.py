@@ -94,6 +94,7 @@ def build_coach_prompt(domain: Domain, retrieved_actions, goal, tactics) -> Chat
 
 _ASSIGNMENT_RE = re.compile(r"(\S+)\s+is\s+at\s+(\w+)\s*\.?\s*$")
 _HEADER_RE = re.compile(r"[A-Z][A-Z ]*:\s*$")
+_OPPONENT_RE = re.compile(r"OPPONENT_\d+")
 
 
 def parse_scenario_block(response_text: str, domain: Domain) -> Scenario:
@@ -116,9 +117,8 @@ def parse_scenario_block(response_text: str, domain: Domain) -> Scenario:
         if not m:
             raise MissingScenarioBlock(f"unparseable scenario line: {raw!r}")
         subject, token = m.groups()
-        if subject != BALL and subject not in domain.roles and not re.fullmatch(
-            r"OPPONENT_\d+", subject
-        ):
+        if (subject != BALL and subject not in domain.roles
+                and not _OPPONENT_RE.fullmatch(subject)):
             raise UnknownSubject(subject)
         if token not in domain.waypoints:
             raise UnknownWaypoint(token)

@@ -149,33 +149,41 @@ class Domain:
 
     def distance_rows(self, b: Scenario) -> dict:
         """subject -> its row of the waypoint-distance table, for scoring
-        many scenarios against `b` with distance_to."""
+        many scenarios against `b` with distances_to."""
         table = self._distance_table
         try:
             return {subject: table[token] for subject, token in b.assignments}
         except KeyError as exc:
             raise UnknownWaypoint(exc.args[0]) from None
 
-    def distance_to(self, rows: dict, a: Scenario) -> float:
-        """scenario_distance(a, b) for rows = distance_rows(b), summed in
-        one fixed order: a's subjects, then b's unmatched ones."""
-        total = 0.0
-        matched = 0
-        for subject, token in a.assignments:
-            row = rows.get(subject)
-            if row is None:
-                if token not in self.waypoints:
-                    raise UnknownWaypoint(token)
+    def distances_to(self, rows: dict, scenarios) -> list:
+        """[scenario_distance(a, b) for a in scenarios] for rows =
+        distance_rows(b).  Each sum is added term by term in one fixed
+        order: a's subjects, then one UNMATCHED_PENALTY per unmatched
+        subject of b."""
+        waypoints = self.waypoints
+        row_of = rows.get
+        n_rows = len(rows)
+        distances = []
+        for a in scenarios:
+            total = 0.0
+            matched = 0
+            for subject, token in a.assignments:
+                row = row_of(subject)
+                if row is None:
+                    if token not in waypoints:
+                        raise UnknownWaypoint(token)
+                    total += UNMATCHED_PENALTY
+                else:
+                    try:
+                        total += row[token]
+                    except KeyError:
+                        raise UnknownWaypoint(token) from None
+                    matched += 1
+            for _ in range(n_rows - matched):
                 total += UNMATCHED_PENALTY
-            else:
-                try:
-                    total += row[token]
-                except KeyError:
-                    raise UnknownWaypoint(token) from None
-                matched += 1
-        for _ in range(len(rows) - matched):
-            total += UNMATCHED_PENALTY
-        return total
+            distances.append(total)
+        return distances
 
 
 def nearest_waypoint(pos: tuple[float, float], domain: Domain) -> str:
@@ -233,8 +241,8 @@ def scenario_distance(a: Scenario, b: Scenario, domain: Domain) -> float:
     """Sum of waypoint distances over shared subjects plus a fixed penalty
     per unmatched subject.  Symmetric; not a metric (no triangle inequality).
     Scoring many scenarios against one `b`: build domain.distance_rows(b)
-    once and call domain.distance_to per scenario."""
-    return domain.distance_to(domain.distance_rows(b), a)
+    once and pass them all to domain.distances_to."""
+    return domain.distances_to(domain.distance_rows(b), (a,))[0]
 
 
 def serialize_scenario(scenario: Scenario) -> str:

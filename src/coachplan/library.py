@@ -16,7 +16,14 @@ from .domain import (
     scenario_from_world,
     serialize_scenario,
 )
-from .errors import DuplicateFrameId, EmptyLibrary, InvalidPlan, KTooLarge
+from .errors import (
+    CoachPlanError,
+    DuplicateFrameId,
+    EmptyLibrary,
+    InvalidPlan,
+    KTooLarge,
+    MalformedRecord,
+)
 from .executor import SimConfig, compile_fsm, run_match
 from .planlang import Plan, parse_plan, serialize_plan
 from .refine import validate_plan
@@ -60,7 +67,7 @@ def select_plan(library: Library, world: WorldState, domain: Domain) -> PlanReco
     if not library.records:
         raise EmptyLibrary("cannot select from an empty library")
     rows = domain.distance_rows(scenario_from_world(world, domain))
-    distances = [domain.distance_to(rows, r.scenario) for r in library.records]
+    distances = domain.distances_to(rows, [r.scenario for r in library.records])
     nearest = min(distances)
     return min(
         (r for r, d in zip(library.records, distances) if d == nearest),
@@ -115,9 +122,11 @@ def cluster_scenarios(library: Library, k: int, domain: Domain):
         raise KTooLarge(f"k={k} with {len(records)} records")
     ids = [r.frame_id for r in records]
     # dist[i][j] = scenario_distance(records[i].scenario, records[j].scenario);
-    # both directions are kept, as they may round apart.
-    rows = [domain.distance_rows(r.scenario) for r in records]
-    dist = [[domain.distance_to(row, r.scenario) for row in rows] for r in records]
+    # both directions are kept, as they may round apart.  Column j scores
+    # every scenario against records[j]'s rows.
+    scenarios = [r.scenario for r in records]
+    dist = list(zip(*(domain.distances_to(domain.distance_rows(s), scenarios)
+                      for s in scenarios)))
     n = len(records)
     medoids = [min(range(n), key=ids.__getitem__)]
     while len(medoids) < k:
@@ -179,14 +188,30 @@ def save_library(library: Library, path):
 
 def load_library(path, schemas: dict, roles: dict, domain: Domain) -> Library:
     """Read a library file; a missing file is an empty library.  A line that
-    is no record, or repeats a frame id, raises MalformedRecord; the plan and
-    scenario texts are checked as parse_plan and parse_scenario_block check
-    them."""
+    is no record, or repeats a frame id, raises MalformedRecord; so does a
+    plan or scenario text that parse_plan or parse_scenario_block refuses,
+    naming the line, the frame id and the parser's error (its __cause__).
+
+    Each distinct plan text is parsed once: parse_plan's arguments are
+    fixed for the call, so records with equal texts share one Plan."""
     if not os.path.exists(path):
         return new_library()
-    return Library(tuple(
-        PlanRecord(parse_plan(r["plan"], schemas, roles, domain.waypoints),
-                   parse_scenario_block(r["scenario"], domain),
-                   r["frame_id"], r["created_at"])
-        for r in jsonl.read_records(path, _FIELDS, "frame_id")
-    ))
+    plans = {}
+    records = []
+    # read_records yields one record per line or raises: the n-th record
+    # stands on line n.
+    for lineno, r in enumerate(jsonl.read_records(path, _FIELDS, "frame_id"), 1):
+        field = "plan"
+        try:
+            plan = plans.get(r["plan"])
+            if plan is None:
+                plan = plans[r["plan"]] = parse_plan(r["plan"], schemas, roles,
+                                                     domain.waypoints)
+            field = "scenario"
+            scenario = parse_scenario_block(r["scenario"], domain)
+        except CoachPlanError as exc:
+            raise MalformedRecord(
+                f"bad {field} text of frame_id {r['frame_id']!r} in {path}: "
+                f"{type(exc).__name__}: {exc}", lineno) from exc
+        records.append(PlanRecord(plan, scenario, r["frame_id"], r["created_at"]))
+    return Library(tuple(records))

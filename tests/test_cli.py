@@ -474,7 +474,7 @@ class TestEvaluateAndLibrary:
         assert exc.value.code == 2
         assert "required" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", ["not json", "repeat", "directory"])
+    @pytest.mark.parametrize("bad", ["not json", "repeat", "directory", "bad plan"])
     @pytest.mark.parametrize("command", ["ls", "evaluate", "generate"])
     def test_bad_library_exit_two(self, tmp_path, base, golden_dir, lib_path, capsys,
                                   bad, command):
@@ -483,7 +483,10 @@ class TestEvaluateAndLibrary:
         else:
             with open(lib_path) as fh:
                 line = fh.read()
-            lib = write(tmp_path / "bad.jsonl", line + (line if bad == "repeat" else bad + "\n"))
+            second = {"not json": bad + "\n", "repeat": line,
+                      "bad plan": json.dumps({**json.loads(line), "frame_id": "f2",
+                                              "plan": "kick_to_goal STRIKER {"}) + "\n"}[bad]
+            lib = write(tmp_path / "bad.jsonl", line + second)
         argv = {
             "ls": ["library", "ls", "--library", lib],
             "evaluate": ["evaluate", "--library", lib,
@@ -500,6 +503,8 @@ class TestEvaluateAndLibrary:
             assert "Is a directory" in err
         else:
             assert err.startswith("error: line 2: ")
+        if bad == "bad plan":
+            assert f"frame_id 'f2' in {lib}: PlanSyntaxError: line 1, col 22: " in err
 
     @pytest.mark.parametrize("bad", ["directory", "not json", "taken"])
     def test_generate_checks_library_before_model_calls(self, tmp_path, base, golden_dir,

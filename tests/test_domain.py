@@ -213,16 +213,21 @@ def scenarios(tokens, min_size=0):
 
 
 class TestDistanceKernel:
-    """scenario_distance against a reference computed from the waypoint
-    coordinates in the same addition order, compared exactly."""
+    """scenario_distance and the batched distances_to against a reference
+    computed from the waypoint coordinates in the same addition order,
+    compared exactly."""
 
     @settings(max_examples=200)
     @given(data=st.data())
     def test_equals_reference_exactly(self, domain, data):
         tokens = sorted(domain.waypoints)
         a, b = data.draw(scenarios(tokens)), data.draw(scenarios(tokens))
+        batch = data.draw(st.lists(scenarios(tokens), max_size=6))
         assert cp.scenario_distance(a, b, domain) == reference_distance(a, b, domain)
         assert cp.scenario_distance(b, a, domain) == reference_distance(b, a, domain)
+        assert domain.distances_to(domain.distance_rows(b), batch) == [
+            reference_distance(s, b, domain) for s in batch
+        ]
 
     def test_rows_serve_many_scenarios(self, domain):
         rng = random.Random(11)
@@ -233,10 +238,10 @@ class TestDistanceKernel:
             return cp.Scenario(tuple((s, rng.choice(tokens)) for s in chosen))
 
         b = random_scenario()
-        rows = domain.distance_rows(b)
-        for _ in range(200):
-            a = random_scenario()
-            assert domain.distance_to(rows, a) == reference_distance(a, b, domain)
+        batch = [random_scenario() for _ in range(200)]
+        assert domain.distances_to(domain.distance_rows(b), batch) == [
+            reference_distance(a, b, domain) for a in batch
+        ]
 
     def test_penalties_added_one_at_a_time(self, domain):
         # b's eight unmatched penalties, added as one product, round to a
@@ -270,6 +275,11 @@ class TestDistanceKernel:
             reference_distance(a, b, domain)
         with pytest.raises(UnknownWaypoint, match="NOWHERE"):
             cp.scenario_distance(a, b, domain)
+        # In a batch, the bad scenario may stand at any position.
+        batch = data.draw(st.lists(scenarios(tokens), max_size=4))
+        batch.insert(data.draw(st.integers(0, len(batch))), a)
+        with pytest.raises(UnknownWaypoint, match="NOWHERE"):
+            domain.distances_to(domain.distance_rows(b), batch)
 
 
 class TestFileFormats:

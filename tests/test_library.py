@@ -15,6 +15,7 @@ from coachplan.errors import (
     InvalidPlan,
     KTooLarge,
     MalformedRecord,
+    PlanSyntaxError,
     UnknownWaypoint,
 )
 from coachplan.executor import STATIC, aggregate, format_metrics_table, make_opponent_policy
@@ -416,5 +417,70 @@ class TestPersistence:
             "plan": "move_to STRIKER {TARGET: NOWHERE}\n",
             "scenario": "SCENARIO:\nSTRIKER is at CENTER_FIELD",
         }) + "\n")
-        with pytest.raises(UnknownWaypoint):
+        with pytest.raises(MalformedRecord) as exc:
             cp.load_library(path, schemas, roles, domain)
+        assert isinstance(exc.value.__cause__, UnknownWaypoint)
+
+    @pytest.mark.parametrize("field, text, error", [
+        ("plan", "kick_to_goal STRIKER {", PlanSyntaxError),
+        ("scenario", "SCENARIO:\nSTRIKER is at NOWHERE", UnknownWaypoint),
+    ])
+    def test_bad_text_names_its_first_record(self, tmp_path, domain, schemas, roles,
+                                             kick_plan, field, text, error):
+        # The bad text repeats on lines 3 and 5; the error names line 3,
+        # its frame id and the file.
+        path = tmp_path / "lib.jsonl"
+        lib = cp.new_library()
+        for i in range(5):
+            lib = cp.add(lib, record(kick_plan, scenario_at("CENTER_FIELD"), f"f{i + 1}"))
+        cp.save_library(lib, path)
+        lines = [json.loads(ln) for ln in path.read_text().splitlines()]
+        lines[2][field] = lines[4][field] = text
+        path.write_text("".join(json.dumps(ln) + "\n" for ln in lines))
+        with pytest.raises(MalformedRecord) as exc:
+            cp.load_library(path, schemas, roles, domain)
+        assert exc.value.line == 3
+        assert isinstance(exc.value.__cause__, error)
+        message = str(exc.value)
+        assert message.startswith("line 3: ")
+        assert f"bad {field} text of frame_id 'f3' in {path}: {error.__name__}: " in message
+        assert str(exc.value.__cause__) in message
+
+    def test_repeated_plan_texts_are_parsed_once(self, tmp_path, domain, schemas, roles,
+                                                 corpus_plans):
+        # 60 records over 4 distinct plans: each loaded record equals a
+        # per-record parse, equal texts share one Plan, and selection and
+        # clustering on the loaded library agree with the references.
+        rng = random.Random(31)
+        tokens = sorted(domain.waypoints)
+        subjects = list(domain.roles) + ["OPPONENT_1", "OPPONENT_2", BALL]
+        plans = [corpus_plans[name] for name in sorted(corpus_plans)[:4]]
+        lib = cp.new_library()
+        for i in range(60):
+            scenario = cp.Scenario(tuple(
+                (s, rng.choice(tokens))
+                for s in rng.sample(subjects, rng.randint(1, len(subjects)))))
+            lib = cp.add(lib, record(rng.choice(plans), scenario, f"f{i:02d}"))
+        path = tmp_path / "lib.jsonl"
+        cp.save_library(lib, path)
+        loaded = cp.load_library(path, schemas, roles, domain)
+        texts = [json.loads(ln)["plan"] for ln in path.read_text().splitlines()]
+        assert loaded == lib
+        assert [r.plan for r in loaded.records] == [
+            cp.parse_plan(text, schemas, roles, domain.waypoints) for text in texts
+        ]
+        shared = {}
+        for text, r in zip(texts, loaded.records):
+            assert shared.setdefault(text, r.plan) is r.plan
+        assert len(shared) == 4
+        for _ in range(20):
+            world = world_at(domain, rng.uniform(-4, 4), rng.uniform(-2.5, 2.5))
+            current = cp.scenario_from_world(world, domain)
+            expected = min(
+                (reference_distance(r.scenario, current, domain), r.created_at, r.frame_id)
+                for r in loaded.records
+            )
+            assert cp.select_plan(loaded, world, domain).frame_id == expected[2]
+        for k in (1, 3, 8):
+            assert ([(m.frame_id, ms) for m, ms in cluster_scenarios(loaded, k, domain)]
+                    == [(m.frame_id, ms) for m, ms in oracle_cluster_scenarios(loaded, k, domain)])
