@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from importlib import resources
 from types import MappingProxyType
 
+from .domain import parse_finite
 from .errors import (
+    ConfigInvalid,
     DimMismatch,
     DuplicateActionId,
     EmptyIndex,
@@ -280,12 +282,12 @@ class RecordedEmbeddingProvider:
         self.vectors = {}
         self.dim = None
         with open(path) as fh:
-            for raw in fh:
+            for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
                 parts = line.split()
-                vec = tuple(float(v) for v in parts[1:])
+                vec = tuple(parse_finite(v, lineno) for v in parts[1:])
                 if self.dim is None:
                     self.dim = len(vec)
                 elif len(vec) != self.dim:
@@ -343,7 +345,7 @@ def retrieve_actions(query: str, index: VectorIndex, provider, k: int = 8):
     """The k schemas most cosine-similar to the query, descending; ties
     broken lexicographically by action id.  Exact full scan."""
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise ConfigInvalid(f"k must be >= 0, got {k}")
     if k == 0:
         return []
     if not index.entries:

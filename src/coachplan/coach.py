@@ -13,7 +13,6 @@ from importlib import resources
 from .domain import BALL, OWN, Domain, Scenario, WorldState
 from .errors import (
     CardinalityMismatch,
-    DuplicateSubject,
     MissingAdviceBlock,
     MissingScenarioBlock,
     UnknownSubject,
@@ -108,7 +107,6 @@ def parse_scenario_block(response_text: str, domain: Domain) -> Scenario:
     except StopIteration:
         raise MissingScenarioBlock("response has no SCENARIO: header") from None
     assignments = []
-    seen = set()
     for raw in lines[start + 1:]:
         line = raw.strip()
         if not line or _HEADER_RE.match(line):
@@ -122,9 +120,6 @@ def parse_scenario_block(response_text: str, domain: Domain) -> Scenario:
             raise UnknownSubject(subject)
         if token not in domain.waypoints:
             raise UnknownWaypoint(token)
-        if subject in seen:
-            raise DuplicateSubject(subject)
-        seen.add(subject)
         assignments.append((subject, token))
     if not assignments:
         raise MissingScenarioBlock("SCENARIO block is empty")

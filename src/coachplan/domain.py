@@ -16,6 +16,9 @@ from .errors import DuplicateSubject, EmptyDomain, MissingRole, ParseError, Unkn
 FIELD_X = 4.5
 FIELD_Y = 3.0
 
+# Half the width (m) of the opponent goal mouth on the line x = FIELD_X.
+GOAL_HALF_WIDTH = 0.75
+
 # Distance (m) within which an agent controls the ball: it holds the ball
 # at the start of a match, takes a free ball and completes a pass.
 CONTROL_RADIUS = 0.3
@@ -186,6 +189,27 @@ class Domain:
         return distances
 
 
+def clamp_to_field(pos):
+    """pos moved onto the field along each axis; pos itself if it is on."""
+    x, y = pos
+    if -FIELD_X <= x <= FIELD_X and -FIELD_Y <= y <= FIELD_Y:
+        return pos
+    return (max(-FIELD_X, min(FIELD_X, x)), max(-FIELD_Y, min(FIELD_Y, y)))
+
+
+def ball_holder(world: WorldState) -> str | None:
+    """Id of the own agent that holds the ball at kickoff: the nearest one
+    within CONTROL_RADIUS, exact ties to the smallest agent id; None if no
+    own agent is that close."""
+    bx, by = world.ball
+    d, holder = min(
+        ((math.hypot(pose.x - bx, pose.y - by), agent_id)
+         for agent_id, (pose, agent) in world.agents.items() if agent.team == OWN),
+        default=(math.inf, None),
+    )
+    return holder if d <= CONTROL_RADIUS else None
+
+
 def nearest_waypoint(pos: tuple[float, float], domain: Domain) -> str:
     """Token of the waypoint closest to pos; ties broken lexicographically."""
     if not domain.waypoints:
@@ -277,7 +301,8 @@ def parse_domain_file(text: str) -> Domain:
             token, x, y, desc = m.groups()
             if token in waypoints:
                 raise ParseError(f"duplicate waypoint {token}", line=lineno)
-            waypoints[token] = Waypoint(token, desc, (_finite(x, lineno), _finite(y, lineno)))
+            waypoints[token] = Waypoint(
+                token, desc, (parse_finite(x, lineno), parse_finite(y, lineno)))
         elif line.startswith("ROLE"):
             m = _ROLE_RE.match(line)
             if not m:
@@ -291,7 +316,7 @@ def parse_domain_file(text: str) -> Domain:
     return Domain(waypoints, roles)
 
 
-def _finite(text: str, lineno: int) -> float:
+def parse_finite(text: str, lineno: int) -> float:
     try:
         value = float(text)
     except ValueError:
@@ -333,16 +358,13 @@ def parse_world_file(text: str, domain: Domain) -> WorldState:
                     raise ParseError(f"duplicate own role {role_name}", line=lineno)
                 own_roles.add(role_name)
             agents[aid] = (
-                Pose(_finite(x, lineno), _finite(y, lineno), _finite(theta, lineno)),
+                Pose(*(parse_finite(v, lineno) for v in (x, y, theta))),
                 Agent(aid, team, role_name),
             )
         elif parts[0] == "BALL":
             if len(parts) != 3:
                 raise ParseError(f"bad BALL record: {raw!r}", line=lineno)
-            ball = (
-                max(-FIELD_X, min(FIELD_X, _finite(parts[1], lineno))),
-                max(-FIELD_Y, min(FIELD_Y, _finite(parts[2], lineno))),
-            )
+            ball = clamp_to_field(tuple(parse_finite(v, lineno) for v in parts[1:]))
         else:
             raise ParseError(f"unknown record: {raw!r}", line=lineno)
     if ball is None:

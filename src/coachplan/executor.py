@@ -13,22 +13,27 @@ from collections import Counter
 from dataclasses import dataclass, fields
 
 from .actions import INSTANT, KICK, MOVE, PASS, RECEIVE, classify, packaged_schemas
-from .domain import CONTROL_RADIUS, FIELD_X, FIELD_Y, OWN, Domain, WorldState
+from .domain import (CONTROL_RADIUS, FIELD_X, GOAL_HALF_WIDTH, OWN, Domain, WorldState,
+                     ball_holder, clamp_to_field)
 from .errors import ConfigInvalid, EmptyInput, InvalidPlan
 from .planlang import JOIN, Plan
 from .refine import grounded_effects
 
 
+# Most ticks one match may take (timeout / tick): ten times the default
+# 2400, so no config can keep a match running for minutes.
+MAX_TICKS = 24_000
+
+
 @dataclass(frozen=True)
 class SimConfig:
+    """Speeds (m/s) and times (s); the field, goal and control radius are in `domain`."""
+
     walk_speed: float = 0.25
     pass_speed: float = 2.0
     kick_speed: float = 4.0
-    control_radius: float = CONTROL_RADIUS
     tick: float = 0.05
     timeout: float = 120.0
-    goal_x: float = FIELD_X
-    goal_half_width: float = 0.75
 
     def __post_init__(self):
         for f in fields(self):
@@ -36,13 +41,13 @@ class SimConfig:
             if (isinstance(v, bool) or not isinstance(v, (int, float))
                     or not math.isfinite(v)):
                 raise ConfigInvalid(f"{f.name} must be a finite number, got {v!r}")
-        values = (self.walk_speed, self.pass_speed, self.kick_speed,
-                  self.control_radius, self.tick, self.timeout,
-                  self.goal_half_width)
-        if any(v <= 0 for v in values):
-            raise ConfigInvalid("all simulation parameters must be positive")
+            if v <= 0:
+                raise ConfigInvalid("all simulation parameters must be positive")
         if self.tick > 0.1:
             raise ConfigInvalid("tick must be <= 0.1 s")
+        if self.timeout / self.tick > MAX_TICKS:
+            raise ConfigInvalid(f"timeout / tick must be <= {MAX_TICKS} ticks, "
+                                f"got {self.timeout / self.tick:.0f}")
 
 
 @dataclass(frozen=True)
@@ -160,13 +165,6 @@ def _step_towards(pos, target, step):
     return (pos[0] + dx / dist * step, pos[1] + dy / dist * step)
 
 
-def _clamp(pos):
-    x, y = pos
-    if -FIELD_X <= x <= FIELD_X and -FIELD_Y <= y <= FIELD_Y:
-        return pos
-    return (max(-FIELD_X, min(FIELD_X, x)), max(-FIELD_Y, min(FIELD_Y, y)))
-
-
 @dataclass
 class _Ball:
     pos: tuple
@@ -201,7 +199,8 @@ class _Match:
                 self.own[agent_id] = (pose.x, pose.y)
             else:
                 self.opponents[agent_id] = (pose.x, pose.y)
-        self.ball = _Ball(world0.ball)
+        holder = ball_holder(world0)
+        self.ball = _Ball(world0.ball, "FREE" if holder is None else "HELD", holder)
         # Members per barrier, and members done at it so far.
         self.barrier_total = Counter(state.barrier_id for states in self.states.values()
                                      for state in states if state.barrier_id)
@@ -217,17 +216,6 @@ class _Match:
         self.passes = 0
         self.success = False
         self.scoring_time = None
-        self._seed_possession()
-
-    def _seed_possession(self):
-        best = None
-        for aid, pos in sorted(self.own.items()):
-            d = math.hypot(pos[0] - self.ball.pos[0], pos[1] - self.ball.pos[1])
-            if d <= self.config.control_radius and (best is None or d < best[0]):
-                best = (d, aid)
-        if best is not None:
-            self.ball.mode = "HELD"
-            self.ball.holder = best[1]
 
     def _event(self, kind, agent, details=""):
         line = f"t={self.t:.2f} EVENT {kind} {agent}"
@@ -245,7 +233,7 @@ class _Match:
         pos = self.own[agent_id]
         if kind == MOVE:
             target = self.move_targets[state.target]
-            new_pos = _clamp(_step_towards(pos, target, cfg.walk_speed * cfg.tick))
+            new_pos = clamp_to_field(_step_towards(pos, target, cfg.walk_speed * cfg.tick))
             self.own[agent_id] = new_pos
             if self._holds_ball(agent_id):
                 self.ball.pos = new_pos
@@ -271,7 +259,7 @@ class _Match:
             self.launched.add(agent_id)
             self._event("PASS_LAUNCH", agent_id, f"to={state.target}")
             return False
-        goal = (cfg.goal_x, 0.0)
+        goal = (FIELD_X, 0.0)
         dx, dy = goal[0] - self.ball.pos[0], goal[1] - self.ball.pos[1]
         dist = math.hypot(dx, dy)
         if dist == 0.0:
@@ -287,7 +275,7 @@ class _Match:
     def _chase_ball(self, agent_id):
         cfg = self.config
         pos = self.own[agent_id]
-        self.own[agent_id] = _clamp(
+        self.own[agent_id] = clamp_to_field(
             _step_towards(pos, self.ball.pos, cfg.walk_speed * cfg.tick)
         )
         if self.ball.mode == "FREE":
@@ -296,7 +284,7 @@ class _Match:
     def _try_take(self, agent_id):
         pos = self.own[agent_id]
         d = math.hypot(pos[0] - self.ball.pos[0], pos[1] - self.ball.pos[1])
-        if d <= self.config.control_radius:
+        if d <= CONTROL_RADIUS:
             self.ball.mode = "HELD"
             self.ball.holder = agent_id
             self.ball.pos = pos
@@ -317,7 +305,7 @@ class _Match:
                 return
             ball.pos = _step_towards(ball.pos, target, cfg.pass_speed * cfg.tick)
             d = math.hypot(ball.pos[0] - target[0], ball.pos[1] - target[1])
-            if d <= cfg.control_radius:
+            if d <= CONTROL_RADIUS:
                 ball.mode = "HELD"
                 ball.holder = ball.receiver
                 ball.receiver = None
@@ -328,9 +316,8 @@ class _Match:
         if ball.mode == "KICK":
             new_pos = (ball.pos[0] + ball.velocity[0] * cfg.tick,
                        ball.pos[1] + ball.velocity[1] * cfg.tick)
-            if (new_pos[0] >= cfg.goal_x
-                    and abs(new_pos[1]) <= cfg.goal_half_width):
-                ball.pos = _clamp(new_pos)
+            if new_pos[0] >= FIELD_X and abs(new_pos[1]) <= GOAL_HALF_WIDTH:
+                ball.pos = clamp_to_field(new_pos)
                 ball.mode = "FREE"
                 ball.velocity = (0.0, 0.0)
                 self.success = True
@@ -338,7 +325,7 @@ class _Match:
                 self._event("GOAL", "BALL",
                             f"x={ball.pos[0]:.3f} y={ball.pos[1]:.3f}")
                 return
-            clamped = _clamp(new_pos)
+            clamped = clamp_to_field(new_pos)
             if clamped != new_pos:
                 ball.pos = clamped
                 ball.mode = "FREE"
@@ -350,13 +337,13 @@ class _Match:
 
     def _move_opponents(self):
         for oid in self.opponents:  # in id order
-            self.opponents[oid] = _clamp(
+            self.opponents[oid] = clamp_to_field(
                 self.policy.move(self.opponents[oid], self.ball.pos, self.config)
             )
             if self.policy.steals and self.ball.mode in ("FREE", "PASS", "KICK"):
                 pos = self.opponents[oid]
                 d = math.hypot(pos[0] - self.ball.pos[0], pos[1] - self.ball.pos[1])
-                if d <= self.config.control_radius:
+                if d <= CONTROL_RADIUS:
                     self.ball.mode = "HELD"
                     self.ball.holder = oid
                     self.ball.receiver = None

@@ -9,13 +9,12 @@ state and apply a conflict-checked union of effects.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from importlib import resources
 
 from .actions import ACTING_AGENT, KICK, PASS, Predicate, classify, parse_predicate, serialize_actions
 from .coach import SYSTEM_TEXT, describe_roles, describe_waypoints, fill_template
-from .domain import CONTROL_RADIUS, OWN, Domain, WorldState, nearest_waypoint, serialize_scenario
+from .domain import OWN, Domain, WorldState, ball_holder, nearest_waypoint, serialize_scenario
 from .errors import InvalidInputPlan, ParseError, UnresolvedPlaceholder
 from .planlang import JOIN, SINGLE, GroundedAction, Plan, PlanStep
 from .providers import ChatRequest
@@ -170,24 +169,18 @@ def validate_plan(plan: Plan, schemas: dict, initial: frozenset) -> ValidationRe
 
 
 def initial_state_from_world(world: WorldState, domain: Domain) -> frozenset:
-    """Seed facts from a world: own agents are `at` their nearest waypoint;
-    the ball is held by the nearest own agent within CONTROL_RADIUS, else
-    `ball_at` its nearest waypoint."""
-    facts = set()
-    holder = None
-    holder_d = None
-    for pose, agent in world.agents.values():
-        if agent.team != OWN or agent.role is None:
-            continue
-        token = nearest_waypoint((pose.x, pose.y), domain)
-        facts.add(Predicate("at", (agent.role, token)))
-        d = math.hypot(pose.x - world.ball[0], pose.y - world.ball[1])
-        if d <= CONTROL_RADIUS and (holder_d is None or d < holder_d):
-            holder, holder_d = agent.role, d
-    if holder is not None:
-        facts.add(Predicate("ball_held_by", (holder,)))
-    else:
+    """Seed facts from a world: own roles are `at` their nearest waypoint;
+    the ball is held by the role of `ball_holder(world)`, else `ball_at` its
+    nearest waypoint.  A holder without a role runs no plan, so its ball
+    gives no fact at all."""
+    facts = {Predicate("at", (agent.role, nearest_waypoint((pose.x, pose.y), domain)))
+             for pose, agent in world.agents.values()
+             if agent.team == OWN and agent.role is not None}
+    holder = ball_holder(world)
+    if holder is None:
         facts.add(Predicate("ball_at", (nearest_waypoint(world.ball, domain),)))
+    elif world.agents[holder][1].role is not None:
+        facts.add(Predicate("ball_held_by", (world.agents[holder][1].role,)))
     return frozenset(facts)
 
 

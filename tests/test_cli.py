@@ -245,6 +245,10 @@ class TestMalformedInput:
         {"walk_speed": True},
         {"timeout": float("inf")},  # written as Infinity, read back as a float
         [0.05],
+        {"tick": 1e-6},  # 1.2e8 ticks to the timeout, over the tick budget
+        {"control_radius": 0.3},  # field, goal and radius are fixed in `domain`
+        {"goal_x": 6.0},
+        {"goal_half_width": 0.75},
     ])
     def test_bad_sim_config(self, tmp_path, base, plan, capsys, payload):
         cfg = write(tmp_path / "sim.json", json.dumps(payload))
@@ -334,6 +338,17 @@ class TestGenerate:
         assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
             "store", os.path.join("store", "lib.jsonl")]
         assert main(["library", "ls", "--library", str(store / "lib.jsonl"), *base]) == 0
+
+    def test_negative_k_exit_two(self, base, golden_dir, capsys):
+        code = main([
+            "generate", *base,
+            "--world", os.path.join(golden_dir, "frame_0.world"),
+            "--transcript", os.path.join(golden_dir, "transcript.txt"),
+            "--k", "-1",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "FAILED at stage action-retrieval: k must be >= 0, got -1\n")
 
 
 class TestLiveRecording:
@@ -555,6 +570,27 @@ def test_ingest_actions_round_trip(tmp_path, base, data_dir, schemas):
         assert rec.embed(schema.description).vector == pytest.approx(
             mock.embed(schema.description).vector
         )
+
+
+@pytest.mark.parametrize("value, message", [
+    ("x1", "bad number 'x1'"),
+    ("nan", "number must be finite, got 'nan'"),
+])
+def test_bad_recorded_embedding_exit_two(tmp_path, base, data_dir, golden_dir, capsys,
+                                         value, message):
+    out = tmp_path / "emb.txt"
+    assert main(["ingest-actions", "--actions", os.path.join(data_dir, "actions.txt"),
+                 "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    key, _, *rest = lines[1].split()
+    lines[1] = " ".join([key, value, *rest])
+    out.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["generate", *base, "--world", os.path.join(golden_dir, "frame_0.world"),
+                 "--transcript", os.path.join(golden_dir, "transcript.txt"),
+                 "--embeddings", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: line 2: {message}\n"
 
 
 def test_cli_import_loads_no_third_party_modules():

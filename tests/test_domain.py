@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coachplan as cp
-from coachplan.domain import BALL, OWN, UNMATCHED_PENALTY, normalize_angle
+from coachplan.domain import BALL, OWN, UNMATCHED_PENALTY, ball_holder, normalize_angle
 from coachplan.errors import (
     DuplicateSubject,
     EmptyDomain,
@@ -303,6 +303,14 @@ class TestFileFormats:
     def test_world_ball_clamped(self, domain):
         world = cp.parse_world_file("BALL 99 -99\n", domain)
         assert world.ball == (4.5, -3.0)
+
+    def test_ball_holder(self, domain):
+        text = ("AGENT o OPPONENT - 0.0 0.05 0.0\nAGENT b OWN JOLLY 0.0 -0.25 0.0\n"
+                "AGENT a OWN STRIKER 0.0 0.25 0.0\nBALL 0.0 0.0\n")
+        # Opponents never hold the ball at kickoff; a tie goes to the smaller id.
+        assert ball_holder(cp.parse_world_file(text, domain)) == "a"
+        far = cp.parse_world_file(text.replace("0.25", "0.31"), domain)
+        assert ball_holder(far) is None
 
     def test_world_missing_ball(self, domain):
         with pytest.raises(ParseError):

@@ -12,6 +12,7 @@ from coachplan.actions import INSTANT, KICK, MOVE, PASS, RECEIVE
 from coachplan.domain import FIELD_X, FIELD_Y, OPPONENT, OWN
 from coachplan.errors import ConfigInvalid, EmptyInput, InvalidPlan, UnknownWaypoint
 from coachplan.executor import (
+    MAX_TICKS,
     NEAREST_INTERCEPT,
     STATIC,
     AggregateMetrics,
@@ -62,6 +63,19 @@ class TestSimConfig:
     def test_rejects_coarse_tick(self):
         with pytest.raises(ConfigInvalid):
             cp.SimConfig(tick=0.5)
+
+    def test_fields(self):
+        # The field, the goal and the control radius are fixed in `domain`.
+        assert [f.name for f in dataclasses.fields(cp.SimConfig)] == [
+            "walk_speed", "pass_speed", "kick_speed", "tick", "timeout"]
+
+    def test_tick_budget(self):
+        with pytest.raises(ConfigInvalid, match="timeout / tick"):
+            cp.SimConfig(tick=1e-6)
+        with pytest.raises(ConfigInvalid, match="timeout / tick"):
+            cp.SimConfig(timeout=MAX_TICKS * 0.05 + 1.0)
+        assert cp.SimConfig(tick=0.03, timeout=120.0).timeout == 120.0
+        assert cp.SimConfig(timeout=MAX_TICKS * 0.05).tick == 0.05
 
 
 class TestCompileFsm:

@@ -163,6 +163,34 @@ class TestInitialState:
         state = initial_state_from_world(world, domain)
         assert Predicate("ball_at", ("KICKING_POSITION",)) in state
 
+    @pytest.mark.parametrize("kicker, scores", [("JOLLY", True), ("STRIKER", False)])
+    def test_tie_agrees_with_simulator(self, domain, schemas, roles, kicker, scores):
+        # Both own agents are exactly 0.2 m from the ball: STRIKER comes first
+        # in the file, JOLLY first by agent id, and the id decides.
+        world = cp.parse_world_file(
+            "AGENT STRIKER OWN STRIKER 3.2 0.2 0.0\n"
+            "AGENT JOLLY OWN JOLLY 3.2 -0.2 0.0\n"
+            "BALL 3.2 0.0\n", domain
+        )
+        plan = cp.parse_plan(f"kick_to_goal {kicker} {{}}\n", schemas, roles)
+        report = cp.validate_plan(plan, schemas, initial_state_from_world(world, domain))
+        result = cp.run_match(cp.compile_fsm(plan), world, domain, cp.SimConfig())
+        assert report.ok is scores
+        assert result.success is scores
+
+    def test_holder_without_role(self, domain, schemas, roles):
+        # The ball belongs to an agent that runs no plan: no ball fact at all.
+        world = cp.parse_world_file(
+            "AGENT a OWN - 0.1 0.0 0.0\nAGENT STRIKER OWN STRIKER 0.2 0.0 0.0\nBALL 0.0 0.0\n",
+            domain,
+        )
+        state = initial_state_from_world(world, domain)
+        assert not [f for f in state if f.name in ("ball_at", "ball_held_by")]
+        plan = cp.parse_plan("kick_to_goal STRIKER {}\n", schemas, roles)
+        assert not cp.validate_plan(plan, schemas, state).ok
+        result = cp.run_match(cp.compile_fsm(plan), world, domain, cp.SimConfig())
+        assert not result.success
+
 
 class TestParseFactsFile:
     def test_happy_path(self):
