@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .domain import parse_finite
 from .errors import (
@@ -67,8 +68,7 @@ class Predicate:
         return f"{prefix}{self.name}({','.join(self.args)})"
 
 
-@dataclass(frozen=True)
-class ActionSchema:
+class ActionSchema(NamedTuple):
     action_id: str
     description: str
     args: tuple  # of (arg_name, value_domain)
@@ -91,8 +91,7 @@ class Embedding:
             raise ValueError("embedding contains NaN/Inf")
 
 
-@dataclass(frozen=True)
-class VectorIndex:
+class VectorIndex(NamedTuple):
     entries: tuple  # of (action_id, Embedding)
     dim: int
     schemas: dict  # action_id -> ActionSchema
@@ -286,13 +285,18 @@ class RecordedEmbeddingProvider:
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
-                parts = line.split()
-                vec = tuple(parse_finite(v, lineno) for v in parts[1:])
+                key, *values = line.split()
+                if not values:
+                    raise ParseError(f"key {key} has no values", line=lineno)
+                if key in self.vectors:
+                    raise ParseError(f"repeated key {key}", line=lineno)
+                vec = tuple(parse_finite(v, lineno) for v in values)
                 if self.dim is None:
                     self.dim = len(vec)
                 elif len(vec) != self.dim:
-                    raise ProviderError("inconsistent embedding dims in recording")
-                self.vectors[parts[0]] = vec
+                    raise ParseError(f"vector has {len(vec)} values, the first has {self.dim}",
+                                     line=lineno)
+                self.vectors[key] = vec
         if self.dim is None:
             raise ProviderError(f"no embeddings recorded in {path}")
 

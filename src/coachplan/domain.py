@@ -9,6 +9,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import DuplicateSubject, EmptyDomain, MissingRole, ParseError, UnknownWaypoint
 
@@ -78,15 +79,13 @@ class Role:
             raise ValueError(f"role {self.name} has no allowed actions")
 
 
-@dataclass(frozen=True)
-class Agent:
+class Agent(NamedTuple):
     agent_id: str
     team: str  # OWN | OPPONENT
     role: str | None = None
 
 
-@dataclass(frozen=True)
-class WorldState:
+class WorldState(NamedTuple):
     agents: dict  # agent_id -> (Pose, Agent)
     ball: tuple[float, float]
     timestamp: float = 0.0
@@ -125,8 +124,7 @@ class PlanningGoal:
             raise ValueError("planning goal must be non-empty")
 
 
-@dataclass(frozen=True)
-class Tactics:
+class Tactics(NamedTuple):
     text: str = ""
 
 

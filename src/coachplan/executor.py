@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .actions import INSTANT, KICK, MOVE, PASS, RECEIVE, classify, packaged_schemas
 from .domain import (CONTROL_RADIUS, FIELD_X, GOAL_HALF_WIDTH, OWN, Domain, WorldState,
@@ -75,8 +76,7 @@ class MatchResult:
         return "\n".join(self.trace) + "\n"
 
 
-@dataclass(frozen=True)
-class AggregateMetrics:
+class AggregateMetrics(NamedTuple):
     success_rate: float
     avg_passes: float
     avg_scoring_time: float | None
@@ -165,13 +165,15 @@ def _step_towards(pos, target, step):
     return (pos[0] + dx / dist * step, pos[1] + dy / dist * step)
 
 
-@dataclass
 class _Ball:
-    pos: tuple
-    mode: str = "FREE"  # FREE | HELD | PASS | KICK (in flight, by the kind that launched it)
-    holder: str | None = None
-    receiver: str | None = None
-    velocity: tuple = (0.0, 0.0)
+    __slots__ = ("pos", "mode", "holder", "receiver", "velocity")
+
+    def __init__(self, pos, mode, holder):
+        self.pos = pos
+        self.mode = mode  # FREE | HELD | PASS | KICK (in flight, by the kind that launched it)
+        self.holder = holder
+        self.receiver = None
+        self.velocity = (0.0, 0.0)
 
 
 # Ticks between two checks for a match whose state has stopped changing.

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import jsonl
 from .coach import parse_scenario_block, retrieve_roles
@@ -37,8 +38,7 @@ class PlanRecord:
     created_at: str  # ISO-8601, lexicographically ordered
 
 
-@dataclass(frozen=True)
-class Library:
+class Library(NamedTuple):
     records: tuple  # of PlanRecord, insertion ordered
 
     def frame_ids(self):

@@ -12,9 +12,9 @@ model output can be inspected) and is flagged by plan validation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
+from .domain import TOKEN_RE
 from .errors import (
     ArgMismatch,
     DisallowedAction,
@@ -28,18 +28,14 @@ from .errors import (
 SINGLE = "SINGLE"
 JOIN = "JOIN"
 
-_UPPER_TOKEN = re.compile(r"[A-Z][A-Z0-9_]*$")
 
-
-@dataclass(frozen=True)
-class GroundedAction:
+class GroundedAction(NamedTuple):
     action_id: str
     agent_id: str  # an own-team role name
     args: tuple  # of (ARG_NAME, value), in schema order
 
 
-@dataclass(frozen=True)
-class PlanStep:
+class PlanStep(NamedTuple):
     kind: str  # SINGLE | JOIN
     actions: tuple  # of GroundedAction
 
@@ -47,8 +43,7 @@ class PlanStep:
         return [a.agent_id for a in self.actions]
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(NamedTuple):
     steps: tuple  # of PlanStep
 
     def grounded_actions(self):
@@ -216,7 +211,7 @@ class _Parser:
                         f"{schema.action_id}: {name}={value!r} is not a known role"
                     )
             elif value_domain == "WAYPOINT":
-                if not _UPPER_TOKEN.match(value):
+                if not TOKEN_RE.match(value):
                     raise ArgMismatch(
                         f"{schema.action_id}: {name}={value!r} is not a waypoint token"
                     )

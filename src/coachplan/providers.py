@@ -11,6 +11,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import jsonl
 from .errors import ProviderError
@@ -42,8 +43,7 @@ class ChatRequest:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
 
 
-@dataclass(frozen=True)
-class ChatResponse:
+class ChatResponse(NamedTuple):
     text: str
     provider_id: str
     latency: float = 0.0

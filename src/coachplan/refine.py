@@ -9,8 +9,8 @@ state and apply a conflict-checked union of effects.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .actions import ACTING_AGENT, KICK, PASS, Predicate, classify, parse_predicate, serialize_actions
 from .coach import SYSTEM_TEXT, describe_roles, describe_waypoints, fill_template
@@ -36,8 +36,7 @@ the ball only if you are at the target location otherwise, consider
 robot movement actions."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     step_index: int
     kind: str
     message: str
@@ -46,8 +45,7 @@ class Violation:
         return f"STEP {self.step_index}: [{self.kind}] {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple
     final_state: frozenset
 

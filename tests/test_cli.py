@@ -573,8 +573,16 @@ def test_ingest_actions_round_trip(tmp_path, base, data_dir, schemas):
 
 
 @pytest.mark.parametrize("value, message", [
-    ("x1", "bad number 'x1'"),
-    ("nan", "number must be finite, got 'nan'"),
+    # `value` is a template for line 2: {key} and {values} are its own, {rest} is
+    # its values after the first, {first} is line 1's key.
+    pytest.param("{key} x1 {rest}", "bad number 'x1'", id="x1-bad number 'x1'"),
+    pytest.param("{key} nan {rest}", "number must be finite, got 'nan'",
+                 id="nan-number must be finite, got 'nan'"),
+    pytest.param("{key}", "key {key} has no values", id="no-values"),
+    pytest.param("{key} {rest}", "vector has 15 values, the first has 16", id="short-vector"),
+    pytest.param("{key} {values} 0.5", "vector has 17 values, the first has 16",
+                 id="long-vector"),
+    pytest.param("{first} {values}", "repeated key {first}", id="repeated-key"),
 ])
 def test_bad_recorded_embedding_exit_two(tmp_path, base, data_dir, golden_dir, capsys,
                                          value, message):
@@ -582,8 +590,11 @@ def test_bad_recorded_embedding_exit_two(tmp_path, base, data_dir, golden_dir, c
     assert main(["ingest-actions", "--actions", os.path.join(data_dir, "actions.txt"),
                  "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
-    key, _, *rest = lines[1].split()
-    lines[1] = " ".join([key, value, *rest])
+    key, *values = lines[1].split()
+    parts = dict(key=key, values=" ".join(values), rest=" ".join(values[1:]),
+                 first=lines[0].split()[0])
+    lines[1] = value.format(**parts)
+    message = message.format(**parts)
     out.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     code = main(["generate", *base, "--world", os.path.join(golden_dir, "frame_0.world"),
