@@ -1,7 +1,8 @@
 """Command-line entry point wiring the pipeline end to end.
 
 Exit codes: 0 success, 1 validation violations, 2 parse/config errors,
-3 provider failures.
+3 provider failures, 141 (128 + SIGPIPE, as Unix filters exit) when the
+reader of stdout closes it early; the command then stops quietly.
 """
 from __future__ import annotations
 
@@ -50,6 +51,7 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_PARSE = 2
 EXIT_PROVIDER = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _read(path):
@@ -334,7 +336,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; with nowhere to write it
+        # would report the pipe once more.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ValidationFailed as exc:
         print(f"FAILED at stage {exc.stage}:\n{exc}", file=sys.stderr)
         return EXIT_VIOLATIONS

@@ -5,6 +5,15 @@ steps become barriers.  The match loop is fixed-timestep, single-threaded
 and fully deterministic given (world, config, opponent policy):
 point-mass agents, a ball that is held, flying or free, no collision
 physics beyond opponent ball-steal contact.
+
+One tick runs, in this order: act (each agent in id order; a done agent
+first moves past its action unless its JOIN barrier still holds), the
+opponents (in id order), the ball, the flights (pass and kick actions whose
+ball flight has ended), the liveness pass, and the settle check (every
+SETTLE_PERIOD ticks, a match that has stopped changing ends).  The liveness
+pass moves done agents past their actions in id order and stops at the
+first agent whose plan is not over, so later agents move on only in the
+next tick's act step.  Traces and tick counts depend on both facts.
 """
 from __future__ import annotations
 
@@ -141,6 +150,7 @@ def make_opponent_policy(name: str = STATIC, seed: int = 0):
 
 class _StaticPolicy:
     name = STATIC
+    moves = False
     steals = False
 
     def move(self, pos, ball, config):
@@ -149,6 +159,7 @@ class _StaticPolicy:
 
 class _InterceptPolicy:
     name = NEAREST_INTERCEPT
+    moves = True
     steals = True
 
     def move(self, pos, ball, config):
@@ -193,6 +204,8 @@ class _Match:
             for states in self.states.values() for state in states if state.kind == MOVE
         }
         self.config = config
+        self.walk_step = config.walk_speed * config.tick
+        self.pass_step = config.pass_speed * config.tick
         self.policy = opponent_policy
         self.own = {}
         self.opponents = {}
@@ -201,12 +214,18 @@ class _Match:
                 self.own[agent_id] = (pose.x, pose.y)
             else:
                 self.opponents[agent_id] = (pose.x, pose.y)
+        # Opponents that neither move nor steal are only ever clamped onto
+        # the field.  Nothing reads them before the first tick would, so
+        # that is done here, once.
+        self.opponents_act = opponent_policy.moves or opponent_policy.steals
+        if not self.opponents_act:
+            self.opponents = {oid: clamp_to_field(pos) for oid, pos in self.opponents.items()}
         holder = ball_holder(world0)
         self.ball = _Ball(world0.ball, "FREE" if holder is None else "HELD", holder)
         # Members per barrier, and members done at it so far.
         self.barrier_total = Counter(state.barrier_id for states in self.states.values()
                                      for state in states if state.barrier_id)
-        self.barrier_done = Counter()
+        self.barrier_done = dict.fromkeys(self.barrier_total, 0)
         # Run state: each agent's current state, and the agents whose
         # current state is done, or has launched the ball.
         self.cursor = dict.fromkeys(self.states, 0)
@@ -225,87 +244,81 @@ class _Match:
             line += f" {details}"
         self.trace.append(line)
 
-    def _holds_ball(self, agent_id):
-        return self.ball.mode == "HELD" and self.ball.holder == agent_id
-
     # -- per-kind behavior; returns True when the action is finished.
     def _act(self, agent_id, state: FSMState):
-        cfg = self.config
         kind = state.kind
-        pos = self.own[agent_id]
+        ball = self.ball
         if kind == MOVE:
             target = self.move_targets[state.target]
-            new_pos = clamp_to_field(_step_towards(pos, target, cfg.walk_speed * cfg.tick))
+            new_pos = clamp_to_field(_step_towards(self.own[agent_id], target, self.walk_step))
             self.own[agent_id] = new_pos
-            if self._holds_ball(agent_id):
-                self.ball.pos = new_pos
+            if ball.mode == "HELD" and ball.holder == agent_id:
+                ball.pos = new_pos
             return new_pos == target
         if kind == INSTANT:
             return True
+        holds = ball.mode == "HELD" and ball.holder == agent_id
         if kind == RECEIVE:
-            if self._holds_ball(agent_id):
-                return True
-            if self.ball.mode == "FREE":
-                self._try_take(agent_id)
-            return self._holds_ball(agent_id)
+            return holds or (ball.mode == "FREE" and self._try_take(agent_id))
         # PASS or KICK: get the ball, unless a flight of this kind is under
         # way (a launched one ends in _settle_flights).
-        if not self._holds_ball(agent_id):
-            if self.ball.mode != kind:
+        if not holds:
+            if ball.mode != kind:
                 self._chase_ball(agent_id)
             return False
         if kind == PASS:
-            self.ball.mode = PASS
-            self.ball.holder = None
-            self.ball.receiver = state.target
+            ball.mode = PASS
+            ball.holder = None
+            ball.receiver = state.target
             self.launched.add(agent_id)
             self._event("PASS_LAUNCH", agent_id, f"to={state.target}")
             return False
         goal = (FIELD_X, 0.0)
-        dx, dy = goal[0] - self.ball.pos[0], goal[1] - self.ball.pos[1]
+        dx, dy = goal[0] - ball.pos[0], goal[1] - ball.pos[1]
         dist = math.hypot(dx, dy)
         if dist == 0.0:
             return True
-        self.ball.mode = KICK
-        self.ball.holder = None
-        self.ball.velocity = (dx / dist * cfg.kick_speed,
-                              dy / dist * cfg.kick_speed)
+        ball.mode = KICK
+        ball.holder = None
+        ball.velocity = (dx / dist * self.config.kick_speed,
+                         dy / dist * self.config.kick_speed)
         self.launched.add(agent_id)
         self._event("KICK", agent_id)
         return False
 
     def _chase_ball(self, agent_id):
-        cfg = self.config
-        pos = self.own[agent_id]
         self.own[agent_id] = clamp_to_field(
-            _step_towards(pos, self.ball.pos, cfg.walk_speed * cfg.tick)
+            _step_towards(self.own[agent_id], self.ball.pos, self.walk_step)
         )
         if self.ball.mode == "FREE":
             self._try_take(agent_id)
 
     def _try_take(self, agent_id):
+        """Take the free ball if it is within reach; True if taken."""
         pos = self.own[agent_id]
-        d = math.hypot(pos[0] - self.ball.pos[0], pos[1] - self.ball.pos[1])
-        if d <= CONTROL_RADIUS:
-            self.ball.mode = "HELD"
-            self.ball.holder = agent_id
-            self.ball.pos = pos
+        ball = self.ball
+        if math.hypot(pos[0] - ball.pos[0], pos[1] - ball.pos[1]) > CONTROL_RADIUS:
+            return False
+        ball.mode = "HELD"
+        ball.holder = agent_id
+        ball.pos = pos
+        return True
 
     def _update_ball(self):
-        cfg = self.config
         ball = self.ball
-        if ball.mode == "HELD" and ball.holder in self.own:
-            ball.pos = self.own[ball.holder]
+        mode = ball.mode
+        if mode == "HELD":
+            if ball.holder in self.own:
+                ball.pos = self.own[ball.holder]
+            elif ball.holder in self.opponents:
+                ball.pos = self.opponents[ball.holder]
             return
-        if ball.mode == "HELD" and ball.holder in self.opponents:
-            ball.pos = self.opponents[ball.holder]
-            return
-        if ball.mode == "PASS":
+        if mode == "PASS":
             target = self.own.get(ball.receiver)
             if target is None:
                 ball.mode = "FREE"
                 return
-            ball.pos = _step_towards(ball.pos, target, cfg.pass_speed * cfg.tick)
+            ball.pos = _step_towards(ball.pos, target, self.pass_step)
             d = math.hypot(ball.pos[0] - target[0], ball.pos[1] - target[1])
             if d <= CONTROL_RADIUS:
                 ball.mode = "HELD"
@@ -315,9 +328,10 @@ class _Match:
                 self.passes += 1
                 self._event("PASS_COMPLETE", ball.holder, f"passes={self.passes}")
             return
-        if ball.mode == "KICK":
-            new_pos = (ball.pos[0] + ball.velocity[0] * cfg.tick,
-                       ball.pos[1] + ball.velocity[1] * cfg.tick)
+        if mode == "KICK":
+            tick = self.config.tick
+            new_pos = (ball.pos[0] + ball.velocity[0] * tick,
+                       ball.pos[1] + ball.velocity[1] * tick)
             if new_pos[0] >= FIELD_X and abs(new_pos[1]) <= GOAL_HALF_WIDTH:
                 ball.pos = clamp_to_field(new_pos)
                 ball.mode = "FREE"
@@ -338,34 +352,35 @@ class _Match:
                 ball.pos = new_pos
 
     def _move_opponents(self):
-        for oid in self.opponents:  # in id order
-            self.opponents[oid] = clamp_to_field(
-                self.policy.move(self.opponents[oid], self.ball.pos, self.config)
-            )
-            if self.policy.steals and self.ball.mode in ("FREE", "PASS", "KICK"):
-                pos = self.opponents[oid]
-                d = math.hypot(pos[0] - self.ball.pos[0], pos[1] - self.ball.pos[1])
+        ball, policy, config = self.ball, self.policy, self.config
+        opponents = self.opponents
+        for oid, pos in opponents.items():  # in id order
+            pos = opponents[oid] = clamp_to_field(policy.move(pos, ball.pos, config))
+            if policy.steals and ball.mode in ("FREE", "PASS", "KICK"):
+                d = math.hypot(pos[0] - ball.pos[0], pos[1] - ball.pos[1])
                 if d <= CONTROL_RADIUS:
-                    self.ball.mode = "HELD"
-                    self.ball.holder = oid
-                    self.ball.receiver = None
-                    self.ball.velocity = (0.0, 0.0)
-                    self.ball.pos = pos
+                    ball.mode = "HELD"
+                    ball.holder = oid
+                    ball.receiver = None
+                    ball.velocity = (0.0, 0.0)
+                    ball.pos = pos
                     self._event("STEAL", oid)
 
     def _advance(self, aid):
-        """Move past done states whose barriers (if any) have released.
-        Returns the agent's current state, or None once its plan is over."""
+        """Move a done agent past done states whose barriers (if any) have
+        released.  Returns the agent's current state, or None once its plan
+        is over.  An agent not in `done` stays where it is."""
         states = self.states[aid]
-        while self.cursor[aid] < len(states):
-            state = states[self.cursor[aid]]
-            if aid not in self.done:
+        cursor, done = self.cursor, self.done
+        while cursor[aid] < len(states):
+            state = states[cursor[aid]]
+            if aid not in done:
                 return state
             barrier = state.barrier_id
             if barrier is not None and self.barrier_done[barrier] < self.barrier_total[barrier]:
                 return state  # hold at the barrier
-            self.cursor[aid] += 1
-            self.done.discard(aid)
+            cursor[aid] += 1
+            done.discard(aid)
             self.launched.discard(aid)
         return None
 
@@ -380,27 +395,39 @@ class _Match:
                 len(self.trace))
 
     def run(self) -> MatchResult:
-        cfg = self.config
+        tick, timeout = self.config.tick, self.config.timeout
+        states, cursor, done, ball = self.states, self.cursor, self.done, self.ball
+        advance, act, finish = self._advance, self._act, self._finish
         before = settled = None
         while True:
             self.ticks += 1
-            self.t = self.ticks * cfg.tick
+            self.t = self.ticks * tick
             # A settled match would idle to the timeout, so it ends there now.
-            if self.t > cfg.timeout or settled:
-                self.t = round(cfg.timeout, 10)
+            if self.t > timeout or settled:
+                self.t = round(timeout, 10)
                 self._event("TIMEOUT", "MATCH")
                 break
-            for aid in self.states:
-                state = self._advance(aid)
-                if state is not None and aid not in self.done and self._act(aid, state):
-                    self._finish(aid, state)
-            self._move_opponents()
+            # Only an agent in `done` can move its cursor; any other agent
+            # acts on the state at its cursor, if its plan is not over.
+            for aid, agent_states in states.items():
+                if aid in done:
+                    state = advance(aid)
+                    if state is None or aid in done:
+                        continue
+                elif cursor[aid] < len(agent_states):
+                    state = agent_states[cursor[aid]]
+                else:
+                    continue
+                if act(aid, state):
+                    finish(aid, state)
+            if self.opponents_act:
+                self._move_opponents()
             self._update_ball()
-            self._settle_flights()
+            if self.launched:
+                self._settle_flights()
             if self.success:
                 break
-            plan_live = any(self._advance(aid) is not None for aid in self.states)
-            if not plan_live and self.ball.mode not in ("PASS", "KICK"):
+            if not self._plan_live() and ball.mode not in ("PASS", "KICK"):
                 self._event("PLAN_DONE", "MATCH")
                 break
             # The tick reads no clock, so a tick that changed nothing will
@@ -417,6 +444,17 @@ class _Match:
             scoring_time=self.scoring_time,
             trace=tuple(self.trace),
         )
+
+    def _plan_live(self):
+        """True while some agent's plan is not over.  On the way, done agents
+        move past their actions, in id order, up to the first live agent."""
+        for aid, states in self.states.items():
+            if aid in self.done:
+                if self._advance(aid) is not None:
+                    return True
+            elif self.cursor[aid] < len(states):
+                return True
+        return False
 
     def _settle_flights(self):
         """Complete pass/kick actions whose ball flight has resolved."""

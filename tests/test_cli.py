@@ -616,3 +616,32 @@ def test_cli_import_loads_no_third_party_modules():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out == "[]\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("command", ["generate", "simulate"])
+def test_closed_stdout_ends_quietly(tmp_path, base, golden_dir, command, unbuffered):
+    # A reader that closes stdout early, as `coachplan ... | head` does.
+    # The pipe's read end is closed before the command starts, so every
+    # write fails, whether stdout is buffered or not.
+    world = os.path.join(golden_dir, "frame_0.world")
+    if command == "generate":
+        argv = ["generate", *base, "--world", world,
+                "--transcript", os.path.join(golden_dir, "transcript.txt"),
+                "--library", str(tmp_path / "lib.jsonl")]
+    else:
+        argv = ["simulate", *base, "--world", world, "--trace",
+                "--plan", os.path.join(CORPUS_DIR, "p01_clear_shot.plan")]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cp.__file__)))
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "coachplan.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""

@@ -2,6 +2,7 @@ import dataclasses
 import glob
 import hashlib
 import os
+import random
 import re
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import coachplan as cp
 from coachplan.actions import INSTANT, KICK, MOVE, PASS, RECEIVE
-from coachplan.domain import FIELD_X, FIELD_Y, OPPONENT, OWN
+from coachplan.domain import FIELD_X, FIELD_Y, OPPONENT, OWN, clamp_to_field
 from coachplan.errors import ConfigInvalid, EmptyInput, InvalidPlan, UnknownWaypoint
 from coachplan.executor import (
     MAX_TICKS,
@@ -26,6 +27,7 @@ from coachplan.executor import (
 )
 
 from conftest import SELF_JOIN_PLAN_TEXT
+from reference_executor import ReferenceMatch
 
 CLEAR_SHOT_WORLD = """\
 AGENT STRIKER OWN STRIKER 3.2 0.0 0.0
@@ -319,26 +321,31 @@ class TestMetrics:
 # --- simulator properties: corpus plans x generated worlds x both policies ---
 
 POINTS = st.tuples(st.floats(-FIELD_X, FIELD_X), st.floats(-FIELD_Y, FIELD_Y))
+# Agents may start up to 1 m off the field (parse_world_file clamps only
+# the ball); the simulator clamps them as they move.
+AGENT_POINTS = st.one_of(
+    POINTS, st.tuples(st.floats(-FIELD_X - 1, FIELD_X + 1), st.floats(-FIELD_Y - 1, FIELD_Y + 1)))
 TRACE_TIME = re.compile(r"t=(\d+\.\d\d) EVENT ")
 
 
 @st.composite
 def full_team_worlds(draw, roles):
-    """Every role on the field (so any corpus plan runs), up to three
-    opponents, and the ball either loose or at one own agent."""
+    """Every role present (so any corpus plan runs), up to three opponents,
+    and the ball either loose or at one own agent (clamped onto the field,
+    as parse_world_file would)."""
     agents = {}
     for role in roles:
-        x, y = draw(POINTS)
+        x, y = draw(AGENT_POINTS)
         agents[role] = (cp.Pose(x, y), cp.Agent(role, OWN, role))
     for i in range(draw(st.integers(0, 3))):
-        x, y = draw(POINTS)
+        x, y = draw(AGENT_POINTS)
         agents[f"O{i}"] = (cp.Pose(x, y), cp.Agent(f"O{i}", OPPONENT))
     holder = draw(st.sampled_from([None, *roles]))
     if holder is None:
         ball = draw(POINTS)
     else:
         pose = agents[holder][0]
-        ball = (pose.x, pose.y)
+        ball = clamp_to_field((pose.x, pose.y))
     return cp.WorldState(agents, ball)
 
 
@@ -361,6 +368,25 @@ def test_match_invariants(domain, corpus_plans, data, policy_name, tick, timeout
     assert all(t <= config.timeout for t in times)
     assert times == sorted(times)
     assert result.passes == sum(" EVENT PASS_COMPLETE " in line for line in result.trace)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(),
+       policy_name=st.sampled_from([STATIC, NEAREST_INTERCEPT]),
+       tick=st.sampled_from([0.03, 0.05, 0.1]),
+       timeout=st.sampled_from([1.0, 12.5, 120.0]))
+def test_match_equals_reference_loop(domain, corpus_plans, data, policy_name, tick, timeout):
+    # The plainer loop in reference_executor.py is the reference for the
+    # optimised one: every result and every tick count must be equal.
+    plan = corpus_plans[data.draw(st.sampled_from(sorted(corpus_plans)), label="plan")]
+    world = data.draw(full_team_worlds(list(domain.roles)), label="world")
+    config = cp.SimConfig(tick=tick, timeout=timeout)
+    fsms = compile_fsm(plan)
+    match = _Match(fsms, world, domain, config, make_opponent_policy(policy_name))
+    reference = ReferenceMatch(fsms, world, domain, config, make_opponent_policy(policy_name))
+    assert match.run() == reference.run()
+    assert match.ticks == reference.ticks
 
 
 @settings(max_examples=20, deadline=None,
@@ -410,6 +436,72 @@ def test_corpus_traces_pinned(domain, corpus_plans, golden_dir):
     assert digest.hexdigest() == TRACE_DIGEST
 
 
+# sha256 over the traces of 20 corpus plans x 50 worlds from `seeded_worlds`
+# x both policies (2000 matches, every one runnable).  It covers far more
+# steals, passes and JOIN barriers than TRACE_DIGEST's golden worlds; any
+# change to what the simulator does moves it.
+SEEDED_TRACE_DIGEST = "38f0e38c9fcd704b515577757ccca53d1e11afd55e222f25f4d38bba51e296c9"
+
+
+def seeded_worlds(roles, count, seed):
+    """`count` full-team worlds from random.Random(seed): every role, zero to
+    three opponents, agents up to 0.5 m off the field, and the ball at one
+    own agent (onto the field) or loose.  Opponents are often put near the
+    ball or on the way to the goal, so that NEAREST_INTERCEPT steals."""
+    rng = random.Random(seed)
+
+    def point(margin=0.5):
+        return (rng.uniform(-FIELD_X - margin, FIELD_X + margin),
+                rng.uniform(-FIELD_Y - margin, FIELD_Y + margin))
+
+    worlds = []
+    for _ in range(count):
+        agents = {}
+        for role in sorted(roles):
+            x, y = point()
+            agents[role] = (cp.Pose(x, y), cp.Agent(role, OWN, role))
+        holder = rng.choice([None, *sorted(roles)])
+        if holder is None:
+            ball = point(0.0)
+        else:
+            pose = agents[holder][0]
+            ball = clamp_to_field((pose.x, pose.y))
+        for i in range(rng.randint(0, 3)):
+            if rng.random() < 0.5:
+                anchor = rng.choice([ball, (FIELD_X, 0.0)])
+                x, y = anchor[0] + rng.uniform(-1.5, 0.5), anchor[1] + rng.uniform(-1.0, 1.0)
+            else:
+                x, y = point()
+            agents[f"O{i}"] = (cp.Pose(x, y), cp.Agent(f"O{i}", OPPONENT))
+        worlds.append(cp.WorldState(agents, ball))
+    return worlds
+
+
+def test_seeded_traces_pinned(domain, corpus_plans):
+    worlds = seeded_worlds(domain.roles, 50, seed=13)
+    digest = hashlib.sha256()
+    events = {}
+    for name, plan in sorted(corpus_plans.items()):
+        fsms = compile_fsm(plan)
+        for w, world in enumerate(worlds):
+            for policy_name in (STATIC, NEAREST_INTERCEPT):
+                result = run_match(fsms, world, domain, cp.SimConfig(),
+                                   make_opponent_policy(policy_name))
+                digest.update(f"{name} {w} {policy_name}\n".encode())
+                digest.update(result.trace_text().encode())
+                for line in result.trace:
+                    kind = line.split()[2]
+                    events[kind] = events.get(kind, 0) + 1
+    barriers = sum(state.barrier_id is not None for plan in corpus_plans.values()
+                   for fsm in compile_fsm(plan).values() for state in fsm.states)
+    # What the digest covers: the plans hold JOIN barriers, and every way a
+    # match or a flight can end happens.
+    assert barriers > 0
+    assert all(events.get(kind) for kind in ("STEAL", "PASS_COMPLETE", "GOAL",
+                                             "BALL_STOPPED", "PLAN_DONE", "TIMEOUT")), events
+    assert digest.hexdigest() == SEEDED_TRACE_DIGEST
+
+
 # --- settled matches end at once, with the trace they would have had ---
 
 def run_every_tick(*args):
@@ -443,6 +535,28 @@ def test_walking_opponent_is_not_settled(domain, schemas, roles):
     result = run_match(*args)
     assert [line.split()[2] for line in result.trace] == ["STEAL", "TIMEOUT"]
     assert run_every_tick(*args) == result
+
+
+def test_liveness_pass_stops_at_first_live_agent(domain, schemas, roles):
+    # JOLLY reaches CENTER_FIELD on tick 16, a settle-check tick.  The
+    # liveness pass stops at DEFENDER (waiting for a pass that never comes),
+    # so JOLLY moves on to its receive only on tick 17; the match is found
+    # settled on ticks 32-33, not 16-17.
+    world = cp.parse_world_file(
+        "AGENT DEFENDER OWN DEFENDER -3.0 0.0 0.0\n"
+        "AGENT JOLLY OWN JOLLY -0.195 0.0 0.0\n"
+        "AGENT STRIKER OWN STRIKER -1.0 -1.0 0.0\n"
+        "BALL -1.0 -1.0\n", domain)
+    fsms = compile_fsm(parse("receive_ball DEFENDER {SENDER: STRIKER}\n"
+                             "move_to JOLLY {TARGET: CENTER_FIELD}\n"
+                             "receive_ball JOLLY {SENDER: STRIKER}", schemas, roles))
+    args = (fsms, world, domain, cp.SimConfig(), make_opponent_policy(STATIC))
+    match, reference = _Match(*args), ReferenceMatch(*args)
+    result = match.run()
+    assert result.trace == ("t=0.80 EVENT ACTION_DONE JOLLY move_to",
+                            "t=120.00 EVENT TIMEOUT MATCH")
+    assert result == reference.run()
+    assert match.ticks == reference.ticks == 34
 
 
 def test_settled_intercept_match_ends_early(domain, corpus_plans, golden_dir):
