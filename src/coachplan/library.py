@@ -96,13 +96,19 @@ def evaluate(library: Library, worlds, domain: Domain, config: SimConfig,
              policy, schemas=None) -> list:
     """One match per world, in order: select the nearest plan, compile it
     against `schemas`, rename the world's own agents to the plan's roles
-    when needed and run it against `policy`.  Returns the MatchResults."""
+    when needed and run it against `policy`.  Returns the MatchResults.
+
+    Each selected record is compiled once per call: a match keeps its run
+    state apart from the FSMs, so one compiled plan runs many matches."""
     if not library.records:
         raise EmptyLibrary("library is empty")
+    compiled = {}  # id(record) -> its FSMs; the library holds every record
     results = []
     for world in worlds:
         record = select_plan(library, world, domain)
-        fsms = compile_fsm(record.plan, schemas)
+        fsms = compiled.get(id(record))
+        if fsms is None:
+            fsms = compiled[id(record)] = compile_fsm(record.plan, schemas)
         world = _world_for_plan(world, fsms, record, domain)
         results.append(run_match(fsms, world, domain, config, policy))
     return results
@@ -116,24 +122,41 @@ def cluster_scenarios(library: Library, k: int, domain: Domain):
     (medoid record, sorted member frame_ids).  Raises KTooLarge when k
     exceeds the number of records or of distinct scenarios (records at
     distance 0 from each other).
+
+    Only the pairs k-medoids reads are scored, each once per call: every
+    record against each medoid (seeding and assignment) and the members of
+    each cluster against each other (medoid updates).  That is about
+    n*k + n*n/k pairs in place of all n*n, so the saving grows with k; at
+    k=1 every pair is still scored.  The first medoid's column scores every
+    record, so an unknown waypoint anywhere raises UnknownWaypoint before
+    any answer.
     """
     records = library.records
     if k < 1 or k > len(records):
         raise KTooLarge(f"k={k} with {len(records)} records")
     ids = [r.frame_id for r in records]
-    # dist[i][j] = scenario_distance(records[i].scenario, records[j].scenario);
-    # both directions are kept, as they may round apart.  Column j scores
-    # every scenario against records[j]'s rows.
     scenarios = [r.scenario for r in records]
-    dist = list(zip(*(domain.distances_to(domain.distance_rows(s), scenarios)
-                      for s in scenarios)))
-    n = len(records)
-    medoids = [min(range(n), key=ids.__getitem__)]
+    everyone = range(len(records))
+    # columns[o][c] = scenario_distance(scenarios[c], scenarios[o]), scored
+    # against scenarios[o]'s rows when first read; both directions are
+    # kept, as they may round apart.
+    columns = [{} for _ in everyone]
+
+    def column(o, wanted):
+        col = columns[o]
+        missing = [c for c in wanted if c not in col]
+        if missing:
+            col.update(zip(missing, domain.distances_to(
+                domain.distance_rows(scenarios[o]), [scenarios[c] for c in missing])))
+        return col
+
+    medoids = [min(everyone, key=ids.__getitem__)]
+    first = column(medoids[0], everyone)
+    # Each record's distance to its nearest medoid so far.
+    nearest = [first[i] for i in everyone]
     while len(medoids) < k:
         spread, _, best = max(
-            (min(dist[i][m] for m in medoids), ids[i], i)
-            for i in range(n)
-            if i not in medoids
+            (nearest[i], ids[i], i) for i in everyone if i not in medoids
         )
         # Even the farthest record sits at distance 0 from a medoid: there
         # are fewer than k distinct scenarios, and another medoid would be
@@ -144,26 +167,34 @@ def cluster_scenarios(library: Library, k: int, domain: Domain):
                 f"among {len(records)} records"
             )
         medoids.append(best)
+        col = column(best, everyone)
+        nearest = [min(d, col[i]) for i, d in enumerate(nearest)]
 
     def assign(medoids):
+        for m in medoids:
+            column(m, everyone)
         clusters = {m: [] for m in medoids}
-        for i, row in enumerate(dist):
-            clusters[min(medoids, key=lambda m: (row[m], ids[m]))].append(i)
+        for i in everyone:
+            clusters[min(medoids, key=lambda m: (columns[m][i], ids[m]))].append(i)
         return clusters
+
+    def cost(c, cols):
+        # A left fold in member order: sum() compensates from Python 3.12.
+        total = 0.0
+        for col in cols:
+            total += col[c]
+        return total
 
     while True:
         clusters = assign(medoids)
         new_medoids = []
         for m in medoids:
             members = clusters[m]
-            new_medoids.append(min(
-                members,
-                key=lambda c: (sum(dist[c][o] for o in members), ids[c]),
-            ))
+            cols = [column(o, members) for o in members]
+            new_medoids.append(min(members, key=lambda c: (cost(c, cols), ids[c])))
         if set(new_medoids) == set(medoids):
             break
         medoids = new_medoids
-    clusters = assign(medoids)
     return [
         (records[m], sorted(ids[i] for i in clusters[m]))
         for m in sorted(medoids, key=ids.__getitem__)

@@ -1,3 +1,4 @@
+import collections
 import glob
 import os
 import random
@@ -18,7 +19,13 @@ from coachplan.errors import (
     PlanSyntaxError,
     UnknownWaypoint,
 )
-from coachplan.executor import STATIC, aggregate, format_metrics_table, make_opponent_policy
+from coachplan.executor import (
+    STATIC,
+    aggregate,
+    compile_fsm,
+    format_metrics_table,
+    make_opponent_policy,
+)
 from coachplan.library import cluster_scenarios, evaluate
 from coachplan.pipeline import make_record, run_generate
 
@@ -192,11 +199,15 @@ def oracle_cluster_scenarios(library, k, domain):
         new_medoids = []
         for m in medoids:
             members = clusters[m]
-            new_m = min(
-                sorted(members),
-                key=lambda c: (sum(dist[(c, o)] for o in members), c),
-            )
-            new_medoids.append(new_m)
+
+            def cost(c):
+                # A left fold in member order, as sum() compensates from 3.12.
+                total = 0.0
+                for o in members:
+                    total += dist[(c, o)]
+                return total
+
+            new_medoids.append(min(sorted(members), key=lambda c: (cost(c), c)))
         if set(new_medoids) == set(medoids):
             break
         medoids = new_medoids
@@ -204,25 +215,32 @@ def oracle_cluster_scenarios(library, k, domain):
     return [(by_id[m], sorted(clusters[m])) for m in sorted(medoids)]
 
 
+def varied_library(rng, plan, domain, n):
+    """n records with random subject sets on random waypoints, frame ids in
+    shuffled order."""
+    tokens = sorted(domain.waypoints)
+    subjects = list(domain.roles) + ["OPPONENT_1", "OPPONENT_2", BALL]
+    ids = [f"r{i:03d}" for i in range(n)]
+    rng.shuffle(ids)
+    return cp.Library(tuple(
+        record(plan, cp.Scenario(tuple(
+            (s, rng.choice(tokens))
+            for s in rng.sample(subjects, rng.randint(1, len(subjects))))), fid)
+        for fid in ids
+    ))
+
+
 class TestClusterDifferential:
     @pytest.mark.parametrize("seed", range(6))
     def test_equals_oracle(self, domain, kick_plan, seed):
         rng = random.Random(seed)
-        tokens = sorted(domain.waypoints)
-        subjects = list(domain.roles) + ["OPPONENT_1", "OPPONENT_2", BALL]
-        for n in (12, 60):
+        # n = 150 has clusters that change between iterations.
+        for n, ks in ((12, (1, 2, 3, 5, 8)), (60, (1, 2, 3, 5, 8)), (150, (8,))):
             if seed % 2:
                 lib = tie_library(rng, kick_plan, n)
             else:
-                ids = [f"r{i:03d}" for i in range(n)]
-                rng.shuffle(ids)
-                lib = cp.Library(tuple(
-                    record(kick_plan, cp.Scenario(tuple(
-                        (s, rng.choice(tokens))
-                        for s in rng.sample(subjects, rng.randint(1, len(subjects))))), fid)
-                    for fid in ids
-                ))
-            for k in (1, 2, 3, 5, 8):
+                lib = varied_library(rng, kick_plan, domain, n)
+            for k in ks:
                 def outcome(cluster):
                     try:
                         return [(m.frame_id, ms) for m, ms in cluster(lib, k, domain)]
@@ -232,8 +250,20 @@ class TestClusterDifferential:
                 assert outcome(cluster_scenarios) == outcome(oracle_cluster_scenarios)
 
 
+def count_compiles(monkeypatch):
+    """The plans library.evaluate compiles, appended to as it compiles them."""
+    compiled = []
+
+    def counting(plan, schemas=None):
+        compiled.append(plan)
+        return compile_fsm(plan, schemas)
+
+    monkeypatch.setattr("coachplan.library.compile_fsm", counting)
+    return compiled
+
+
 class TestEvaluate:
-    def test_golden_report(self, domain, schemas, golden_dir):
+    def test_golden_report(self, domain, schemas, golden_dir, monkeypatch):
         # The golden frame's plan over the eight scenario worlds, without the CLI.
         def world(path):
             with open(path) as fh:
@@ -247,11 +277,27 @@ class TestEvaluate:
         lib = cp.add(cp.new_library(),
                      make_record(plan, scenario, "frame_0", "1970-01-01T00:00:00Z"))
         paths = sorted(glob.glob(os.path.join(golden_dir, "scenarios", "*.world")))
+        compiled = count_compiles(monkeypatch)
         results = evaluate(lib, [world(p) for p in paths], domain, cp.SimConfig(),
                            make_opponent_policy(STATIC))
         assert len(results) == 8
+        assert compiled == [plan]  # one record selected for all eight worlds
         with open(os.path.join(golden_dir, "report.txt")) as fh:
             assert format_metrics_table(aggregate(results)) == fh.read()
+
+    def test_compiles_each_selected_plan_once(self, domain, kick_plan, monkeypatch):
+        lib = cp.new_library()
+        for token in ("KICKING_POSITION", "OUR_GOAL"):
+            lib = cp.add(lib, record(kick_plan, scenario_at(token), token))
+        compiled = count_compiles(monkeypatch)
+        worlds = [world_at(domain, *domain.waypoints[t].position)
+                  for t in ("KICKING_POSITION", "OUR_GOAL", "KICKING_POSITION", "OUR_GOAL")]
+        policy = make_opponent_policy(STATIC)
+        results = evaluate(lib, worlds, domain, cp.SimConfig(), policy)
+        assert len(compiled) == 2
+        # Shared FSMs give each match what a fresh compile gives it.
+        assert results == [evaluate(lib, [w], domain, cp.SimConfig(), policy)[0]
+                           for w in worlds]
 
     def test_renames_agents_to_plan_roles(self, domain, kick_plan):
         # The world's striker is called s; the plan names it STRIKER.
@@ -267,6 +313,44 @@ class TestEvaluate:
 
 
 class TestCluster:
+    def test_scores_only_read_pairs_each_once(self, domain, kick_plan, monkeypatch):
+        lib = varied_library(random.Random(150), kick_plan, domain, 150)
+        position = {id(r.scenario): i for i, r in enumerate(lib.records)}
+        owners = {}  # id(rows) -> (position of their scenario, rows), kept alive
+        scored = collections.Counter()  # (c, o): scenario c scored against o's rows
+        real_rows, real_to = cp.Domain.distance_rows, cp.Domain.distances_to
+
+        def distance_rows(self, b):
+            rows = real_rows(self, b)
+            owners[id(rows)] = (position[id(b)], rows)
+            return rows
+
+        def distances_to(self, rows, scenarios):
+            scenarios = list(scenarios)
+            o = owners[id(rows)][0]
+            scored.update((position[id(a)], o) for a in scenarios)
+            return real_to(self, rows, scenarios)
+
+        monkeypatch.setattr(cp.Domain, "distance_rows", distance_rows)
+        monkeypatch.setattr(cp.Domain, "distances_to", distances_to)
+        clusters = cluster_scenarios(lib, 8, domain)
+        assert len(clusters) == 8
+        assert max(scored.values()) == 1
+        assert sum(scored.values()) < 150 * 150
+
+    @pytest.mark.parametrize("bad", [0, 5, 11])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_unknown_waypoint_raises_anywhere(self, domain, kick_plan, bad, k):
+        # f00 is the first medoid: a bad token there fails its own rows,
+        # anywhere else the scoring of its column.
+        tokens = sorted(domain.waypoints)
+        lib = cp.Library(tuple(
+            record(kick_plan, scenario_at("NOWHERE" if i == bad else tokens[i]), f"f{i:02d}")
+            for i in range(12)
+        ))
+        with pytest.raises(UnknownWaypoint):
+            cluster_scenarios(lib, k, domain)
+
     def test_k_bounds(self, domain, kick_plan):
         lib = cp.add(cp.new_library(), record(kick_plan, scenario_at("CENTER_FIELD"), "f1"))
         with pytest.raises(KTooLarge):
