@@ -150,7 +150,7 @@ class Domain:
 
     def distance_rows(self, b: Scenario) -> dict:
         """subject -> its row of the waypoint-distance table, for scoring
-        many scenarios against `b` with distances_to."""
+        many scenarios against `b` with distances_to or nearest."""
         table = self._distance_table
         try:
             return {subject: table[token] for subject, token in b.assignments}
@@ -161,7 +161,8 @@ class Domain:
         """[scenario_distance(a, b) for a in scenarios] for rows =
         distance_rows(b).  Each sum is added term by term in one fixed
         order: a's subjects, then one UNMATCHED_PENALTY per unmatched
-        subject of b."""
+        subject of b.  A caller that wants only the least distance and
+        where it stands calls nearest, which skips work this cannot."""
         waypoints = self.waypoints
         row_of = rows.get
         n_rows = len(rows)
@@ -185,6 +186,60 @@ class Domain:
                 total += UNMATCHED_PENALTY
             distances.append(total)
         return distances
+
+    def nearest(self, rows: dict, scenarios) -> tuple:
+        """(least distance, [indices at it, ascending]) over scenarios for
+        rows = distance_rows(b): the minimum of distances_to(rows,
+        scenarios) and every index where it stands, compared exactly; an
+        empty batch gives (math.inf, []).
+
+        Each sum is added in distances_to's order, but a scenario is
+        abandoned, none of its terms added any more, once its partial sum
+        is strictly above the best so far.  That is exact: every term is
+        >= 0 (a hypot or UNMATCHED_PENALTY) and rounded addition is
+        monotone, so the partial sums never fall and an abandoned sum could
+        only have ended above the best.  A partial sum equal to the best
+        goes on, so ties stay ties.  The tokens after the abandon point are
+        still looked up in order, so an unknown waypoint raises
+        UnknownWaypoint exactly as distances_to does."""
+        waypoints = self.waypoints
+        row_of = rows.get
+        n_rows = len(rows)
+        best = math.inf
+        at = []
+        for i, a in enumerate(scenarios):
+            total = 0.0
+            matched = 0
+            terms = iter(a.assignments)
+            for subject, token in terms:
+                row = row_of(subject)
+                if row is None:
+                    if token not in waypoints:
+                        raise UnknownWaypoint(token)
+                    total += UNMATCHED_PENALTY
+                else:
+                    try:
+                        total += row[token]
+                    except KeyError:
+                        raise UnknownWaypoint(token) from None
+                    matched += 1
+                if total > best:
+                    for _, token in terms:
+                        if token not in waypoints:
+                            raise UnknownWaypoint(token)
+                    break
+            else:
+                for _ in range(n_rows - matched):
+                    total += UNMATCHED_PENALTY
+                    if total > best:
+                        break
+                else:
+                    if total < best:
+                        best = total
+                        at = [i]
+                    elif total == best:
+                        at.append(i)
+        return best, at
 
 
 def clamp_to_field(pos):
@@ -263,7 +318,8 @@ def scenario_distance(a: Scenario, b: Scenario, domain: Domain) -> float:
     """Sum of waypoint distances over shared subjects plus a fixed penalty
     per unmatched subject.  Symmetric; not a metric (no triangle inequality).
     Scoring many scenarios against one `b`: build domain.distance_rows(b)
-    once and pass them all to domain.distances_to."""
+    once and pass them all to domain.distances_to, or to domain.nearest
+    when only the nearest of them is wanted."""
     return domain.distances_to(domain.distance_rows(b), (a,))[0]
 
 

@@ -63,16 +63,15 @@ def add(library: Library, record: PlanRecord, schemas=None, initial=None) -> Lib
 
 def select_plan(library: Library, world: WorldState, domain: Domain) -> PlanRecord:
     """Record whose stored scenario is nearest to the world's scenario; ties
-    broken by earliest created_at, then frame_id."""
-    if not library.records:
+    broken by earliest created_at, then frame_id.  An unknown waypoint in
+    any stored scenario raises UnknownWaypoint, even in a record far from
+    the world's scenario."""
+    records = library.records
+    if not records:
         raise EmptyLibrary("cannot select from an empty library")
     rows = domain.distance_rows(scenario_from_world(world, domain))
-    distances = domain.distances_to(rows, [r.scenario for r in library.records])
-    nearest = min(distances)
-    return min(
-        (r for r, d in zip(library.records, distances) if d == nearest),
-        key=lambda r: (r.created_at, r.frame_id),
-    )
+    _, at = domain.nearest(rows, [r.scenario for r in records])
+    return min((records[i] for i in at), key=lambda r: (r.created_at, r.frame_id))
 
 
 def _world_for_plan(world: WorldState, fsm_agents, record: PlanRecord,

@@ -212,10 +212,20 @@ def scenarios(tokens, min_size=0):
     ).map(lambda pairs: cp.Scenario(tuple(pairs)))
 
 
+def near_scenarios(b, tokens):
+    """Scenarios whose assignments are drawn from b's own and from random
+    ones."""
+    pairs = st.tuples(st.sampled_from(SUBJECTS), st.sampled_from(tokens))
+    if b.assignments:
+        pairs = st.one_of(st.sampled_from(b.assignments), pairs)
+    return st.lists(pairs, unique_by=lambda pair: pair[0]).map(
+        lambda pairs: cp.Scenario(tuple(pairs)))
+
+
 class TestDistanceKernel:
     """scenario_distance and the batched distances_to against a reference
-    computed from the waypoint coordinates in the same addition order,
-    compared exactly."""
+    computed from the waypoint coordinates in the same addition order, and
+    nearest against distances_to, compared exactly."""
 
     @settings(max_examples=200)
     @given(data=st.data())
@@ -228,6 +238,24 @@ class TestDistanceKernel:
         assert domain.distances_to(domain.distance_rows(b), batch) == [
             reference_distance(s, b, domain) for s in batch
         ]
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_nearest_is_the_argmin_of_distances_to(self, domain, data):
+        tokens = sorted(domain.waypoints)
+        b = data.draw(scenarios(tokens))
+        # Scenarios that share some of b's own assignments (0.0 terms, so
+        # partial sums sit right at the best), b itself (distance 0.0) and
+        # repeats drawn from a small pool force exact ties.
+        pool = data.draw(st.lists(near_scenarios(b, tokens), min_size=1, max_size=4)) + [b]
+        batch = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+        rows = domain.distance_rows(b)
+        ds = domain.distances_to(rows, batch)
+        if ds:
+            least = min(ds)
+            assert domain.nearest(rows, batch) == (least, [i for i, d in enumerate(ds) if d == least])
+        else:
+            assert domain.nearest(rows, batch) == (math.inf, [])
 
     def test_rows_serve_many_scenarios(self, domain):
         rng = random.Random(11)
@@ -280,6 +308,8 @@ class TestDistanceKernel:
         batch.insert(data.draw(st.integers(0, len(batch))), a)
         with pytest.raises(UnknownWaypoint, match="NOWHERE"):
             domain.distances_to(domain.distance_rows(b), batch)
+        with pytest.raises(UnknownWaypoint, match="NOWHERE"):
+            domain.nearest(domain.distance_rows(b), batch)
 
 
 class TestFileFormats:

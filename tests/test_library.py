@@ -112,6 +112,22 @@ class TestSelectPlan:
             )
             assert cp.select_plan(lib, world, domain).frame_id == expected.frame_id
 
+    @pytest.mark.parametrize("bad", [0, 5, 11, "past the abandon point"])
+    def test_unknown_waypoint_in_any_record_raises(self, domain, kick_plan, bad):
+        tokens = sorted(domain.waypoints)
+        scenarios = [scenario_at("NOWHERE" if i == bad else tokens[i]) for i in range(12)]
+        if bad == "past the abandon point":
+            # The first record is the query's own scenario (distance 0); the
+            # last is 4.5 m off on its first subject, so its sum passes the
+            # best before its bad token is reached.
+            scenarios[0] = scenario_at("CENTER_FIELD")
+            scenarios[-1] = cp.Scenario((("STRIKER", "OUR_GOAL"), (BALL, "NOWHERE")))
+        lib = cp.Library(tuple(
+            record(kick_plan, s, f"f{i:02d}") for i, s in enumerate(scenarios)
+        ))
+        with pytest.raises(UnknownWaypoint, match="NOWHERE"):
+            cp.select_plan(lib, world_at(domain, 0, 0), domain)
+
 
 # Mirror-image waypoints: from a query on the x axis, LEFT_WING and
 # RIGHT_WING (and each left/right pair) are exactly equally far.
@@ -161,6 +177,62 @@ class TestSelectPlanDifferential:
                     distance_ties += 1
                     date_ties += keys[1][1] == keys[0][1]
         assert distance_ties > 50 and date_ties > 20
+
+    def test_thousand_records_equal_brute_force_argmin(self, domain, kick_plan):
+        # Varied role sets, 0-3 opponents (numbered in field order, as
+        # scenario_from_world numbers them) and five dates; one record in
+        # five repeats an earlier scenario.  Half the queries stand on a
+        # record's own waypoints, so the best is 0.0 and often tied.
+        rng = random.Random(31)
+        tokens = sorted(domain.waypoints)
+        position = {t: domain.waypoints[t].position for t in tokens}
+        dates = [f"2024-01-0{d}" for d in range(1, 6)]
+
+        def random_scenario():
+            roles = [r for r in domain.roles if rng.random() < 0.5] or ["STRIKER"]
+            opponents = sorted((rng.choice(tokens) for _ in range(rng.randint(0, 3))),
+                               key=position.__getitem__)
+            return cp.Scenario(tuple(
+                [(r, rng.choice(tokens)) for r in roles]
+                + [(f"OPPONENT_{i}", t) for i, t in enumerate(opponents, 1)]
+                + [(BALL, rng.choice(tokens))]
+            ))
+
+        scenarios = []
+        for _ in range(1000):
+            repeat = scenarios and rng.random() < 0.2
+            scenarios.append(rng.choice(scenarios) if repeat else random_scenario())
+        ids = [f"r{i:04d}" for i in range(1000)]
+        rng.shuffle(ids)
+        lib = cp.Library(tuple(
+            record(kick_plan, s, fid, rng.choice(dates)) for s, fid in zip(scenarios, ids)
+        ))
+
+        def world_text(scenario):
+            lines = []
+            for subject, token in scenario.assignments:
+                x, y = position[token]
+                if subject == BALL:
+                    lines.append(f"BALL {x} {y}")
+                elif subject.startswith("OPPONENT_"):
+                    lines.append(f"AGENT {subject.lower()} OPPONENT - {x} {y} 0")
+                else:
+                    lines.append(f"AGENT {subject.lower()} OWN {subject} {x} {y} 0")
+            return "\n".join(lines) + "\n"
+
+        exact = distance_ties = 0
+        for q in range(40):
+            source = rng.choice(scenarios) if q % 2 else random_scenario()
+            world = cp.parse_world_file(world_text(source), domain)
+            current = cp.scenario_from_world(world, domain)
+            keys = sorted(
+                (reference_distance(r.scenario, current, domain), r.created_at, r.frame_id)
+                for r in lib.records
+            )
+            assert cp.select_plan(lib, world, domain).frame_id == keys[0][2]
+            exact += keys[0][0] == 0.0
+            distance_ties += keys[1][0] == keys[0][0]
+        assert exact >= 20 and distance_ties > 5
 
 
 def oracle_cluster_scenarios(library, k, domain):
