@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import operator
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -89,6 +90,21 @@ class Embedding:
             raise ValueError("vector length does not match dim")
         if any(not math.isfinite(v) for v in self.vector):
             raise ValueError("embedding contains NaN/Inf")
+
+    @functools.cached_property
+    def scaled(self) -> tuple:
+        """The vector times the power of two that brings its largest
+        component into [0.5, 1).  Exact for normal floats, so the cosine
+        keeps every bit, and it keeps squares of tiny vectors (1e-158, say)
+        out of underflow."""
+        top = max(map(abs, self.vector), default=0.0)
+        shift = -math.frexp(top)[1]
+        return tuple(math.ldexp(v, shift) for v in self.vector)
+
+    @functools.cached_property
+    def norm(self) -> float:
+        """The Euclidean norm of `scaled`."""
+        return math.sqrt(sum(x * x for x in self.scaled))
 
 
 class VectorIndex(NamedTuple):
@@ -253,13 +269,24 @@ class MockEmbeddingProvider:
     """Deterministic token-hash bag-of-words embedding for tests.
 
     Each token contributes a hash-derived continuous weight to one of `dim`
-    buckets, so distinct texts essentially never collide exactly.
+    buckets, so distinct texts essentially never collide exactly.  Each
+    distinct text is embedded once per provider: the provider keeps the
+    (frozen) Embedding it returned, one per text, for its own lifetime.
     """
 
     def __init__(self, dim: int = 16):
+        if dim < 1:
+            raise ConfigInvalid(f"embedding dim must be >= 1, got {dim}")
         self.dim = dim
+        self._embedded = {}
 
     def embed(self, text: str):
+        emb = self._embedded.get(text)
+        if emb is None:
+            emb = self._embedded[text] = self._embed(text)
+        return emb
+
+    def _embed(self, text):
         vec = [0.0] * self.dim
         for token in re.findall(r"[a-z0-9_]+", text.lower()):
             h = hashlib.sha256(token.encode()).digest()
@@ -278,7 +305,7 @@ class RecordedEmbeddingProvider:
     """
 
     def __init__(self, path):
-        self.vectors = {}
+        self.embeddings = {}  # key -> Embedding, built once at load
         self.dim = None
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -288,7 +315,7 @@ class RecordedEmbeddingProvider:
                 key, *values = line.split()
                 if not values:
                     raise ParseError(f"key {key} has no values", line=lineno)
-                if key in self.vectors:
+                if key in self.embeddings:
                     raise ParseError(f"repeated key {key}", line=lineno)
                 vec = tuple(parse_finite(v, lineno) for v in values)
                 if self.dim is None:
@@ -296,7 +323,7 @@ class RecordedEmbeddingProvider:
                 elif len(vec) != self.dim:
                     raise ParseError(f"vector has {len(vec)} values, the first has {self.dim}",
                                      line=lineno)
-                self.vectors[key] = vec
+                self.embeddings[key] = Embedding(vec, self.dim)
         if self.dim is None:
             raise ProviderError(f"no embeddings recorded in {path}")
 
@@ -306,30 +333,21 @@ class RecordedEmbeddingProvider:
 
     def embed(self, text: str):
         key = self.key_for(text)
-        if key not in self.vectors:
+        emb = self.embeddings.get(key)
+        if emb is None:
             raise ProviderError(f"no recorded embedding for key {key}")
-        return Embedding(self.vectors[key], self.dim)
-
-
-def _power_of_two_scaled(vector):
-    """The vector times the power of two that brings its largest component
-    into [0.5, 1).  Exact for normal floats, so the cosine keeps every bit,
-    and it keeps squares of tiny vectors (1e-158, say) out of underflow."""
-    top = max(map(abs, vector), default=0.0)
-    shift = -math.frexp(top)[1]
-    return [math.ldexp(v, shift) for v in vector]
+        return emb
 
 
 def cosine_similarity(a: Embedding, b: Embedding) -> float:
+    """The cosine of the two power-of-two-scaled vectors; each embedding
+    scales itself and takes its norm once, on first use."""
     if a.dim != b.dim:
         raise DimMismatch(f"{a.dim} != {b.dim}")
-    va, vb = _power_of_two_scaled(a.vector), _power_of_two_scaled(b.vector)
-    dot = sum(x * y for x, y in zip(va, vb))
-    na = math.sqrt(sum(x * x for x in va))
-    nb = math.sqrt(sum(y * y for y in vb))
+    na, nb = a.norm, b.norm
     if na == 0.0 or nb == 0.0:
         raise ZeroVector("cosine similarity undefined for a zero vector")
-    return dot / (na * nb)
+    return sum(map(operator.mul, a.scaled, b.scaled)) / (na * nb)
 
 
 def build_index(schemas, provider) -> VectorIndex:

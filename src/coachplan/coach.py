@@ -6,6 +6,7 @@ high-level advice under a COACH ADVICE header.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from importlib import resources
@@ -38,6 +39,12 @@ TACTICS_SENTENCE = "Your attitude is to perform the following tactics [TACTICS]"
 _SLOT_RE = re.compile(r"\[[A-Z_]+\]")
 
 
+@functools.cache
+def _template_text(name: str) -> str:
+    """A packaged prompt template's text, read once per process."""
+    return resources.files("coachplan.data.templates").joinpath(name).read_text()
+
+
 def fill_template(name: str, slots: dict) -> str:
     """Load a packaged prompt template and replace its `[SLOT]`s in one pass.
 
@@ -46,7 +53,7 @@ def fill_template(name: str, slots: dict) -> str:
     Brackets that are not slots (the coach skeleton's [ROLE_OWN_TEAM]) are
     shown to the model verbatim; a slot the template lacks raises
     UnresolvedPlaceholder."""
-    text = resources.files("coachplan.data.templates").joinpath(name).read_text()
+    text = _template_text(name)
     for slot in slots:
         if slot not in text:
             raise UnresolvedPlaceholder(f"template {name} has no slot {slot}")

@@ -9,6 +9,7 @@ state and apply a conflict-checked union of effects.
 """
 from __future__ import annotations
 
+import functools
 from importlib import resources
 from typing import NamedTuple
 
@@ -280,10 +281,21 @@ def build_grounding_prompt(domain: Domain, retrieved_actions, scenario,
                        user_text=fill_template("grounding.txt", slots))
 
 
+@functools.cache
+def _packaged_sync_examples():
+    """The packaged `sync_examples.txt`, read and parsed once per process."""
+    text = resources.files("coachplan.data").joinpath("sync_examples.txt").read_text()
+    positive, negatives = load_sync_examples(text)
+    return positive, tuple(negatives)
+
+
 def load_sync_examples(text: str | None = None):
-    """Parse the POSITIVE/NEGATIVE example blocks for the synchronizer."""
+    """Parse the POSITIVE/NEGATIVE example blocks for the synchronizer:
+    (positive, [(reason, negative), ...]).  Without `text`, the packaged
+    examples; each call gets a list of its own."""
     if text is None:
-        text = resources.files("coachplan.data").joinpath("sync_examples.txt").read_text()
+        positive, negatives = _packaged_sync_examples()
+        return positive, list(negatives)
     positive = None
     negatives = []
     current = None

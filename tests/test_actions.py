@@ -149,6 +149,71 @@ class TestCosine:
             assert -1.0 - 1e-9 <= cp.cosine_similarity(a, b) <= 1.0 + 1e-9
 
 
+def _reference_cosine(u, v):
+    """The cosine from the raw vectors: each one times the power of two that
+    brings its largest component into [0.5, 1), then the dot product and
+    the two norms as sums of products in component order."""
+    def scaled(w):
+        shift = -math.frexp(max(abs(x) for x in w))[1]
+        return [math.ldexp(x, shift) for x in w]
+
+    su, sv = scaled(u), scaled(v)
+    norms = math.sqrt(sum([x * x for x in su])) * math.sqrt(sum([y * y for y in sv]))
+    return sum([x * y for x, y in zip(su, sv)]) / norms
+
+
+# Components from tiny (squares underflow) to huge (squares overflow): a
+# magnitude shared by the vector times a mantissa, or any finite float.
+_MAGNITUDES = st.sampled_from([1e-158, 2.762167180876126e-158, 1e-3, 1.0, 1e150, 1e300])
+_MANTISSAS = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@st.composite
+def _vector_pairs(draw):
+    dim = draw(st.integers(1, 12))
+    pair = []
+    for _ in range(2):
+        if draw(st.booleans()):
+            scale = draw(_MAGNITUDES)
+            vec = [m * scale for m in draw(st.lists(_MANTISSAS, min_size=dim, max_size=dim))]
+        else:
+            vec = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=dim, max_size=dim))
+        if not any(vec):
+            vec[draw(st.integers(0, dim - 1))] = draw(_MAGNITUDES)
+        pair.append(tuple(vec))
+    return dim, pair[0], pair[1]
+
+
+class TestCachedCosine:
+    @given(_vector_pairs())
+    def test_bit_identical_to_reference(self, case):
+        dim, u, v = case
+        got = cp.cosine_similarity(cp.Embedding(u, dim), cp.Embedding(v, dim))
+        assert got.hex() == _reference_cosine(u, v).hex()
+
+    @given(_vector_pairs())
+    def test_warm_embeddings_match_fresh_copies(self, case):
+        dim, u, v = case
+        a, b = cp.Embedding(u, dim), cp.Embedding(v, dim)
+        cp.cosine_similarity(a, b)  # a and b keep their scaled vectors and norms
+        for x, y in [(a, b), (b, a), (a, cp.Embedding(v, dim)), (cp.Embedding(u, dim), b)]:
+            fresh = cp.cosine_similarity(cp.Embedding(x.vector, dim), cp.Embedding(y.vector, dim))
+            assert cp.cosine_similarity(x, y).hex() == fresh.hex()
+
+    def test_dim_mismatch_before_zero_vector(self):
+        with pytest.raises(DimMismatch):
+            cp.cosine_similarity(cp.Embedding((0.0,), 1), cp.Embedding((0.0, 0.0), 2))
+
+    @given(st.integers(1, 24), st.lists(st.text(max_size=30), max_size=12))
+    def test_memoizing_provider_matches_fresh(self, dim, texts):
+        shared = MockEmbeddingProvider(dim)
+        for text in texts + texts:
+            emb = shared.embed(text)
+            assert emb == MockEmbeddingProvider(dim).embed(text)
+            assert shared.embed(text) is emb
+
+
 class TestRetrieve:
     def test_k_zero(self, schemas):
         provider = MockEmbeddingProvider()
@@ -213,6 +278,7 @@ class TestProviders:
         rec = RecordedEmbeddingProvider(path)
         for text in texts:
             assert rec.embed(text).vector == pytest.approx(p.embed(text).vector)
+            assert rec.embed(text) is rec.embed(text)
 
     def test_recorded_missing_key(self, tmp_path):
         path = tmp_path / "emb.txt"

@@ -572,6 +572,15 @@ def test_ingest_actions_round_trip(tmp_path, base, data_dir, schemas):
         )
 
 
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_ingest_actions_bad_dim_exit_two(tmp_path, data_dir, capsys, dim):
+    out = tmp_path / "emb.txt"
+    assert main(["ingest-actions", "--actions", os.path.join(data_dir, "actions.txt"),
+                 "--out", str(out), "--dim", dim]) == 2
+    assert capsys.readouterr().err == f"error: embedding dim must be >= 1, got {dim}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value, message", [
     # `value` is a template for line 2: {key} and {values} are its own, {rest} is
     # its values after the first, {first} is line 1's key.

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -23,6 +24,7 @@ from coachplan.providers import (
     ReplayChatProvider,
     Transcript,
 )
+from coachplan.refine import load_sync_examples
 
 
 class TestChatRequest:
@@ -198,6 +200,19 @@ def golden_transcript(golden_dir):
     return Transcript.load(os.path.join(golden_dir, "transcript.txt"))
 
 
+# The golden frame and four golden evaluation worlds from which the golden
+# transcript's plan is valid, with the manifest_hash of each one's run under
+# config_hash "golden".  (scenario_1 is the golden frame's world, and
+# scenario_5 gives scenario_2's manifest.)
+GOLDEN_FRAMES = {
+    "frame_0.world": "278e95ca0c4b40030148a0f18533e0c486e3c4df5fd242c4b057774aa7c555e1",
+    "scenarios/scenario_2.world": "f0b6ddd86497040f930e2d5066e782b6fb57e6488a49562d662e36c6600b6731",
+    "scenarios/scenario_3.world": "94725064502d052955992651a6f314eff48b86463412791bbc7488c9bd0c0492",
+    "scenarios/scenario_4.world": "aebe889842f5b658b1d0724279e55106d64d719f7b609d29dfa2280c400e01d2",
+    "scenarios/scenario_6.world": "1674ad80570d895ee605097b4ac8ec8d5af707f69f7b030c0b6b97b305403e2a",
+}
+
+
 class TestRunGenerate:
     def test_offline_replay(self, domain, schemas, golden_world, golden_transcript):
         manifest, plan, scenario = run_generate(
@@ -257,10 +272,37 @@ class TestRunGenerate:
                 ReplayChatProvider(broken), MockEmbeddingProvider(),
             )
 
+    def test_shared_provider_gives_fresh_provider_bytes(self, domain, schemas, golden_dir,
+                                                        golden_transcript):
+        worlds = []
+        for name in GOLDEN_FRAMES:
+            with open(os.path.join(golden_dir, name)) as fh:
+                worlds.append(cp.parse_world_file(fh.read(), domain))
+
+        def manifest(world, provider):
+            m, _, _ = run_generate(domain, list(schemas.values()), world,
+                                   ReplayChatProvider(golden_transcript), provider,
+                                   config_hash="golden")
+            return m.to_json()
+
+        shared = MockEmbeddingProvider()
+        via_shared = [manifest(world, shared) for world in worlds]
+        assert via_shared == [manifest(world, MockEmbeddingProvider()) for world in worlds]
+        assert ([hashlib.sha256(text.encode()).hexdigest() for text in via_shared]
+                == list(GOLDEN_FRAMES.values()))
+
     def test_default_goal_text(self):
         assert DEFAULT_GOAL.text == (
             "The own team should score a goal in the opponent's goal."
         )
+
+
+def test_sync_examples_are_not_shared_between_calls():
+    positive, negatives = load_sync_examples()
+    expected = list(negatives)
+    negatives.clear()
+    negatives.append(("mutated", "kick_to_goal STRIKER {}"))
+    assert load_sync_examples() == (positive, expected)
 
 
 def test_make_record_injects_frame_id(domain, schemas, roles):
