@@ -16,7 +16,7 @@ from importlib import resources
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .domain import parse_finite
+from .domain import parse_finite, read_text
 from .errors import (
     ConfigInvalid,
     DimMismatch,
@@ -109,7 +109,6 @@ class Embedding:
 
 class VectorIndex(NamedTuple):
     entries: tuple  # of (action_id, Embedding)
-    dim: int
     schemas: dict  # action_id -> ActionSchema
 
 
@@ -307,23 +306,22 @@ class RecordedEmbeddingProvider:
     def __init__(self, path):
         self.embeddings = {}  # key -> Embedding, built once at load
         self.dim = None
-        with open(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, *values = line.split()
-                if not values:
-                    raise ParseError(f"key {key} has no values", line=lineno)
-                if key in self.embeddings:
-                    raise ParseError(f"repeated key {key}", line=lineno)
-                vec = tuple(parse_finite(v, lineno) for v in values)
-                if self.dim is None:
-                    self.dim = len(vec)
-                elif len(vec) != self.dim:
-                    raise ParseError(f"vector has {len(vec)} values, the first has {self.dim}",
-                                     line=lineno)
-                self.embeddings[key] = Embedding(vec, self.dim)
+        for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            key, *values = line.split()
+            if not values:
+                raise ParseError(f"key {key} has no values", line=lineno)
+            if key in self.embeddings:
+                raise ParseError(f"repeated key {key}", line=lineno)
+            vec = tuple(parse_finite(v, lineno) for v in values)
+            if self.dim is None:
+                self.dim = len(vec)
+            elif len(vec) != self.dim:
+                raise ParseError(f"vector has {len(vec)} values, the first has {self.dim}",
+                                 line=lineno)
+            self.embeddings[key] = Embedding(vec, self.dim)
         if self.dim is None:
             raise ProviderError(f"no embeddings recorded in {path}")
 
@@ -352,15 +350,12 @@ def cosine_similarity(a: Embedding, b: Embedding) -> float:
 
 def build_index(schemas, provider) -> VectorIndex:
     entries = []
-    dim = None
     for schema in schemas:
         emb = provider.embed(schema.description)
-        if dim is None:
-            dim = emb.dim
-        elif emb.dim != dim:
+        if entries and emb.dim != entries[0][1].dim:
             raise DimMismatch("provider changed dimension mid-build")
         entries.append((schema.action_id, emb))
-    return VectorIndex(tuple(entries), dim or 0, {s.action_id: s for s in schemas})
+    return VectorIndex(tuple(entries), {s.action_id: s for s in schemas})
 
 
 def retrieve_actions(query: str, index: VectorIndex, provider, k: int = 8):

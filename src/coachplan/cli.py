@@ -22,6 +22,7 @@ from .domain import (
     Tactics,
     parse_domain_file,
     parse_world_file,
+    read_text,
     scenario_from_world,
     serialize_scenario,
 )
@@ -54,26 +55,15 @@ EXIT_PROVIDER = 3
 EXIT_BROKEN_PIPE = 141
 
 
-def _read(path):
-    with open(path) as fh:
-        return fh.read()
-
-
 def _load_domain_actions(args):
-    domain = parse_domain_file(_read(args.domain))
-    schemas = parse_action_file(_read(args.actions))
+    domain = parse_domain_file(read_text(args.domain))
+    schemas = parse_action_file(read_text(args.actions))
     return domain, {s.action_id: s for s in schemas}
 
 
 def _open_library(args):
     domain, schemas = _load_domain_actions(args)
     return domain, schemas, planlib.load_library(args.library, schemas, domain.roles, domain)
-
-
-def _embed_provider(args):
-    if getattr(args, "embeddings", None):
-        return RecordedEmbeddingProvider(args.embeddings)
-    return MockEmbeddingProvider()
 
 
 def _chat_provider(args):
@@ -92,10 +82,12 @@ def _chat_provider(args):
 
 
 def _sim_config(args) -> SimConfig:
-    if not getattr(args, "sim_config", None):
+    if not args.sim_config:
         return SimConfig()
-    with open(args.sim_config) as fh:
-        payload = json.load(fh)
+    try:
+        payload = json.loads(read_text(args.sim_config))
+    except RecursionError:  # json.loads recurses once per nesting level
+        raise ConfigInvalid(f"sim config {args.sim_config} is nested too deeply") from None
     if not isinstance(payload, dict):
         raise ConfigInvalid("sim config must be a JSON object")
     known = {f.name for f in dataclasses.fields(SimConfig)}
@@ -114,7 +106,7 @@ def _config_hash(args, keys):
 # --- subcommands -----------------------------------------------------------
 
 def cmd_ingest_actions(args):
-    schemas = parse_action_file(_read(args.actions))
+    schemas = parse_action_file(read_text(args.actions))
     provider = MockEmbeddingProvider(dim=args.dim)
     lines = []
     for schema in schemas:
@@ -129,9 +121,10 @@ def cmd_ingest_actions(args):
 
 def cmd_generate(args):
     domain, schemas = _load_domain_actions(args)
-    world = parse_world_file(_read(args.world), domain)
+    world = parse_world_file(read_text(args.world), domain)
     chat = _chat_provider(args)
-    embed = _embed_provider(args)
+    embed = (RecordedEmbeddingProvider(args.embeddings) if args.embeddings
+             else MockEmbeddingProvider())
     goal = PlanningGoal(args.goal) if args.goal else DEFAULT_GOAL
     config_hash = _config_hash(
         args, ["domain", "actions", "world", "transcript", "k", "tactics", "seed", "goal"]
@@ -163,8 +156,8 @@ def cmd_generate(args):
 
 def cmd_validate(args):
     domain, schemas = _load_domain_actions(args)
-    plan = parse_plan(_read(args.plan), schemas, domain.roles, domain.waypoints)
-    initial = parse_facts_file(_read(args.initial)) if args.initial else frozenset()
+    plan = parse_plan(read_text(args.plan), schemas, domain.roles, domain.waypoints)
+    initial = parse_facts_file(read_text(args.initial)) if args.initial else frozenset()
     report = validate_plan(plan, schemas, initial)
     if args.format == "lines":
         sys.stdout.write(report.serialize())
@@ -179,8 +172,8 @@ def cmd_validate(args):
 
 def cmd_simulate(args):
     domain, schemas = _load_domain_actions(args)
-    world = parse_world_file(_read(args.world), domain)
-    plan = parse_plan(_read(args.plan), schemas, domain.roles, domain.waypoints)
+    world = parse_world_file(read_text(args.world), domain)
+    plan = parse_plan(read_text(args.plan), schemas, domain.roles, domain.waypoints)
     fsms = compile_fsm(plan, schemas)
     config = _sim_config(args)
     policy = make_opponent_policy(args.opponents, seed=args.seed)
@@ -200,7 +193,7 @@ def cmd_evaluate(args):
     world_files = sorted(glob.glob(os.path.join(args.scenarios, "*.world")))
     if not world_files:
         raise CoachPlanError(f"no *.world files in {args.scenarios}")
-    worlds = [parse_world_file(_read(path), domain) for path in world_files]
+    worlds = [parse_world_file(read_text(path), domain) for path in world_files]
     policy = make_opponent_policy(args.opponents, seed=args.seed)
     results = planlib.evaluate(lib, worlds, domain, _sim_config(args), policy, schemas)
     metrics = aggregate(results)
@@ -221,8 +214,8 @@ def cmd_library_ls(args):
 
 def cmd_library_add(args):
     domain, schemas, lib = _open_library(args)
-    plan = parse_plan(_read(args.plan), schemas, domain.roles, domain.waypoints)
-    scenario = parse_scenario_block(_read(args.scenario), domain)
+    plan = parse_plan(read_text(args.plan), schemas, domain.roles, domain.waypoints)
+    scenario = parse_scenario_block(read_text(args.scenario), domain)
     record = planlib.PlanRecord(plan, scenario, args.frame_id, args.created_at)
     planlib.save_library(planlib.add(lib, record), args.library)
     print(f"added {args.frame_id}")
@@ -231,7 +224,7 @@ def cmd_library_add(args):
 
 def cmd_library_select(args):
     domain, _, lib = _open_library(args)
-    world = parse_world_file(_read(args.world), domain)
+    world = parse_world_file(read_text(args.world), domain)
     record = planlib.select_plan(lib, world, domain)
     print(record.frame_id)
     print(serialize_scenario(scenario_from_world(world, domain)))
@@ -247,6 +240,15 @@ def build_parser():
         description="Offline multi-agent soccer plan generation, validation and simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Flags shared by several subcommands, each declared once.
+    domain_actions = argparse.ArgumentParser(add_help=False)
+    domain_actions.add_argument("--domain", required=True)
+    domain_actions.add_argument("--actions", required=True)
+    match = argparse.ArgumentParser(add_help=False)
+    match.add_argument("--sim-config", help="JSON file overriding simulator defaults")
+    match.add_argument("--seed", type=int, default=0)
+    match.add_argument("--opponents", default="STATIC",
+                       choices=["STATIC", "NEAREST_INTERCEPT"])
 
     p = sub.add_parser("ingest-actions", help="embed an action file to a recorded-embedding file")
     p.add_argument("--actions", required=True)
@@ -254,9 +256,8 @@ def build_parser():
     p.add_argument("--dim", type=int, default=16)
     p.set_defaults(func=cmd_ingest_actions)
 
-    p = sub.add_parser("generate", help="run the four-stage generation pipeline")
-    p.add_argument("--domain", required=True)
-    p.add_argument("--actions", required=True)
+    p = sub.add_parser("generate", parents=[domain_actions],
+                       help="run the four-stage generation pipeline")
     p.add_argument("--world", required=True)
     p.add_argument("--transcript",
                    help="transcript to replay (offline mode); with --provider, "
@@ -274,45 +275,31 @@ def build_parser():
     p.add_argument("--created-at", default="1970-01-01T00:00:00Z")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("validate", help="validate a plan file")
+    p = sub.add_parser("validate", parents=[domain_actions], help="validate a plan file")
     p.add_argument("--plan", required=True)
-    p.add_argument("--actions", required=True)
-    p.add_argument("--domain", required=True)
     p.add_argument("--initial", help="initial facts file")
     p.add_argument("--format", choices=["human", "lines"], default="human")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("simulate", help="run one plan in the simulator")
+    p = sub.add_parser("simulate", parents=[domain_actions, match],
+                       help="run one plan in the simulator")
     p.add_argument("--plan", required=True)
-    p.add_argument("--actions", required=True)
-    p.add_argument("--domain", required=True)
     p.add_argument("--world", required=True)
-    p.add_argument("--sim-config", help="JSON file overriding simulator defaults")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--opponents", default="STATIC",
-                   choices=["STATIC", "NEAREST_INTERCEPT"])
     p.add_argument("--trace", action="store_true", help="print the event trace")
     p.add_argument("--trace-out", help="write the event trace to a file")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("evaluate", help="select and run plans over a scenario set")
+    p = sub.add_parser("evaluate", parents=[domain_actions, match],
+                       help="select and run plans over a scenario set")
     p.add_argument("--library", required=True)
     p.add_argument("--scenarios", required=True, help="directory of *.world files")
-    p.add_argument("--domain", required=True)
-    p.add_argument("--actions", required=True)
-    p.add_argument("--sim-config")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--opponents", default="STATIC",
-                   choices=["STATIC", "NEAREST_INTERCEPT"])
     p.add_argument("--format", choices=["table", "tsv"], default="table")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("library", help="inspect or edit a plan library")
     library_sub = p.add_subparsers(dest="library_cmd", required=True)
-    store = argparse.ArgumentParser(add_help=False)
+    store = argparse.ArgumentParser(add_help=False, parents=[domain_actions])
     store.add_argument("--library", required=True, help="library file (JSON Lines)")
-    store.add_argument("--domain", required=True)
-    store.add_argument("--actions", required=True)
 
     p = library_sub.add_parser("ls", parents=[store], help="list the stored plans")
     p.set_defaults(func=cmd_library_ls)

@@ -94,7 +94,7 @@ def build_coach_prompt(domain: Domain, retrieved_actions, goal, tactics) -> Chat
     }
     user_text = fill_template("coach.txt", slots)
     # Drop the blank line left behind when the tactics sentence is omitted.
-    user_text = re.sub(r"\n{3,}", "\n\n", user_text.replace("\n\n\n", "\n\n"))
+    user_text = re.sub(r"\n{3,}", "\n\n", user_text)
     return ChatRequest(system_text=SYSTEM_TEXT, user_text=user_text)
 
 

@@ -35,26 +35,14 @@ OPPONENT = "OPPONENT"
 BALL = "BALL"
 
 
-def normalize_angle(theta: float) -> float:
-    """Wrap an angle into (-pi, pi]."""
-    theta = math.fmod(theta, 2.0 * math.pi)
-    if theta <= -math.pi:
-        theta += 2.0 * math.pi
-    elif theta > math.pi:
-        theta -= 2.0 * math.pi
-    return theta
-
-
 @dataclass(frozen=True)
 class Pose:
     x: float
     y: float
-    theta: float = 0.0
 
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError("pose coordinates must be finite")
-        object.__setattr__(self, "theta", normalize_angle(self.theta))
 
 
 @dataclass(frozen=True)
@@ -88,7 +76,6 @@ class Agent(NamedTuple):
 class WorldState(NamedTuple):
     agents: dict  # agent_id -> (Pose, Agent)
     ball: tuple[float, float]
-    timestamp: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -104,15 +91,6 @@ class Scenario:
             if subject in seen:
                 raise DuplicateSubject(subject)
             seen.add(subject)
-
-    def subjects(self):
-        return [s for s, _ in self.assignments]
-
-    def waypoint_of(self, subject):
-        for s, t in self.assignments:
-            if s == subject:
-                return t
-        return None
 
 
 @dataclass(frozen=True)
@@ -370,6 +348,16 @@ def parse_domain_file(text: str) -> Domain:
     return Domain(waypoints, roles)
 
 
+def read_text(path) -> str:
+    """The text of the file `path`, which must be UTF-8; ParseError, naming
+    the file, if it is not."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
 def parse_finite(text: str, lineno: int) -> float:
     try:
         value = float(text)
@@ -386,7 +374,8 @@ def parse_world_file(text: str, domain: Domain) -> WorldState:
     AGENT <id> <OWN|OPPONENT> <role|-> <x> <y> <theta>
     BALL <x> <y>
 
-    Numbers must be finite, and no two OWN agents may share a role.
+    Numbers must be finite, and no two OWN agents may share a role.  The
+    point-mass simulator has no heading, so theta is checked and dropped.
     """
     agents = {}
     own_roles = set()
@@ -411,10 +400,8 @@ def parse_world_file(text: str, domain: Domain) -> WorldState:
                 if role_name in own_roles:
                     raise ParseError(f"duplicate own role {role_name}", line=lineno)
                 own_roles.add(role_name)
-            agents[aid] = (
-                Pose(*(parse_finite(v, lineno) for v in (x, y, theta))),
-                Agent(aid, team, role_name),
-            )
+            x, y, _ = (parse_finite(v, lineno) for v in (x, y, theta))
+            agents[aid] = (Pose(x, y), Agent(aid, team, role_name))
         elif parts[0] == "BALL":
             if len(parts) != 3:
                 raise ParseError(f"bad BALL record: {raw!r}", line=lineno)

@@ -149,7 +149,6 @@ def make_opponent_policy(name: str = STATIC, seed: int = 0):
 
 
 class _StaticPolicy:
-    name = STATIC
     moves = False
     steals = False
 
@@ -158,7 +157,6 @@ class _StaticPolicy:
 
 
 class _InterceptPolicy:
-    name = NEAREST_INTERCEPT
     moves = True
     steals = True
 

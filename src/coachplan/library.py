@@ -21,13 +21,11 @@ from .errors import (
     CoachPlanError,
     DuplicateFrameId,
     EmptyLibrary,
-    InvalidPlan,
     KTooLarge,
     MalformedRecord,
 )
 from .executor import SimConfig, compile_fsm, run_match
 from .planlang import Plan, parse_plan, serialize_plan
-from .refine import validate_plan
 
 
 @dataclass(frozen=True)
@@ -49,15 +47,10 @@ def new_library() -> Library:
     return Library(())
 
 
-def add(library: Library, record: PlanRecord, schemas=None, initial=None) -> Library:
-    """Append a record; frame ids stay unique.  When schemas and an initial
-    state are supplied the plan must validate cleanly."""
+def add(library: Library, record: PlanRecord) -> Library:
+    """Append a record; frame ids stay unique."""
     if record.frame_id in library.frame_ids():
         raise DuplicateFrameId(record.frame_id)
-    if schemas is not None and initial is not None:
-        report = validate_plan(record.plan, schemas, initial)
-        if not report.ok:
-            raise InvalidPlan(report.serialize())
     return Library(library.records + (record,))
 
 
@@ -88,7 +81,7 @@ def _world_for_plan(world: WorldState, fsm_agents, record: PlanRecord,
             agents[role] = (pose, Agent(role, agent.team, role))
         else:
             agents[agent_id] = (pose, agent)
-    return WorldState(agents, world.ball, world.timestamp)
+    return WorldState(agents, world.ball)
 
 
 def evaluate(library: Library, worlds, domain: Domain, config: SimConfig,

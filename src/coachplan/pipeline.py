@@ -77,6 +77,7 @@ def run_generate(domain, schemas, world, chat_provider, embed_provider,
         retrieved = retrieve_actions(query, index, embed_provider, k=k)
     except CoachPlanError as exc:
         raise RetrievalFailed(str(exc)) from exc
+    retrieved_by_id = {s.action_id: s for s in retrieved}
     manifest.record("retrieval", {
         "query": query,
         "k": k,
@@ -104,8 +105,7 @@ def run_generate(domain, schemas, world, chat_provider, embed_provider,
     try:
         request = build_grounding_prompt(domain, retrieved, scenario, advice)
         response = chat_provider.complete(request)
-        grounded = parse_plan(response.text, {s.action_id: s for s in retrieved},
-                              domain.roles, domain.waypoints)
+        grounded = parse_plan(response.text, retrieved_by_id, domain.roles, domain.waypoints)
     except CoachPlanError as exc:
         raise GroundingFailed(str(exc)) from exc
     grounded_text = serialize_plan(grounded)
@@ -120,8 +120,7 @@ def run_generate(domain, schemas, world, chat_provider, embed_provider,
         positive, negatives = load_sync_examples()
         request = build_sync_prompt(grounded_text, positive, negatives)
         response = chat_provider.complete(request)
-        synced = parse_plan(response.text, {s.action_id: s for s in retrieved},
-                            domain.roles, domain.waypoints)
+        synced = parse_plan(response.text, retrieved_by_id, domain.roles, domain.waypoints)
     except CoachPlanError as exc:
         raise SyncFailed(str(exc)) from exc
     manifest.record("synchronizer", {

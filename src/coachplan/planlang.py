@@ -46,9 +46,6 @@ class PlanStep(NamedTuple):
 class Plan(NamedTuple):
     steps: tuple  # of PlanStep
 
-    def grounded_actions(self):
-        return [a for step in self.steps for a in step.actions]
-
 
 # --- tokenizer -------------------------------------------------------------
 

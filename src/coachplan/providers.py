@@ -95,9 +95,9 @@ class ReplayChatProvider:
 class RecordingChatProvider:
     """Wraps a live provider and records every exchange into a transcript."""
 
-    def __init__(self, inner, transcript: Transcript | None = None):
+    def __init__(self, inner):
         self.inner = inner
-        self.transcript = transcript if transcript is not None else Transcript()
+        self.transcript = Transcript()
         self.provider_id = f"recording({inner.provider_id})"
 
     def complete(self, request: ChatRequest) -> ChatResponse:

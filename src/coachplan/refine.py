@@ -127,11 +127,13 @@ def _check_preconditions(action, schemas, state, step_index, violations):
 def validate_plan(plan: Plan, schemas: dict, initial: frozenset) -> ValidationReport:
     """Simulate the plan from `initial`, collecting every violation (not
     fail-fast).  Effects are applied even after violations so later steps
-    are still checked."""
+    are still checked.  A SINGLE step runs as a JOIN of one action; the
+    SELF_JOIN and EFFECT_CONFLICT checks apply to JOINs only."""
     state = frozenset(initial)
     violations = []
     for index, step in enumerate(plan.steps, start=1):
-        if step.kind == JOIN:
+        join = step.kind == JOIN
+        if join:
             agents = step.agents()
             dupes = sorted({a for a in agents if agents.count(a) > 1})
             if dupes:
@@ -142,28 +144,23 @@ def validate_plan(plan: Plan, schemas: dict, initial: frozenset) -> ValidationRe
                         "JOIN contains multiple actions by " + ", ".join(dupes),
                     )
                 )
-            all_adds, all_deletes = set(), set()
-            for action in step.actions:
-                _check_preconditions(action, schemas, state, index, violations)
-                adds, deletes = grounded_effects(action, schemas)
-                all_adds |= adds
-                all_deletes |= deletes
-            conflicts = sorted(all_adds & all_deletes, key=str)
-            if conflicts:
-                violations.append(
-                    Violation(
-                        index,
-                        EFFECT_CONFLICT,
-                        "JOIN both adds and deletes: "
-                        + ", ".join(str(c) for c in conflicts),
-                    )
-                )
-            state = apply_effects(state, all_adds, all_deletes)
-        else:
-            action = step.actions[0]
+        all_adds, all_deletes = set(), set()
+        for action in step.actions:
             _check_preconditions(action, schemas, state, index, violations)
             adds, deletes = grounded_effects(action, schemas)
-            state = apply_effects(state, adds, deletes)
+            all_adds |= adds
+            all_deletes |= deletes
+        conflicts = sorted(all_adds & all_deletes, key=str)
+        if join and conflicts:
+            violations.append(
+                Violation(
+                    index,
+                    EFFECT_CONFLICT,
+                    "JOIN both adds and deletes: "
+                    + ", ".join(str(c) for c in conflicts),
+                )
+            )
+        state = apply_effects(state, all_adds, all_deletes)
     return ValidationReport(tuple(violations), state)
 
 

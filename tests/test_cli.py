@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -8,7 +9,7 @@ import urllib.request
 import pytest
 
 import coachplan as cp
-from coachplan.cli import main
+from coachplan.cli import build_parser, main
 from coachplan.providers import ChatRequest, Transcript
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
@@ -255,6 +256,12 @@ class TestMalformedInput:
         world_text = "AGENT STRIKER OWN STRIKER 3.2 0.0 0.0\nBALL 3.3 0.0\n"
         assert self.simulate(tmp_path, base, plan, world_text, "--sim-config", cfg) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_deeply_nested_sim_config(self, tmp_path, base, plan, capsys):
+        cfg = write(tmp_path / "sim.json", "[" * 100_000 + "]" * 100_000)
+        world_text = "AGENT STRIKER OWN STRIKER 3.2 0.0 0.0\nBALL 3.3 0.0\n"
+        assert self.simulate(tmp_path, base, plan, world_text, "--sim-config", cfg) == 2
+        assert capsys.readouterr().err == f"error: sim config {cfg} is nested too deeply\n"
 
     def test_sim_config_opponents_key(self, tmp_path, base, golden_dir, capsys):
         # The policy is chosen by --opponents only; the key is not dropped quietly.
@@ -555,6 +562,97 @@ class TestEvaluateAndLibrary:
         assert main(["library", "ls", "--library", str(lib_path), *base]) == 0
         out = capsys.readouterr().out
         assert "manual" in out
+
+
+# flag -> the argv that reads the undecodable file `bad` through that flag,
+# every other file valid (`ok`).
+UNDECODABLE = {
+    "--plan": lambda bad, ok: ["validate", *ok["base"], "--plan", bad],
+    "--initial": lambda bad, ok: ["validate", *ok["base"], "--plan", ok["plan"],
+                                  "--initial", bad],
+    "--domain": lambda bad, ok: ["validate", "--domain", bad, "--actions", ok["actions"],
+                                 "--plan", ok["plan"]],
+    "--actions": lambda bad, ok: ["validate", "--domain", ok["domain"], "--actions", bad,
+                                  "--plan", ok["plan"]],
+    "--world": lambda bad, ok: ["simulate", *ok["base"], "--plan", ok["plan"],
+                                "--world", bad],
+    "--sim-config": lambda bad, ok: ["simulate", *ok["base"], "--plan", ok["plan"],
+                                     "--world", ok["world"], "--sim-config", bad],
+    "--scenario": lambda bad, ok: ["library", "add", *ok["base"], "--library", ok["library"],
+                                   "--plan", ok["plan"], "--scenario", bad,
+                                   "--frame-id", "f"],
+    "--embeddings": lambda bad, ok: ["generate", *ok["base"], "--world", ok["world"],
+                                     "--transcript", ok["transcript"], "--embeddings", bad],
+    "--scenarios": lambda bad, ok: ["evaluate", *ok["base"], "--library", ok["library"],
+                                    "--scenarios", os.path.dirname(bad)],
+    "ingest-actions --actions": lambda bad, ok: ["ingest-actions", "--actions", bad,
+                                                 "--out", ok["library"]],
+}
+
+
+@pytest.mark.parametrize("flag", UNDECODABLE)
+def test_undecodable_file_exit_two(tmp_path, base, data_dir, golden_dir, capsys, flag):
+    (tmp_path / "in").mkdir()
+    bad = tmp_path / "in" / "a.world"
+    bad.write_bytes(b"\xffAGENT STRIKER OWN STRIKER 3.2 0.0 0.0\n")
+    ok = {"base": base, "plan": write(tmp_path / "p.plan", "kick_to_goal STRIKER {}\n"),
+          "domain": base[1], "actions": base[3],
+          "world": os.path.join(golden_dir, "frame_0.world"),
+          "transcript": os.path.join(golden_dir, "transcript.txt"),
+          "library": str(tmp_path / "out.jsonl")}
+    assert main(UNDECODABLE[flag](str(bad), ok)) == 2
+    assert capsys.readouterr().err == f"error: {bad} is not UTF-8 text: invalid start byte\n"
+    assert not os.path.exists(ok["library"])
+
+
+# Every option string each subcommand accepts, as the parser declared them
+# before the shared flags were factored into parent parsers.
+OPTIONS = {
+    "ingest-actions": {"--actions", "--dim", "--out"},
+    "generate": {"--actions", "--created-at", "--domain", "--embeddings", "--frame-id",
+                 "--goal", "--k", "--library", "--manifest", "--provider", "--seed",
+                 "--tactics", "--transcript", "--world"},
+    "validate": {"--actions", "--domain", "--format", "--initial", "--plan"},
+    "simulate": {"--actions", "--domain", "--opponents", "--plan", "--seed", "--sim-config",
+                 "--trace", "--trace-out", "--world"},
+    "evaluate": {"--actions", "--domain", "--format", "--library", "--opponents",
+                 "--scenarios", "--seed", "--sim-config"},
+    "library ls": {"--actions", "--domain", "--library"},
+    "library add": {"--actions", "--created-at", "--domain", "--frame-id", "--library",
+                    "--plan", "--scenario"},
+    "library select": {"--actions", "--domain", "--library", "--world"},
+}
+REQUIRED = {
+    "ingest-actions": {"--actions", "--out"},
+    "generate": {"--actions", "--domain", "--world"},
+    "validate": {"--actions", "--domain", "--plan"},
+    "simulate": {"--actions", "--domain", "--plan", "--world"},
+    "evaluate": {"--actions", "--domain", "--library", "--scenarios"},
+    "library ls": {"--actions", "--domain", "--library"},
+    "library add": {"--actions", "--domain", "--frame-id", "--library", "--plan",
+                    "--scenario"},
+    "library select": {"--actions", "--domain", "--library", "--world"},
+}
+
+
+def subcommand_parsers(parser, path=()):
+    """(name, parser) for each leaf subcommand, `library ls` and so on."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from subcommand_parsers(sub, (*path, name))
+
+
+def test_each_subcommand_accepts_the_same_options():
+    options, required = {}, {}
+    for name, parser in subcommand_parsers(build_parser()):
+        flags = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+        options[name] = {s for a in flags for s in a.option_strings}
+        required[name] = {a.option_strings[0] for a in flags if a.required}
+    assert options == OPTIONS
+    assert required == REQUIRED
 
 
 def test_ingest_actions_round_trip(tmp_path, base, data_dir, schemas):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coachplan as cp
-from coachplan.domain import BALL, OWN, UNMATCHED_PENALTY, ball_holder, normalize_angle
+from coachplan.domain import BALL, OWN, UNMATCHED_PENALTY, ball_holder
 from coachplan.errors import (
     DuplicateSubject,
     EmptyDomain,
@@ -22,12 +22,6 @@ def make_world(domain, entries, ball):
     for aid, team, role, x, y in entries:
         agents[aid] = (cp.Pose(x, y), cp.Agent(aid, team, role))
     return cp.WorldState(agents, ball)
-
-
-@given(st.floats(-50, 50, allow_nan=False))
-def test_normalize_angle_range(theta):
-    out = normalize_angle(theta)
-    assert -math.pi < out <= math.pi
 
 
 def test_pose_rejects_nonfinite():
@@ -94,12 +88,12 @@ class TestScenarioFromWorld:
         world = make_world(domain, [("s", OWN, "STRIKER", *pos)], pos)
         scenario = cp.scenario_from_world(world, domain)
         assert ("STRIKER", "KICKING_POSITION") in scenario.assignments
-        assert scenario.waypoint_of(BALL) == "KICKING_POSITION"
+        assert dict(scenario.assignments)[BALL] == "KICKING_POSITION"
 
     def test_no_opponents(self, domain):
         world = make_world(domain, [("s", OWN, "STRIKER", 0.0, 0.0)], (0.0, 0.0))
         scenario = cp.scenario_from_world(world, domain)
-        assert scenario.subjects() == ["STRIKER", BALL]
+        assert [s for s, _ in scenario.assignments] == ["STRIKER", BALL]
 
     def test_missing_role(self, domain):
         world = make_world(domain, [("s", OWN, None, 0.0, 0.0)], (0.0, 0.0))
@@ -194,9 +188,8 @@ class TestScenarioDistance:
     ((BALL, "OUR_GOAL"), ("STRIKER", "OUR_GOAL"), (BALL, "OUR_GOAL")),
 ])
 def test_scenario_refuses_repeated_subject(assignments):
-    # Read three ways, a repeated subject meant three things: the first for
-    # waypoint_of, the last for the distance, and a SCENARIO block that
-    # parse_scenario_block refuses.
+    # Read two ways, a repeated subject meant two things: the last for the
+    # distance, and a SCENARIO block that parse_scenario_block refuses.
     with pytest.raises(DuplicateSubject, match=assignments[0][0]):
         cp.Scenario(assignments)
 

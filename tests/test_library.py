@@ -13,7 +13,6 @@ from coachplan.domain import BALL
 from coachplan.errors import (
     DuplicateFrameId,
     EmptyLibrary,
-    InvalidPlan,
     KTooLarge,
     MalformedRecord,
     PlanSyntaxError,
@@ -61,13 +60,6 @@ class TestAdd:
         lib = cp.add(cp.new_library(), record(kick_plan, scenario_at("CENTER_FIELD"), "f1"))
         with pytest.raises(DuplicateFrameId):
             cp.add(lib, record(kick_plan, scenario_at("LEFT_WING"), "f1"))
-
-    def test_optional_validation(self, kick_plan, schemas):
-        rec = record(kick_plan, scenario_at("CENTER_FIELD"), "f1")
-        held = frozenset({cp.Predicate("ball_held_by", ("STRIKER",))})
-        assert cp.add(cp.new_library(), rec, schemas, held).frame_ids() == ["f1"]
-        with pytest.raises(InvalidPlan):
-            cp.add(cp.new_library(), rec, schemas, frozenset())
 
 
 class TestSelectPlan:

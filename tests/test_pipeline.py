@@ -221,7 +221,7 @@ class TestRunGenerate:
         )
         assert manifest.stages["validation"]["report"] == "OK\n"
         assert plan.steps[0].kind == "JOIN"
-        assert scenario.waypoint_of("BALL") == "CENTER_FIELD"
+        assert dict(scenario.assignments)["BALL"] == "CENTER_FIELD"
         assert cp.serialize_plan(plan) == manifest.stages["synchronizer"]["plan"]
         assert set(manifest.stages) == {
             "retrieval", "coach", "grounding", "synchronizer", "validation"

@@ -157,12 +157,6 @@ class TestSerialize:
         )
 
 
-def test_grounded_actions_flattening(corpus_plans):
-    for plan in corpus_plans.values():
-        flat = plan.grounded_actions()
-        assert len(flat) == sum(len(s.actions) for s in plan.steps)
-
-
 def char_by_char_tokenize(text):
     """The oracle for _tokenize: it walks each line one character at a time
     and returns (kind, value, line, column) tuples."""

@@ -23,9 +23,9 @@ RECORDS = {
         "effects=(Predicate(name='ball_at', args=('OPPONENT_GOAL',), negated=False),))",
         True),
     "VectorIndex": (
-        lambda: cp.VectorIndex((("kick_to_goal", cp.Embedding((1.0, 0.0), 2)),), 2, {}),
+        lambda: cp.VectorIndex((("kick_to_goal", cp.Embedding((1.0, 0.0), 2)),), {}),
         "VectorIndex(entries=(('kick_to_goal', Embedding(vector=(1.0, 0.0), dim=2)),), "
-        "dim=2, schemas={})",
+        "schemas={})",
         False),
     "Agent": (
         lambda: cp.Agent("STRIKER", "OWN"),
@@ -35,9 +35,8 @@ RECORDS = {
         lambda: cp.WorldState(
             {"STRIKER": (cp.Pose(1.0, 2.0), cp.Agent("STRIKER", "OWN", "STRIKER"))},
             (1.5, 2.0)),
-        "WorldState(agents={'STRIKER': (Pose(x=1.0, y=2.0, theta=0.0), "
-        "Agent(agent_id='STRIKER', team='OWN', role='STRIKER'))}, ball=(1.5, 2.0), "
-        "timestamp=0.0)",
+        "WorldState(agents={'STRIKER': (Pose(x=1.0, y=2.0), "
+        "Agent(agent_id='STRIKER', team='OWN', role='STRIKER'))}, ball=(1.5, 2.0))",
         False),
     "Tactics": (lambda: cp.Tactics(), "Tactics(text='')", True),
     "AggregateMetrics": (
@@ -94,6 +93,5 @@ def test_value_record(name):
 
 def test_value_record_defaults():
     assert cp.Agent("STRIKER", "OWN").role is None
-    assert cp.WorldState({}, (0.0, 0.0)).timestamp == 0.0
     assert cp.Tactics().text == ""
     assert cp.ChatResponse("OK", "replay").latency == 0.0

@@ -108,6 +108,20 @@ class TestValidatePlan:
         report = cp.validate_plan(plan, schemas, HELD)
         assert any(k == EFFECT_CONFLICT for _, k in kinds(report))
 
+    def test_effect_conflict_is_join_only(self):
+        # A SINGLE step runs through the JOIN loop, but only a JOIN is
+        # checked for effects that add and delete one fact.
+        toggle, = cp.parse_action_file(
+            "ACTION_ID: toggle\nARGS: TARGET : WAYPOINT\n"
+            "EFFECTS: at(AGENT,TARGET), !at(AGENT,TARGET)\n")
+        acts = [cp.GroundedAction("toggle", agent, (("TARGET", "CENTER_FIELD"),))
+                for agent in ("STRIKER", "JOLLY")]
+        schemas = {"toggle": toggle}
+        single = cp.Plan((cp.PlanStep(SINGLE, acts[:1]),))
+        join = cp.Plan((cp.PlanStep(JOIN, tuple(acts)),))
+        assert cp.validate_plan(single, schemas, frozenset()).ok
+        assert kinds(cp.validate_plan(join, schemas, frozenset())) == [(1, EFFECT_CONFLICT)]
+
     def test_collects_all_violations(self, schemas, roles):
         plan = cp.parse_plan(
             "kick_to_goal STRIKER {}\nkick_to_goal JOLLY {}", schemas, roles
@@ -254,9 +268,11 @@ class TestAutoParallelize:
     def test_per_agent_order_preserved(self, corpus_plans, schemas):
         for name, plan in corpus_plans.items():
             out = auto_parallelize(plan, schemas)
-            for agent in {a.agent_id for a in plan.grounded_actions()}:
-                before = [a for a in plan.grounded_actions() if a.agent_id == agent]
-                after = [a for a in out.grounded_actions() if a.agent_id == agent]
+            before_all = [a for step in plan.steps for a in step.actions]
+            after_all = [a for step in out.steps for a in step.actions]
+            for agent in {a.agent_id for a in before_all}:
+                before = [a for a in before_all if a.agent_id == agent]
+                after = [a for a in after_all if a.agent_id == agent]
                 assert before == after, name
 
     def test_output_still_validates(self, corpus_plans, schemas):
