@@ -88,6 +88,11 @@ def _sim_config(args) -> SimConfig:
         payload = json.loads(read_text(args.sim_config))
     except RecursionError:  # json.loads recurses once per nesting level
         raise ConfigInvalid(f"sim config {args.sim_config} is nested too deeply") from None
+    except json.JSONDecodeError:  # reported by main as it is
+        raise
+    except ValueError:  # an integer longer than int() may convert
+        raise ConfigInvalid(f"sim config {args.sim_config} has a number "
+                            "with too many digits") from None
     if not isinstance(payload, dict):
         raise ConfigInvalid("sim config must be a JSON object")
     known = {f.name for f in dataclasses.fields(SimConfig)}

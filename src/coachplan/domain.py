@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import DuplicateSubject, EmptyDomain, MissingRole, ParseError, UnknownWaypoint
+from .errors import (DuplicateSubject, EmptyDomain, EmptyInput, MissingRole, ParseError,
+                     UnknownWaypoint)
 
 # SPL field, origin at center: 9.0 m x 6.0 m, own goal at x = -4.5.
 FIELD_X = 4.5
@@ -99,7 +100,7 @@ class PlanningGoal:
 
     def __post_init__(self):
         if not self.text.strip():
-            raise ValueError("planning goal must be non-empty")
+            raise EmptyInput("planning goal must be non-empty")
 
 
 class Tactics(NamedTuple):

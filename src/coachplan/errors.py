@@ -130,7 +130,7 @@ class ConfigInvalid(CoachPlanError):
 
 
 class EmptyInput(CoachPlanError):
-    pass
+    """No match results to aggregate, or a blank planning goal."""
 
 
 # --- plan library ---------------------------------------------------------

@@ -9,11 +9,15 @@ physics beyond opponent ball-steal contact.
 One tick runs, in this order: act (each agent in id order; a done agent
 first moves past its action unless its JOIN barrier still holds), the
 opponents (in id order), the ball, the flights (pass and kick actions whose
-ball flight has ended), the liveness pass, and the settle check (every
-SETTLE_PERIOD ticks, a match that has stopped changing ends).  The liveness
-pass moves done agents past their actions in id order and stops at the
-first agent whose plan is not over, so later agents move on only in the
-next tick's act step.  Traces and tick counts depend on both facts.
+ball flight has ended), the liveness pass, the settle check (every
+SETTLE_PERIOD ticks, a match that has stopped changing ends) and the
+possession-lost check (once an opponent has stolen the ball, a match in
+which no own action can finish any more ends).  Either exit logs the
+TIMEOUT on the next tick, at the timeout: the trace is the one the idle
+ticks would have given.  The liveness pass moves done agents past their
+actions in id order and stops at the first agent whose plan is not over,
+so later agents move on only in the next tick's act step.  Traces and
+tick counts depend on both facts.
 """
 from __future__ import annotations
 
@@ -229,6 +233,8 @@ class _Match:
         self.cursor = dict.fromkeys(self.states, 0)
         self.done: set = set()
         self.launched: set = set()
+        # Set by a steal; an opponent never gives the ball up again.
+        self.possession_lost = False
         self.t = 0.0
         self.ticks = 0
         self.trace: list[str] = []
@@ -362,6 +368,7 @@ class _Match:
                     ball.receiver = None
                     ball.velocity = (0.0, 0.0)
                     ball.pos = pos
+                    self.possession_lost = True
                     self._event("STEAL", oid)
 
     def _advance(self, aid):
@@ -436,6 +443,9 @@ class _Match:
                 before = self._snapshot()
             elif phase == 1:
                 settled = self._snapshot() == before
+            # After a steal, a match no own action can finish in ends too.
+            if self.possession_lost and not settled:
+                settled = self._nothing_can_finish()
         return MatchResult(
             success=self.success,
             passes=self.passes,
@@ -453,6 +463,31 @@ class _Match:
             elif self.cursor[aid] < len(states):
                 return True
         return False
+
+    def _nothing_can_finish(self):
+        """True when, with an opponent holding the ball, no own action can
+        finish any more, so the match would idle to the timeout.
+
+        This rests on one invariant: an opponent that holds the ball keeps
+        it and causes no event.  Then no RECEIVE, PASS or KICK that is not
+        done can finish (each needs a free ball or one the actor holds, and
+        a stolen flight never lands), and a done agent held at a barrier is
+        never released while every unfinished agent is stuck so.  An
+        opponent policy that acts on the ball must revisit this exit.
+        Reads the run state only; it moves no cursor."""
+        barrier_done, barrier_total = self.barrier_done, self.barrier_total
+        for aid, states in self.states.items():
+            cursor = self.cursor[aid]
+            if cursor == len(states):
+                continue  # plan over
+            state = states[cursor]
+            if aid in self.done:
+                barrier = state.barrier_id
+                if barrier is None or barrier_done[barrier] >= barrier_total[barrier]:
+                    return False  # moves on next tick
+            elif state.kind in (MOVE, INSTANT):
+                return False  # can still finish
+        return True
 
     def _settle_flights(self):
         """Complete pass/kick actions whose ball flight has resolved."""

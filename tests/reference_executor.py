@@ -1,7 +1,8 @@
 """The simulator's match loop as it stood before its ticks were made
 cheaper, kept verbatim as the reference that `tests/test_executor.py`
-compares `coachplan.executor._Match` against: every `MatchResult` and
-every tick count must be equal."""
+compares `coachplan.executor._Match` against: every `MatchResult` must be
+equal, and every tick count too once `_Match`'s possession-lost exit is
+turned off (this loop has only the snapshot exit)."""
 from __future__ import annotations
 
 import math

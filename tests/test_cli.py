@@ -263,6 +263,14 @@ class TestMalformedInput:
         assert self.simulate(tmp_path, base, plan, world_text, "--sim-config", cfg) == 2
         assert capsys.readouterr().err == f"error: sim config {cfg} is nested too deeply\n"
 
+    def test_overlong_integer_sim_config(self, tmp_path, base, plan, capsys):
+        # Longer than int() converts by default (4300 digits).
+        cfg = write(tmp_path / "sim.json", '{"tick": ' + "1" * 5000 + "}")
+        world_text = "AGENT STRIKER OWN STRIKER 3.2 0.0 0.0\nBALL 3.3 0.0\n"
+        assert self.simulate(tmp_path, base, plan, world_text, "--sim-config", cfg) == 2
+        assert capsys.readouterr().err == (
+            f"error: sim config {cfg} has a number with too many digits\n")
+
     def test_sim_config_opponents_key(self, tmp_path, base, golden_dir, capsys):
         # The policy is chosen by --opponents only; the key is not dropped quietly.
         argv = ["simulate", *base, "--plan", os.path.join(CORPUS_DIR, "p04_join_move_pass.plan"),
@@ -357,6 +365,15 @@ class TestGenerate:
         assert capsys.readouterr().err == (
             "FAILED at stage action-retrieval: k must be >= 0, got -1\n")
 
+    def test_blank_goal_exit_two(self, base, golden_dir, capsys):
+        assert main([
+            "generate", *base,
+            "--world", os.path.join(golden_dir, "frame_0.world"),
+            "--transcript", os.path.join(golden_dir, "transcript.txt"),
+            "--goal", "   ",
+        ]) == 2
+        assert capsys.readouterr().err == "error: planning goal must be non-empty\n"
+
 
 class TestLiveRecording:
     """`generate --provider M --transcript OUT` against a fake `urlopen` that
@@ -450,6 +467,20 @@ class TestEvaluateAndLibrary:
         assert code == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert header.split("\t")[0] == "success_rate"
+
+    def test_evaluate_intercept_report(self, base, golden_dir, lib_path, capsys):
+        # The aggregated report the simulator's early exits feed, pinned
+        # under the policy that steals.
+        argv = ["evaluate", *base, "--library", lib_path,
+                "--scenarios", os.path.join(golden_dir, "scenarios"),
+                "--opponents", "NEAREST_INTERCEPT"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == ("Success Rate       | 12%\n"
+                                           "Avg. no. of passes | 1.00\n"
+                                           "Avg. scoring time  | 2.2 sec.\n")
+        assert main([*argv, "--format", "tsv"]) == 0
+        assert capsys.readouterr().out == ("success_rate\tavg_passes\tavg_scoring_time\n"
+                                           "0.125\t1\t2.2\n")
 
     def test_evaluate_empty_library_exit_two(self, tmp_path, base, golden_dir, capsys):
         assert main([

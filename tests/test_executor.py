@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import glob
 import hashlib
@@ -328,6 +329,14 @@ AGENT_POINTS = st.one_of(
 TRACE_TIME = re.compile(r"t=(\d+\.\d\d) EVENT ")
 
 
+@contextlib.contextmanager
+def without_possession_exit():
+    """Matches in this block never find possession lost for good."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Match, "_nothing_can_finish", lambda self: False)
+        yield mp
+
+
 @st.composite
 def full_team_worlds(draw, roles):
     """Every role present (so any corpus plan runs), up to three opponents,
@@ -378,14 +387,18 @@ def test_match_invariants(domain, corpus_plans, data, policy_name, tick, timeout
        timeout=st.sampled_from([1.0, 12.5, 120.0]))
 def test_match_equals_reference_loop(domain, corpus_plans, data, policy_name, tick, timeout):
     # The plainer loop in reference_executor.py is the reference for the
-    # optimised one: every result and every tick count must be equal.
+    # optimised one: every result must be equal, and every tick count too
+    # once the possession-lost exit (which the reference lacks) is off.
     plan = corpus_plans[data.draw(st.sampled_from(sorted(corpus_plans)), label="plan")]
     world = data.draw(full_team_worlds(list(domain.roles)), label="world")
     config = cp.SimConfig(tick=tick, timeout=timeout)
     fsms = compile_fsm(plan)
-    match = _Match(fsms, world, domain, config, make_opponent_policy(policy_name))
     reference = ReferenceMatch(fsms, world, domain, config, make_opponent_policy(policy_name))
-    assert match.run() == reference.run()
+    expected = reference.run()
+    assert _Match(fsms, world, domain, config, make_opponent_policy(policy_name)).run() == expected
+    with without_possession_exit():
+        match = _Match(fsms, world, domain, config, make_opponent_policy(policy_name))
+        assert match.run() == expected
     assert match.ticks == reference.ticks
 
 
@@ -505,8 +518,8 @@ def test_seeded_traces_pinned(domain, corpus_plans):
 # --- settled matches end at once, with the trace they would have had ---
 
 def run_every_tick(*args):
-    with pytest.MonkeyPatch.context() as mp:
-        # No two snapshots compare equal, so the match runs every tick.
+    with without_possession_exit() as mp:
+        # Nor do two snapshots compare equal, so the match runs every tick.
         mp.setattr(_Match, "_snapshot", lambda self: object())
         return run_match(*args)
 
@@ -521,6 +534,19 @@ def test_settled_exit_changes_nothing(domain, corpus_plans, data, policy_name):
     policy = make_opponent_policy(policy_name)
     result = run_match(fsms, world, domain, cp.SimConfig(), policy)
     assert run_every_tick(fsms, world, domain, cp.SimConfig(), policy) == result
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_possession_lost_exit_changes_nothing(domain, corpus_plans, data):
+    plan = corpus_plans[data.draw(st.sampled_from(sorted(corpus_plans)), label="plan")]
+    world = data.draw(full_team_worlds(list(domain.roles)), label="world")
+    args = (compile_fsm(plan), world, domain, cp.SimConfig(),
+            make_opponent_policy(NEAREST_INTERCEPT))
+    result = run_match(*args)
+    with without_possession_exit():
+        assert run_match(*args) == result
 
 
 def test_walking_opponent_is_not_settled(domain, schemas, roles):
@@ -569,3 +595,55 @@ def test_settled_intercept_match_ends_early(domain, corpus_plans, golden_dir):
     result = match.run()
     assert result.trace[-2:] == ("t=7.50 EVENT STEAL O1", "t=120.00 EVENT TIMEOUT MATCH")
     assert match.ticks < 400
+
+
+def test_stolen_kick_ends_the_match(domain, schemas, roles):
+    # O1 steals STRIKER's kick at t=1.20, 5 m from both kickers: without
+    # the possession-lost exit the match would run until STRIKER and JOLLY
+    # had walked onto O1 (466 ticks), though nothing is logged on the way.
+    world = cp.parse_world_file(
+        "AGENT STRIKER OWN STRIKER -4.0 0.0 0.0\n"
+        "AGENT JOLLY OWN JOLLY -4.0 2.5 0.0\n"
+        "AGENT O1 OPPONENT - 1.0 0.0 0.0\n"
+        "BALL -4.0 0.0\n", domain)
+    fsms = compile_fsm(parse("kick_to_goal STRIKER {}\nkick_to_goal JOLLY {}", schemas, roles))
+    args = (fsms, world, domain, cp.SimConfig(), make_opponent_policy(NEAREST_INTERCEPT))
+    match = _Match(*args)
+    result = match.run()
+    assert result.trace == ("t=0.05 EVENT KICK STRIKER", "t=1.20 EVENT STEAL O1",
+                            "t=120.00 EVENT TIMEOUT MATCH")
+    assert match.ticks <= 24 + 2  # the steal is on tick 24
+    assert run_every_tick(*args) == result
+    reference = ReferenceMatch(*args)
+    assert reference.run() == result
+    assert reference.ticks == 466
+
+
+def test_barrier_released_after_a_steal_lets_its_members_move_on(domain, schemas, roles):
+    # O1 steals STRIKER's kick at t=1.20 and DEFENDER waits for a pass that
+    # can never come.  JOLLY's walk still ends at t=4.05 and releases the
+    # JOIN with SUPPORTER, but DEFENDER stops the liveness pass, so JOLLY
+    # stays done at a released barrier until the next tick, where it aligns.
+    world = cp.parse_world_file(
+        "AGENT DEFENDER OWN DEFENDER -3.0 -2.0 0.0\n"
+        "AGENT JOLLY OWN JOLLY 0.0 1.0 0.0\n"
+        "AGENT STRIKER OWN STRIKER -4.0 0.0 0.0\n"
+        "AGENT SUPPORTER OWN SUPPORTER 0.0 2.2 0.0\n"
+        "AGENT O1 OPPONENT - 1.0 0.0 0.0\n"
+        "BALL -4.0 0.0\n", domain)
+    fsms = compile_fsm(parse("kick_to_goal STRIKER {}\n"
+                             "receive_ball DEFENDER {SENDER: STRIKER}\n"
+                             "JOIN {move_to JOLLY {TARGET: CENTER_FIELD},\n"
+                             "      move_to SUPPORTER {TARGET: LEFT_WING}}\n"
+                             "align_to_goal JOLLY {}", schemas, roles))
+    args = (fsms, world, domain, cp.SimConfig(), make_opponent_policy(NEAREST_INTERCEPT))
+    match = _Match(*args)
+    result = match.run()
+    assert result.trace == ("t=0.05 EVENT KICK STRIKER",
+                            "t=0.05 EVENT ACTION_DONE SUPPORTER move_to",
+                            "t=1.20 EVENT STEAL O1",
+                            "t=4.05 EVENT ACTION_DONE JOLLY move_to",
+                            "t=4.10 EVENT ACTION_DONE JOLLY align_to_goal",
+                            "t=120.00 EVENT TIMEOUT MATCH")
+    assert match.ticks == 84
+    assert run_every_tick(*args) == result
