@@ -102,8 +102,9 @@ def _sim_config(args) -> SimConfig:
     return SimConfig(**payload)
 
 
-def _config_hash(args, keys):
+def _config_hash(args, keys, **values):
     payload = {k: getattr(args, k, None) for k in keys}
+    payload.update(values)
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -130,9 +131,11 @@ def cmd_generate(args):
     chat = _chat_provider(args)
     embed = (RecordedEmbeddingProvider(args.embeddings) if args.embeddings
              else MockEmbeddingProvider())
-    goal = PlanningGoal(args.goal) if args.goal else DEFAULT_GOAL
+    goal = DEFAULT_GOAL if args.goal is None else PlanningGoal(args.goal)
+    # An absent --goal hashes as "", as it always has.
     config_hash = _config_hash(
-        args, ["domain", "actions", "world", "transcript", "k", "tactics", "seed", "goal"]
+        args, ["domain", "actions", "world", "transcript", "k", "tactics", "seed"],
+        goal=args.goal or "",
     )
     if args.library:
         # Read before the first model call, so an unusable library costs none.
@@ -274,7 +277,7 @@ def build_parser():
     p.add_argument("--manifest", help="write the run manifest JSON here")
     p.add_argument("--k", type=int, default=8)
     p.add_argument("--tactics", default="")
-    p.add_argument("--goal", default="")
+    p.add_argument("--goal")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--frame-id", default="frame_0")
     p.add_argument("--created-at", default="1970-01-01T00:00:00Z")

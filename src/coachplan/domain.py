@@ -129,7 +129,8 @@ class Domain:
 
     def distance_rows(self, b: Scenario) -> dict:
         """subject -> its row of the waypoint-distance table, for scoring
-        many scenarios against `b` with distances_to or nearest."""
+        many scenarios against `b` with distances_to or
+        ScenarioIndex.nearest."""
         table = self._distance_table
         try:
             return {subject: table[token] for subject, token in b.assignments}
@@ -141,7 +142,8 @@ class Domain:
         distance_rows(b).  Each sum is added term by term in one fixed
         order: a's subjects, then one UNMATCHED_PENALTY per unmatched
         subject of b.  A caller that wants only the least distance and
-        where it stands calls nearest, which skips work this cannot."""
+        where it stands, over a batch it queries more than once, builds a
+        ScenarioIndex, which skips work this cannot."""
         waypoints = self.waypoints
         row_of = rows.get
         n_rows = len(rows)
@@ -166,58 +168,85 @@ class Domain:
             distances.append(total)
         return distances
 
-    def nearest(self, rows: dict, scenarios) -> tuple:
-        """(least distance, [indices at it, ascending]) over scenarios for
-        rows = distance_rows(b): the minimum of distances_to(rows,
-        scenarios) and every index where it stands, compared exactly; an
-        empty batch gives (math.inf, []).
 
-        Each sum is added in distances_to's order, but a scenario is
-        abandoned, none of its terms added any more, once its partial sum
-        is strictly above the best so far.  That is exact: every term is
-        >= 0 (a hypot or UNMATCHED_PENALTY) and rounded addition is
-        monotone, so the partial sums never fall and an abandoned sum could
-        only have ended above the best.  A partial sum equal to the best
-        goes on, so ties stay ties.  The tokens after the abandon point are
-        still looked up in order, so an unknown waypoint raises
-        UnknownWaypoint exactly as distances_to does."""
-        waypoints = self.waypoints
-        row_of = rows.get
+class ScenarioIndex:
+    """A batch of scenarios grouped by ordered subject tuple, built once to
+    find the nearest of them to many queries.
+
+    The build looks up every waypoint token once, in batch order, so an
+    unknown waypoint anywhere raises UnknownWaypoint as distances_to does.
+    Each group keeps its members' positions in the batch and a copy of their
+    tokens, so the index holds neither the scenarios nor the domain."""
+
+    def __init__(self, scenarios, domain: Domain):
+        waypoints = domain.waypoints
+        groups = {}  # subject tuple -> ([positions], [token tuples])
+        for i, a in enumerate(scenarios):
+            subjects, tokens = zip(*a.assignments) if a.assignments else ((), ())
+            for token in tokens:
+                if token not in waypoints:
+                    raise UnknownWaypoint(token)
+            group = groups.get(subjects)
+            if group is None:
+                group = groups[subjects] = ([], [])
+            group[0].append(i)
+            group[1].append(tokens)
+        self._groups = list(groups.items())
+        # The row of an unmatched subject: UNMATCHED_PENALTY at every token.
+        self._penalty_row = dict.fromkeys(waypoints, UNMATCHED_PENALTY)
+
+    def nearest(self, rows: dict) -> tuple:
+        """(least distance, [positions at it, ascending]) over the batch for
+        rows = distance_rows(b): the minimum of distances_to(rows, batch)
+        and every position where it stands, compared exactly; an empty
+        batch gives (math.inf, []).
+
+        Every scenario of a group leaves the same subjects unmatched, k of
+        them on either side, and its computed sum is at least
+        UNMATCHED_PENALTY * k: each term is >= 0 (a hypot or
+        UNMATCHED_PENALTY), rounded addition is monotone, and a sum of a
+        few 3.0s is exact.  Groups are visited in ascending bound order and
+        the scan stops at the first bound strictly above the best so far.
+
+        A visited scenario adds its terms in distances_to's order and is
+        abandoned once its partial sum is strictly above the best: the
+        partial sums never fall, so it could only have ended above it.  A
+        partial sum equal to the best goes on, so ties stay ties."""
         n_rows = len(rows)
+        query_subjects = rows.keys()
+        groups = self._groups
+        bounds = []
+        for g, (subjects, _) in enumerate(groups):
+            matched = len(query_subjects & subjects)
+            unmatched = len(subjects) + n_rows - 2 * matched
+            bounds.append((UNMATCHED_PENALTY * unmatched, g, n_rows - matched))
+        bounds.sort()
+        penalty_row = self._penalty_row
         best = math.inf
         at = []
-        for i, a in enumerate(scenarios):
-            total = 0.0
-            matched = 0
-            terms = iter(a.assignments)
-            for subject, token in terms:
-                row = row_of(subject)
-                if row is None:
-                    if token not in waypoints:
-                        raise UnknownWaypoint(token)
-                    total += UNMATCHED_PENALTY
-                else:
-                    try:
-                        total += row[token]
-                    except KeyError:
-                        raise UnknownWaypoint(token) from None
-                    matched += 1
-                if total > best:
-                    for _, token in terms:
-                        if token not in waypoints:
-                            raise UnknownWaypoint(token)
-                    break
-            else:
-                for _ in range(n_rows - matched):
-                    total += UNMATCHED_PENALTY
+        for bound, g, trailing in bounds:
+            if bound > best:
+                break
+            subjects, (positions, token_lists) = groups[g]
+            cols = [rows.get(subject, penalty_row) for subject in subjects]
+            for i, tokens in zip(positions, token_lists):
+                total = 0.0
+                for row, token in zip(cols, tokens):
+                    total += row[token]
                     if total > best:
                         break
                 else:
-                    if total < best:
-                        best = total
-                        at = [i]
-                    elif total == best:
-                        at.append(i)
+                    for _ in range(trailing):
+                        total += UNMATCHED_PENALTY
+                        if total > best:
+                            break
+                    else:
+                        if total < best:
+                            best = total
+                            at = [i]
+                        elif total == best:
+                            at.append(i)
+        at.sort()
         return best, at
 
 
@@ -297,8 +326,8 @@ def scenario_distance(a: Scenario, b: Scenario, domain: Domain) -> float:
     """Sum of waypoint distances over shared subjects plus a fixed penalty
     per unmatched subject.  Symmetric; not a metric (no triangle inequality).
     Scoring many scenarios against one `b`: build domain.distance_rows(b)
-    once and pass them all to domain.distances_to, or to domain.nearest
-    when only the nearest of them is wanted."""
+    once and pass them all to domain.distances_to, or build a ScenarioIndex
+    of them when only the nearest of them is wanted."""
     return domain.distances_to(domain.distance_rows(b), (a,))[0]
 
 

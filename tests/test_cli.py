@@ -366,13 +366,15 @@ class TestGenerate:
             "FAILED at stage action-retrieval: k must be >= 0, got -1\n")
 
     def test_blank_goal_exit_two(self, base, golden_dir, capsys):
-        assert main([
-            "generate", *base,
-            "--world", os.path.join(golden_dir, "frame_0.world"),
-            "--transcript", os.path.join(golden_dir, "transcript.txt"),
-            "--goal", "   ",
-        ]) == 2
-        assert capsys.readouterr().err == "error: planning goal must be non-empty\n"
+        # An empty --goal is refused, not taken for an absent one.
+        for goal in ("   ", ""):
+            assert main([
+                "generate", *base,
+                "--world", os.path.join(golden_dir, "frame_0.world"),
+                "--transcript", os.path.join(golden_dir, "transcript.txt"),
+                "--goal", goal,
+            ]) == 2
+            assert capsys.readouterr().err == "error: planning goal must be non-empty\n"
 
 
 class TestLiveRecording:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coachplan as cp
-from coachplan.domain import BALL, OWN, UNMATCHED_PENALTY, ball_holder
+from coachplan.domain import BALL, OWN, UNMATCHED_PENALTY, ScenarioIndex, ball_holder
 from coachplan.errors import (
     DuplicateSubject,
     EmptyDomain,
@@ -215,10 +215,28 @@ def near_scenarios(b, tokens):
         lambda pairs: cp.Scenario(tuple(pairs)))
 
 
+def zero_term_scenarios(b, tokens):
+    """Scenarios whose subjects shared with b stand on b's own waypoints:
+    every matched term is 0.0, so each sum equals its group's bound."""
+    own = dict(b.assignments)
+    others = [s for s in SUBJECTS if s not in own]
+    pairs = [st.sampled_from(b.assignments)] if own else []
+    if others:
+        pairs.append(st.tuples(st.sampled_from(others), st.sampled_from(tokens)))
+    return st.lists(st.one_of(pairs), unique_by=lambda pair: pair[0]).map(
+        lambda pairs: cp.Scenario(tuple(pairs)))
+
+
+def reordered(scenario):
+    """The same assignments in some order: the same subjects, but another
+    group of the index when the order differs."""
+    return st.permutations(scenario.assignments).map(lambda pairs: cp.Scenario(tuple(pairs)))
+
+
 class TestDistanceKernel:
     """scenario_distance and the batched distances_to against a reference
     computed from the waypoint coordinates in the same addition order, and
-    nearest against distances_to, compared exactly."""
+    ScenarioIndex.nearest against distances_to, compared exactly."""
 
     @settings(max_examples=200)
     @given(data=st.data())
@@ -238,17 +256,39 @@ class TestDistanceKernel:
         tokens = sorted(domain.waypoints)
         b = data.draw(scenarios(tokens))
         # Scenarios that share some of b's own assignments (0.0 terms, so
-        # partial sums sit right at the best), b itself (distance 0.0) and
-        # repeats drawn from a small pool force exact ties.
-        pool = data.draw(st.lists(near_scenarios(b, tokens), min_size=1, max_size=4)) + [b]
+        # partial sums sit right at the best), scenarios whose sums equal
+        # their group's bound, b itself (distance 0.0) and repeats drawn
+        # from a small pool force exact ties; reordered copies put the same
+        # subjects in separate groups.
+        pool = data.draw(st.lists(
+            st.one_of(near_scenarios(b, tokens), zero_term_scenarios(b, tokens)),
+            min_size=1, max_size=4)) + [b]
+        pool += [data.draw(reordered(a)) for a in pool]
         batch = data.draw(st.lists(st.sampled_from(pool), max_size=12))
         rows = domain.distance_rows(b)
         ds = domain.distances_to(rows, batch)
-        if ds:
-            least = min(ds)
-            assert domain.nearest(rows, batch) == (least, [i for i, d in enumerate(ds) if d == least])
-        else:
-            assert domain.nearest(rows, batch) == (math.inf, [])
+        least = min(ds, default=math.inf)
+        assert ScenarioIndex(batch, domain).nearest(rows) == (
+            least, [i for i, d in enumerate(ds) if d == least])
+
+    def test_ties_across_groups_at_their_bound(self, domain):
+        b = cp.Scenario((("STRIKER", "CENTER_FIELD"), (BALL, "CENTER_FIELD")))
+        batch = [
+            cp.Scenario((("STRIKER", "CENTER_FIELD"), (BALL, "CENTER_FIELD"),
+                         ("JOLLY", "LEFT_WING"))),
+            cp.Scenario(((BALL, "CENTER_FIELD"), ("STRIKER", "CENTER_FIELD"),
+                         ("OPPONENT_1", "OUR_GOAL"))),
+            # Group 0's subjects in another order: a group of its own.
+            cp.Scenario(((BALL, "CENTER_FIELD"), ("STRIKER", "CENTER_FIELD"),
+                         ("JOLLY", "LEFT_WING"))),
+            cp.Scenario((("STRIKER", "LEFT_WING"), (BALL, "CENTER_FIELD"),
+                         ("JOLLY", "LEFT_WING"))),
+            # b's BALL is unmatched: a trailing penalty.
+            cp.Scenario((("STRIKER", "CENTER_FIELD"),)),
+        ]
+        rows = domain.distance_rows(b)
+        assert domain.distances_to(rows, batch)[:3] == [UNMATCHED_PENALTY] * 3
+        assert ScenarioIndex(batch, domain).nearest(rows) == (UNMATCHED_PENALTY, [0, 1, 2, 4])
 
     def test_rows_serve_many_scenarios(self, domain):
         rng = random.Random(11)
@@ -302,7 +342,19 @@ class TestDistanceKernel:
         with pytest.raises(UnknownWaypoint, match="NOWHERE"):
             domain.distances_to(domain.distance_rows(b), batch)
         with pytest.raises(UnknownWaypoint, match="NOWHERE"):
-            domain.nearest(domain.distance_rows(b), batch)
+            ScenarioIndex(batch, domain).nearest(domain.distance_rows(b))
+
+    def test_index_raises_the_first_unknown_waypoint_in_batch_order(self, domain):
+        batch = [
+            cp.Scenario((("STRIKER", "CENTER_FIELD"),)),
+            cp.Scenario((("STRIKER", "CENTER_FIELD"), (BALL, "NOWHERE_B"))),
+            cp.Scenario((("STRIKER", "NOWHERE_A"),)),
+        ]
+        rows = domain.distance_rows(cp.Scenario((("STRIKER", "CENTER_FIELD"),)))
+        with pytest.raises(UnknownWaypoint, match="NOWHERE_B"):
+            domain.distances_to(rows, batch)
+        with pytest.raises(UnknownWaypoint, match="NOWHERE_B"):
+            ScenarioIndex(batch, domain)
 
 
 class TestFileFormats:

@@ -1,7 +1,10 @@
 import collections
+import gc
 import glob
 import os
 import random
+import weakref
+from importlib import resources
 
 import json
 
@@ -9,12 +12,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import coachplan as cp
-from coachplan.domain import BALL
+from coachplan import library as planlib
+from coachplan.domain import BALL, ScenarioIndex
 from coachplan.errors import (
     DuplicateFrameId,
+    EmptyDomain,
     EmptyLibrary,
     KTooLarge,
     MalformedRecord,
+    MissingRole,
     PlanSyntaxError,
     UnknownWaypoint,
 )
@@ -119,6 +125,14 @@ class TestSelectPlan:
         ))
         with pytest.raises(UnknownWaypoint, match="NOWHERE"):
             cp.select_plan(lib, world_at(domain, 0, 0), domain)
+
+    def test_world_errors_come_before_unknown_waypoints(self, domain, kick_plan):
+        lib = cp.Library((record(kick_plan, scenario_at("NOWHERE"), "bad"),))
+        roleless = cp.parse_world_file("AGENT s OWN - 0 0 0\nBALL 0 0\n", domain)
+        with pytest.raises(MissingRole):
+            cp.select_plan(lib, roleless, domain)
+        with pytest.raises(EmptyDomain):
+            cp.select_plan(lib, world_at(domain, 0, 0), cp.Domain({}, domain.roles))
 
 
 # Mirror-image waypoints: from a query on the x axis, LEFT_WING and
@@ -225,6 +239,122 @@ class TestSelectPlanDifferential:
             exact += keys[0][0] == 0.0
             distance_ties += keys[1][0] == keys[0][0]
         assert exact >= 20 and distance_ties > 5
+
+
+def brute_force_select(library, world, domain):
+    """A fresh argmin over distances_to: the least distance, then the
+    earliest created_at, then frame_id."""
+    rows = domain.distance_rows(cp.scenario_from_world(world, domain))
+    ds = domain.distances_to(rows, [r.scenario for r in library.records])
+    return min(zip(ds, library.records),
+               key=lambda dr: (dr[0], dr[1].created_at, dr[1].frame_id))[1]
+
+
+def count_index_builds(monkeypatch):
+    """The batch size of each ScenarioIndex select_plan builds."""
+    built = []
+
+    def counting(scenarios, domain):
+        built.append(len(scenarios))
+        return ScenarioIndex(scenarios, domain)
+
+    monkeypatch.setattr("coachplan.library.ScenarioIndex", counting)
+    return built
+
+
+def memo_worlds(rng, domain, n):
+    """n worlds with a STRIKER, an opponent, the ball and sometimes a JOLLY,
+    each on a waypoint."""
+    positions = [w.position for w in domain.waypoints.values()]
+    worlds = []
+    for _ in range(n):
+        (sx, sy), (jx, jy), (ox, oy), (bx, by) = (rng.choice(positions) for _ in range(4))
+        text = f"AGENT s OWN STRIKER {sx} {sy} 0\nAGENT o OPPONENT - {ox} {oy} 0\nBALL {bx} {by}\n"
+        if rng.random() < 0.5:
+            text += f"AGENT j OWN JOLLY {jx} {jy} 0\n"
+        worlds.append(cp.parse_world_file(text, domain))
+    return worlds
+
+
+class TestSelectMemo:
+    """select_plan keeps the index of the records it served last; every
+    answer equals a fresh brute-force argmin, whatever it served before."""
+
+    @staticmethod
+    def selects(library, worlds, domain):
+        """select_plan's frame ids, each checked against the brute force."""
+        answers = []
+        for world in worlds:
+            chosen = cp.select_plan(library, world, domain)
+            assert chosen is brute_force_select(library, world, domain)
+            answers.append(chosen.frame_id)
+        return answers
+
+    def test_library_a_then_b_then_a(self, domain, kick_plan, monkeypatch):
+        rng = random.Random(41)
+        worlds = memo_worlds(rng, domain, 20)
+        a = varied_library(rng, kick_plan, domain, 60)
+        b = varied_library(rng, kick_plan, domain, 60)
+        built = count_index_builds(monkeypatch)
+        first = self.selects(a, worlds, domain)
+        assert self.selects(b, worlds, domain) != first
+        assert self.selects(a, worlds, domain) == first
+        assert built == [60, 60, 60]
+
+    def test_library_grown_by_add(self, domain, kick_plan, monkeypatch):
+        rng = random.Random(43)
+        worlds = memo_worlds(rng, domain, 10)
+        lib = varied_library(rng, kick_plan, domain, 40)
+        built = count_index_builds(monkeypatch)
+        self.selects(lib, worlds, domain)
+        # The new record holds the first world's own scenario: distance 0.
+        grown = cp.add(lib, record(kick_plan, cp.scenario_from_world(worlds[0], domain), "new"))
+        assert self.selects(grown, worlds, domain)[0] == "new"
+        assert built == [40, 41]
+
+    def test_same_records_under_a_second_domain(self, domain, kick_plan, monkeypatch):
+        text = resources.files("coachplan.data").joinpath("domain.txt").read_text()
+        second = cp.parse_domain_file(text)
+        rng = random.Random(45)
+        worlds = memo_worlds(rng, domain, 10)
+        lib = varied_library(rng, kick_plan, domain, 40)
+        built = count_index_builds(monkeypatch)
+        assert self.selects(lib, worlds, domain) == self.selects(lib, worlds, second)
+        assert built == [40, 40]
+
+    def test_dropped_library_replaced_by_as_many_new_records(self, domain, kick_plan,
+                                                             monkeypatch):
+        rng = random.Random(47)
+        worlds = memo_worlds(rng, domain, 20)
+        built = count_index_builds(monkeypatch)
+        lib = varied_library(rng, kick_plan, domain, 60)
+        first = self.selects(lib, worlds, domain)
+        probe = weakref.ref(lib.records[0])
+        del lib
+        gc.collect()
+        # The memo kept nothing of the library alive, and let go of it.
+        assert probe() is None and planlib._last_index is None
+        # The new records may take the dropped ones' addresses.
+        lib = varied_library(rng, kick_plan, domain, 60)
+        assert self.selects(lib, worlds, domain) != first
+        assert built == [60, 60]
+
+    def test_failed_build_raises_every_call_and_stores_nothing(self, domain, kick_plan,
+                                                               monkeypatch):
+        rng = random.Random(49)
+        worlds = memo_worlds(rng, domain, 10)
+        good = varied_library(rng, kick_plan, domain, 30)
+        self.selects(good, worlds[:1], domain)
+        memo = planlib._last_index
+        bad = cp.Library(good.records[:-1] + (record(kick_plan, scenario_at("NOWHERE"), "x"),))
+        built = count_index_builds(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(UnknownWaypoint, match="NOWHERE"):
+                cp.select_plan(bad, worlds[0], domain)
+            assert planlib._last_index is memo
+        assert built == [30, 30]
+        self.selects(good, worlds, domain)
+        assert built == [30, 30]
 
 
 def oracle_cluster_scenarios(library, k, domain):
@@ -362,6 +492,16 @@ class TestEvaluate:
         # Shared FSMs give each match what a fresh compile gives it.
         assert results == [evaluate(lib, [w], domain, cp.SimConfig(), policy)[0]
                            for w in worlds]
+
+    def test_builds_the_index_once(self, domain, kick_plan, monkeypatch):
+        lib = cp.new_library()
+        for token in ("KICKING_POSITION", "OUR_GOAL"):
+            lib = cp.add(lib, record(kick_plan, scenario_at(token), token))
+        built = count_index_builds(monkeypatch)
+        worlds = [world_at(domain, *domain.waypoints[t].position)
+                  for t in ("KICKING_POSITION", "OUR_GOAL", "KICKING_POSITION", "OUR_GOAL")]
+        evaluate(lib, worlds, domain, cp.SimConfig(), make_opponent_policy(STATIC))
+        assert built == [2]
 
     def test_renames_agents_to_plan_roles(self, domain, kick_plan):
         # The world's striker is called s; the plan names it STRIKER.
