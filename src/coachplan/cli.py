@@ -30,6 +30,7 @@ from .errors import (
     CoachPlanError,
     ConfigInvalid,
     DuplicateFrameId,
+    EmptyLibrary,
     ProviderError,
     StageError,
     ValidationFailed,
@@ -201,9 +202,20 @@ def cmd_evaluate(args):
     world_files = sorted(glob.glob(os.path.join(args.scenarios, "*.world")))
     if not world_files:
         raise CoachPlanError(f"no *.world files in {args.scenarios}")
-    worlds = [parse_world_file(read_text(path), domain) for path in world_files]
     policy = make_opponent_policy(args.opponents, seed=args.seed)
-    results = planlib.evaluate(lib, worlds, domain, _sim_config(args), policy, schemas)
+    config = _sim_config(args)
+    results = []
+    # One world per call, so that a world's error names its file; the
+    # library keeps its scenario index from one call to the next.
+    for path in world_files:
+        text = read_text(path)
+        try:
+            world = parse_world_file(text, domain)
+            results += planlib.evaluate(lib, [world], domain, config, policy, schemas)
+        except EmptyLibrary:
+            raise  # no world's fault
+        except CoachPlanError as exc:
+            raise CoachPlanError(f"{path}: {exc}") from exc
     metrics = aggregate(results)
     if args.format == "tsv":
         sys.stdout.write(format_metrics_delimited(metrics))

@@ -4,10 +4,7 @@ scenario distance."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from operator import is_
-from typing import NamedTuple
-from weakref import ref
+from dataclasses import dataclass, field
 
 from . import jsonl
 from .coach import parse_scenario_block, retrieve_roles
@@ -39,11 +36,23 @@ class PlanRecord:
     created_at: str  # ISO-8601, lexicographically ordered
 
 
-class Library(NamedTuple):
+@dataclass(frozen=True)
+class Library:
     records: tuple  # of PlanRecord, insertion ordered
+    # [domain, ScenarioIndex of the records' scenarios under it], once built.
+    _index: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def frame_ids(self):
         return [r.frame_id for r in self.records]
+
+    def scenario_index(self, domain: Domain) -> ScenarioIndex:
+        """The index of the records' scenarios under `domain`: built on the
+        first call with that Domain object, kept only once the build
+        succeeds, and rebuilt for another Domain object."""
+        built = self._index
+        if not built or built[0] is not domain:
+            built[:] = [domain, ScenarioIndex([r.scenario for r in self.records], domain)]
+        return built[1]
 
 
 def new_library() -> Library:
@@ -57,35 +66,6 @@ def add(library: Library, record: PlanRecord) -> Library:
     return Library(library.records + (record,))
 
 
-# (domain ref, record refs, index): the ScenarioIndex of the records
-# select_plan served last and the Domain it served them under, both held
-# through weak references so that the memo keeps no library alive.
-_last_index = None
-
-
-def _scenario_index(records: tuple, domain: Domain) -> ScenarioIndex:
-    """The index of the records' scenarios: the last one built while the
-    same record objects stand in the same order under the same Domain
-    object, else a new one, kept only once its build succeeds."""
-    global _last_index
-    memo = _last_index
-    if memo is not None:
-        domain_ref, record_refs, index = memo
-        if (domain_ref() is domain and len(record_refs) == len(records)
-                and all(map(is_, [r() for r in record_refs], records))):
-            return index
-    index = ScenarioIndex([r.scenario for r in records], domain)
-    _last_index = (ref(domain), [ref(r, _forget_index) for r in records], index)
-    return index
-
-
-def _forget_index(_):
-    """Drop the memo once one of its records dies: it can never be served
-    again, and the next library is not loaded beside it."""
-    global _last_index
-    _last_index = None
-
-
 def select_plan(library: Library, world: WorldState, domain: Domain) -> PlanRecord:
     """Record whose stored scenario is nearest to the world's scenario; ties
     broken by earliest created_at, then frame_id.  An unknown waypoint in
@@ -95,7 +75,7 @@ def select_plan(library: Library, world: WorldState, domain: Domain) -> PlanReco
     if not records:
         raise EmptyLibrary("cannot select from an empty library")
     rows = domain.distance_rows(scenario_from_world(world, domain))
-    _, at = _scenario_index(records, domain).nearest(rows)
+    _, at = library.scenario_index(domain).nearest(rows)
     return min((records[i] for i in at), key=lambda r: (r.created_at, r.frame_id))
 
 
@@ -124,7 +104,8 @@ def evaluate(library: Library, worlds, domain: Domain, config: SimConfig,
 
     Each selected record is compiled once per call: a match keeps its run
     state apart from the FSMs, so one compiled plan runs many matches.  The
-    records' ScenarioIndex is built once too, by the first select_plan."""
+    library's ScenarioIndex is built by its first select_plan under
+    `domain`, in this call or an earlier one, and serves every world."""
     if not library.records:
         raise EmptyLibrary("library is empty")
     compiled = {}  # id(record) -> its FSMs; the library holds every record

@@ -278,21 +278,19 @@ def build_grounding_prompt(domain: Domain, retrieved_actions, scenario,
                        user_text=fill_template("grounding.txt", slots))
 
 
+def load_sync_examples():
+    """The synchronizer's packaged examples: (positive, [(reason,
+    negative), ...]), read and parsed once per process; each call gets a
+    list of its own."""
+    positive, negatives = _packaged_sync_examples()
+    return positive, list(negatives)
+
+
 @functools.cache
 def _packaged_sync_examples():
-    """The packaged `sync_examples.txt`, read and parsed once per process."""
+    """Parse the POSITIVE/NEGATIVE example blocks of the packaged
+    `sync_examples.txt`: (positive, ((reason, negative), ...))."""
     text = resources.files("coachplan.data").joinpath("sync_examples.txt").read_text()
-    positive, negatives = load_sync_examples(text)
-    return positive, tuple(negatives)
-
-
-def load_sync_examples(text: str | None = None):
-    """Parse the POSITIVE/NEGATIVE example blocks for the synchronizer:
-    (positive, [(reason, negative), ...]).  Without `text`, the packaged
-    examples; each call gets a list of its own."""
-    if text is None:
-        positive, negatives = _packaged_sync_examples()
-        return positive, list(negatives)
     positive = None
     negatives = []
     current = None
@@ -321,7 +319,7 @@ def load_sync_examples(text: str | None = None):
         elif current is not None:
             body.append(raw)
     close()
-    return positive, negatives
+    return positive, tuple(negatives)
 
 
 def build_sync_prompt(grounded_plan_text: str, positive_example: str,

@@ -498,6 +498,38 @@ class TestEvaluateAndLibrary:
             "evaluate", *base, "--library", lib_path, "--scenarios", str(empty),
         ]) == 2
 
+    TWO_ROLES = "SCENARIO:\nSTRIKER is at CENTER_FIELD\nJOLLY is at FORWARD_LEFT\n"
+
+    @pytest.mark.parametrize("plan, runs, fails, message", [
+        ("move_to SUPPORTER {TARGET: CENTER_FIELD}\n",
+         "AGENT SUPPORTER OWN SUPPORTER 0.0 0.0 0.0\nBALL 1.0 1.0\n",
+         "AGENT STRIKER OWN STRIKER 0.1 0.1 0.0\nAGENT JOLLY OWN JOLLY 2.0 1.4 0.0\n"
+         "BALL 0.2 0.1\n",
+         "world is missing plan agents: ['SUPPORTER']"),
+        ("kick_to_goal STRIKER {}\n",
+         "AGENT STRIKER OWN STRIKER 3.2 0.0 0.0\nBALL 3.3 0.0\n",
+         "AGENT r1 OWN STRIKER 0.1 0.1 0.0\nAGENT r2 OWN JOLLY 2.0 1.4 0.0\n"
+         "AGENT r3 OWN SUPPORTER -1.0 0.0 0.0\nBALL 0.2 0.1\n",
+         "3 own agents vs 2 scenario roles"),
+    ], ids=["missing-agents", "cardinality"])
+    def test_evaluate_error_names_the_world(self, tmp_path, base, capsys,
+                                            plan, runs, fails, message):
+        lib = str(tmp_path / "lib")
+        assert main(["library", "add", "--library", lib, *base,
+                     "--plan", write(tmp_path / "p.plan", plan),
+                     "--scenario", write(tmp_path / "s.scenario", self.TWO_ROLES),
+                     "--frame-id", "f"]) == 0
+        scenarios = tmp_path / "scenarios"
+        scenarios.mkdir()
+        write(scenarios / "a.world", runs)
+        write(scenarios / "b.world", fails)
+        write(scenarios / "c.world", fails)
+        capsys.readouterr()
+        assert main(["evaluate", *base, "--library", lib,
+                     "--scenarios", str(scenarios)]) == 2
+        # One error line, naming the first world that fails.
+        assert capsys.readouterr() == ("", f"error: {scenarios / 'b.world'}: {message}\n")
+
     def test_library_ls(self, base, lib_path, capsys):
         assert main(["library", "ls", "--library", lib_path, *base]) == 0
         assert capsys.readouterr().out.startswith("frame_0\t")

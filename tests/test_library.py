@@ -68,6 +68,30 @@ class TestAdd:
             cp.add(lib, record(kick_plan, scenario_at("LEFT_WING"), "f1"))
 
 
+class TestLibraryValue:
+    """A Library is a frozen value of its records: its index, once built,
+    changes none of that."""
+
+    def test_repr_equality_hash_and_frozen(self):
+        a, b = cp.Library(()), cp.Library(records=())
+        assert repr(a) == "Library(records=())"
+        assert a == b and a is not b and hash(a) == hash(b)
+        with pytest.raises(AttributeError):
+            a.records = ()
+        with pytest.raises(AttributeError):
+            a.extra = None
+
+    def test_equal_after_one_builds_its_index(self, domain, kick_plan):
+        records = (record(kick_plan, scenario_at("OUR_GOAL"), "back"),
+                   record(kick_plan, scenario_at("KICKING_POSITION"), "front"))
+        a, b = cp.Library(records), cp.Library(records)
+        before = hash(a)
+        assert cp.select_plan(a, world_at(domain, 3.1, 0.1), domain).frame_id == "front"
+        assert a._index and not b._index
+        assert a == b and hash(a) == hash(b) == before
+        assert repr(a) == repr(b)
+
+
 class TestSelectPlan:
     def test_empty_library(self, domain):
         with pytest.raises(EmptyLibrary):
@@ -277,8 +301,9 @@ def memo_worlds(rng, domain, n):
 
 
 class TestSelectMemo:
-    """select_plan keeps the index of the records it served last; every
-    answer equals a fresh brute-force argmin, whatever it served before."""
+    """Each library builds its scenario index on its first select under a
+    Domain object and keeps it; every answer equals a fresh brute-force
+    argmin, whatever was selected before."""
 
     @staticmethod
     def selects(library, worlds, domain):
@@ -299,7 +324,7 @@ class TestSelectMemo:
         first = self.selects(a, worlds, domain)
         assert self.selects(b, worlds, domain) != first
         assert self.selects(a, worlds, domain) == first
-        assert built == [60, 60, 60]
+        assert built == [60, 60]
 
     def test_library_grown_by_add(self, domain, kick_plan, monkeypatch):
         rng = random.Random(43)
@@ -321,19 +346,24 @@ class TestSelectMemo:
         built = count_index_builds(monkeypatch)
         assert self.selects(lib, worlds, domain) == self.selects(lib, worlds, second)
         assert built == [40, 40]
+        self.selects(lib, worlds, second)
+        assert built == [40, 40]
+        self.selects(lib, worlds, domain)
+        assert built == [40, 40, 40]
 
     def test_dropped_library_replaced_by_as_many_new_records(self, domain, kick_plan,
                                                              monkeypatch):
         rng = random.Random(47)
         worlds = memo_worlds(rng, domain, 20)
         built = count_index_builds(monkeypatch)
+        module_state = dict(vars(planlib))
         lib = varied_library(rng, kick_plan, domain, 60)
         first = self.selects(lib, worlds, domain)
         probe = weakref.ref(lib.records[0])
         del lib
         gc.collect()
-        # The memo kept nothing of the library alive, and let go of it.
-        assert probe() is None and planlib._last_index is None
+        # The index lived and died with its library; the module kept nothing.
+        assert probe() is None and vars(planlib) == module_state
         # The new records may take the dropped ones' addresses.
         lib = varied_library(rng, kick_plan, domain, 60)
         assert self.selects(lib, worlds, domain) != first
@@ -344,17 +374,16 @@ class TestSelectMemo:
         rng = random.Random(49)
         worlds = memo_worlds(rng, domain, 10)
         good = varied_library(rng, kick_plan, domain, 30)
-        self.selects(good, worlds[:1], domain)
-        memo = planlib._last_index
-        bad = cp.Library(good.records[:-1] + (record(kick_plan, scenario_at("NOWHERE"), "x"),))
         built = count_index_builds(monkeypatch)
+        self.selects(good, worlds[:1], domain)
+        bad = cp.Library(good.records[:-1] + (record(kick_plan, scenario_at("NOWHERE"), "x"),))
         for _ in range(2):
             with pytest.raises(UnknownWaypoint, match="NOWHERE"):
                 cp.select_plan(bad, worlds[0], domain)
-            assert planlib._last_index is memo
-        assert built == [30, 30]
+            assert bad._index == []
+        assert built == [30, 30, 30]
         self.selects(good, worlds, domain)
-        assert built == [30, 30]
+        assert built == [30, 30, 30]
 
 
 def oracle_cluster_scenarios(library, k, domain):

@@ -43,7 +43,6 @@ RECORDS = {
         lambda: cp.AggregateMetrics(0.5, 1.25, None),
         "AggregateMetrics(success_rate=0.5, avg_passes=1.25, avg_scoring_time=None)",
         True),
-    "Library": (lambda: cp.Library(()), "Library(records=())", True),
     "GroundedAction": (lambda: cp.GroundedAction(*ACTION), ACTION_REPR, True),
     "PlanStep": (
         lambda: cp.PlanStep("SINGLE", (ACTION,)),
