@@ -7,7 +7,6 @@ from .actions import (
     Embedding,
     MockEmbeddingProvider,
     Predicate,
-    RecordedEmbeddingProvider,
     VectorIndex,
     build_index,
     cosine_similarity,

@@ -1,7 +1,7 @@
 """STRIPS-like action schemas, embeddings and exact k-NN retrieval.
 
 Action definitions are parsed from a blank-line-separated text format,
-embedded through a pluggable provider, and retrieved by cosine similarity
+embedded by `MockEmbeddingProvider`, and retrieved by cosine similarity
 with a full scan (stores hold tens of actions; no ANN structure).
 """
 from __future__ import annotations
@@ -16,14 +16,12 @@ from importlib import resources
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .domain import parse_finite, read_text
 from .errors import (
     ConfigInvalid,
     DimMismatch,
     DuplicateActionId,
     EmptyIndex,
     ParseError,
-    ProviderError,
     UndeclaredVariable,
     ZeroVector,
 )
@@ -265,7 +263,7 @@ def serialize_actions(schemas) -> str:
 # --- embedding providers ---------------------------------------------------
 
 class MockEmbeddingProvider:
-    """Deterministic token-hash bag-of-words embedding for tests.
+    """The deterministic token-hash bag-of-words embedding of every run.
 
     Each token contributes a hash-derived continuous weight to one of `dim`
     buckets, so distinct texts essentially never collide exactly.  Each
@@ -273,10 +271,9 @@ class MockEmbeddingProvider:
     (frozen) Embedding it returned, one per text, for its own lifetime.
     """
 
-    def __init__(self, dim: int = 16):
-        if dim < 1:
-            raise ConfigInvalid(f"embedding dim must be >= 1, got {dim}")
-        self.dim = dim
+    dim = 16
+
+    def __init__(self):
         self._embedded = {}
 
     def embed(self, text: str):
@@ -295,46 +292,6 @@ class MockEmbeddingProvider:
         if all(v == 0.0 for v in vec):
             vec[0] = 1.0
         return Embedding(tuple(vec), self.dim)
-
-
-class RecordedEmbeddingProvider:
-    """Replays embeddings recorded on disk, keyed by sha256 of the text.
-
-    File format: `<key> <v1> <v2> ... <vdim>` per line.
-    """
-
-    def __init__(self, path):
-        self.embeddings = {}  # key -> Embedding, built once at load
-        self.dim = None
-        for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, *values = line.split()
-            if not values:
-                raise ParseError(f"key {key} has no values", line=lineno)
-            if key in self.embeddings:
-                raise ParseError(f"repeated key {key}", line=lineno)
-            vec = tuple(parse_finite(v, lineno) for v in values)
-            if self.dim is None:
-                self.dim = len(vec)
-            elif len(vec) != self.dim:
-                raise ParseError(f"vector has {len(vec)} values, the first has {self.dim}",
-                                 line=lineno)
-            self.embeddings[key] = Embedding(vec, self.dim)
-        if self.dim is None:
-            raise ProviderError(f"no embeddings recorded in {path}")
-
-    @staticmethod
-    def key_for(text: str) -> str:
-        return hashlib.sha256(text.encode()).hexdigest()
-
-    def embed(self, text: str):
-        key = self.key_for(text)
-        emb = self.embeddings.get(key)
-        if emb is None:
-            raise ProviderError(f"no recorded embedding for key {key}")
-        return emb
 
 
 def cosine_similarity(a: Embedding, b: Embedding) -> float:

@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import library as planlib
-from .actions import MockEmbeddingProvider, RecordedEmbeddingProvider, parse_action_file
+from .actions import MockEmbeddingProvider, parse_action_file
 from .coach import parse_scenario_block
 from .domain import (
     PlanningGoal,
@@ -112,26 +112,10 @@ def _config_hash(args, keys, **values):
 
 # --- subcommands -----------------------------------------------------------
 
-def cmd_ingest_actions(args):
-    schemas = parse_action_file(read_text(args.actions))
-    provider = MockEmbeddingProvider(dim=args.dim)
-    lines = []
-    for schema in schemas:
-        emb = provider.embed(schema.description)
-        key = RecordedEmbeddingProvider.key_for(schema.description)
-        lines.append(key + " " + " ".join(f"{v:.9g}" for v in emb.vector))
-    with open(args.out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"indexed {len(schemas)} actions -> {args.out}")
-    return EXIT_OK
-
-
 def cmd_generate(args):
     domain, schemas = _load_domain_actions(args)
     world = parse_world_file(read_text(args.world), domain)
     chat = _chat_provider(args)
-    embed = (RecordedEmbeddingProvider(args.embeddings) if args.embeddings
-             else MockEmbeddingProvider())
     goal = DEFAULT_GOAL if args.goal is None else PlanningGoal(args.goal)
     # An absent --goal hashes as "", as it always has.
     config_hash = _config_hash(
@@ -145,7 +129,7 @@ def cmd_generate(args):
             raise DuplicateFrameId(args.frame_id)
     try:
         manifest, plan, scenario = run_generate(
-            domain, list(schemas.values()), world, chat, embed,
+            domain, list(schemas.values()), world, chat, MockEmbeddingProvider(),
             k=args.k, goal=goal, tactics=Tactics(args.tactics or ""),
             config_hash=config_hash,
         )
@@ -270,12 +254,6 @@ def build_parser():
     match.add_argument("--opponents", default="STATIC",
                        choices=["STATIC", "NEAREST_INTERCEPT"])
 
-    p = sub.add_parser("ingest-actions", help="embed an action file to a recorded-embedding file")
-    p.add_argument("--actions", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--dim", type=int, default=16)
-    p.set_defaults(func=cmd_ingest_actions)
-
     p = sub.add_parser("generate", parents=[domain_actions],
                        help="run the four-stage generation pipeline")
     p.add_argument("--world", required=True)
@@ -284,7 +262,6 @@ def build_parser():
                         "a new file to record the exchange into")
     p.add_argument("--provider",
                    help="live chat model name; needs --transcript to record into")
-    p.add_argument("--embeddings", help="recorded-embedding file (default: mock provider)")
     p.add_argument("--library", help="library file (JSON Lines) to append the plan to")
     p.add_argument("--manifest", help="write the run manifest JSON here")
     p.add_argument("--k", type=int, default=8)

@@ -60,6 +60,10 @@ class ProviderError(CoachPlanError):
     pass
 
 
+class UnencodableText(CoachPlanError):
+    """Prompt text with a lone surrogate, which UTF-8 cannot encode."""
+
+
 # --- coach response parsing ----------------------------------------------
 
 class MissingScenarioBlock(CoachPlanError):

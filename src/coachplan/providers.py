@@ -14,18 +14,22 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import jsonl
-from .errors import ProviderError
+from .errors import ProviderError, UnencodableText
 
 
 @dataclass(frozen=True)
 class ChatRequest:
     system_text: str
     user_text: str
-    image_ref: str | None = None
 
     def __post_init__(self):
         if not self.user_text:
             raise ValueError("user_text must be non-empty")
+        for text in (self.system_text, self.user_text):
+            try:
+                text.encode()
+            except UnicodeEncodeError as exc:
+                raise UnencodableText(f"prompt text is not UTF-8: {exc}") from None
 
     def canonical(self) -> str:
         return "\n".join(
@@ -34,8 +38,9 @@ class ChatRequest:
                 self.system_text,
                 "USER",
                 self.user_text,
+                # No image is sent; the empty field keeps recorded fingerprints valid.
                 "IMAGE",
-                self.image_ref or "",
+                "",
             ]
         )
 

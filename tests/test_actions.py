@@ -12,7 +12,6 @@ from coachplan.actions import (
     PASS,
     RECEIVE,
     MockEmbeddingProvider,
-    RecordedEmbeddingProvider,
     classify,
     packaged_schemas,
     parse_predicate,
@@ -23,7 +22,6 @@ from coachplan.errors import (
     DuplicateActionId,
     EmptyIndex,
     ParseError,
-    ProviderError,
     UndeclaredVariable,
     ZeroVector,
 )
@@ -205,12 +203,12 @@ class TestCachedCosine:
         with pytest.raises(DimMismatch):
             cp.cosine_similarity(cp.Embedding((0.0,), 1), cp.Embedding((0.0, 0.0), 2))
 
-    @given(st.integers(1, 24), st.lists(st.text(max_size=30), max_size=12))
-    def test_memoizing_provider_matches_fresh(self, dim, texts):
-        shared = MockEmbeddingProvider(dim)
+    @given(st.lists(st.text(max_size=30), max_size=12))
+    def test_memoizing_provider_matches_fresh(self, texts):
+        shared = MockEmbeddingProvider()
         for text in texts + texts:
             emb = shared.embed(text)
-            assert emb == MockEmbeddingProvider(dim).embed(text)
+            assert emb == MockEmbeddingProvider().embed(text)
             assert shared.embed(text) is emb
 
 
@@ -264,34 +262,6 @@ class TestProviders:
     def test_mock_never_zero(self):
         p = MockEmbeddingProvider()
         assert any(v != 0.0 for v in p.embed("").vector)
-
-    def test_recorded_round_trip(self, tmp_path):
-        p = MockEmbeddingProvider(dim=4)
-        texts = ["alpha beta", "gamma"]
-        lines = []
-        for text in texts:
-            emb = p.embed(text)
-            key = RecordedEmbeddingProvider.key_for(text)
-            lines.append(key + " " + " ".join(f"{v:.9g}" for v in emb.vector))
-        path = tmp_path / "emb.txt"
-        path.write_text("\n".join(lines) + "\n")
-        rec = RecordedEmbeddingProvider(path)
-        for text in texts:
-            assert rec.embed(text).vector == pytest.approx(p.embed(text).vector)
-            assert rec.embed(text) is rec.embed(text)
-
-    def test_recorded_missing_key(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("deadbeef 1.0 2.0\n")
-        rec = RecordedEmbeddingProvider(path)
-        with pytest.raises(ProviderError):
-            rec.embed("never recorded")
-
-    def test_recorded_empty_file(self, tmp_path):
-        path = tmp_path / "emb.txt"
-        path.write_text("# nothing here\n")
-        with pytest.raises(ProviderError):
-            RecordedEmbeddingProvider(path)
 
 
 # --- action kinds, read from the schemas' add effects ----------------------

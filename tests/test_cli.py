@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import urllib.request
@@ -376,6 +377,28 @@ class TestGenerate:
             ]) == 2
             assert capsys.readouterr().err == "error: planning goal must be non-empty\n"
 
+    # "\udcff" is what Python makes of the byte 0xff in a command-line
+    # argument, or of the JSON escape \udcff in a transcript.
+    @pytest.mark.parametrize("flags, advice, stage", [
+        (["--goal", "\udcff"], "", "coach"),
+        (["--tactics", "\udcff"], "", "coach"),
+        ([], " \\udcff", "plan-grounding"),
+    ], ids=["goal", "tactics", "coach-response"])
+    def test_text_that_is_not_utf8_exit_two(self, tmp_path, base, golden_dir, capsys,
+                                            flags, advice, stage):
+        with open(os.path.join(golden_dir, "transcript.txt")) as fh:
+            text = fh.read()
+        transcript = write(tmp_path / "t.txt",
+                           text.replace("to the opponent goal.", "to the opponent goal." + advice))
+        assert main([
+            "generate", *base,
+            "--world", os.path.join(golden_dir, "frame_0.world"),
+            "--transcript", transcript, *flags,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"FAILED at stage {stage}: prompt text is not UTF-8: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestLiveRecording:
     """`generate --provider M --transcript OUT` against a fake `urlopen` that
@@ -646,12 +669,8 @@ UNDECODABLE = {
     "--scenario": lambda bad, ok: ["library", "add", *ok["base"], "--library", ok["library"],
                                    "--plan", ok["plan"], "--scenario", bad,
                                    "--frame-id", "f"],
-    "--embeddings": lambda bad, ok: ["generate", *ok["base"], "--world", ok["world"],
-                                     "--transcript", ok["transcript"], "--embeddings", bad],
     "--scenarios": lambda bad, ok: ["evaluate", *ok["base"], "--library", ok["library"],
                                     "--scenarios", os.path.dirname(bad)],
-    "ingest-actions --actions": lambda bad, ok: ["ingest-actions", "--actions", bad,
-                                                 "--out", ok["library"]],
 }
 
 
@@ -663,20 +682,18 @@ def test_undecodable_file_exit_two(tmp_path, base, data_dir, golden_dir, capsys,
     ok = {"base": base, "plan": write(tmp_path / "p.plan", "kick_to_goal STRIKER {}\n"),
           "domain": base[1], "actions": base[3],
           "world": os.path.join(golden_dir, "frame_0.world"),
-          "transcript": os.path.join(golden_dir, "transcript.txt"),
           "library": str(tmp_path / "out.jsonl")}
     assert main(UNDECODABLE[flag](str(bad), ok)) == 2
     assert capsys.readouterr().err == f"error: {bad} is not UTF-8 text: invalid start byte\n"
     assert not os.path.exists(ok["library"])
 
 
-# Every option string each subcommand accepts, as the parser declared them
-# before the shared flags were factored into parent parsers.
+# Every option string each subcommand accepts, and the required ones: a
+# flag or subcommand added or removed shows here.
 OPTIONS = {
-    "ingest-actions": {"--actions", "--dim", "--out"},
-    "generate": {"--actions", "--created-at", "--domain", "--embeddings", "--frame-id",
-                 "--goal", "--k", "--library", "--manifest", "--provider", "--seed",
-                 "--tactics", "--transcript", "--world"},
+    "generate": {"--actions", "--created-at", "--domain", "--frame-id", "--goal", "--k",
+                 "--library", "--manifest", "--provider", "--seed", "--tactics",
+                 "--transcript", "--world"},
     "validate": {"--actions", "--domain", "--format", "--initial", "--plan"},
     "simulate": {"--actions", "--domain", "--opponents", "--plan", "--seed", "--sim-config",
                  "--trace", "--trace-out", "--world"},
@@ -688,7 +705,6 @@ OPTIONS = {
     "library select": {"--actions", "--domain", "--library", "--world"},
 }
 REQUIRED = {
-    "ingest-actions": {"--actions", "--out"},
     "generate": {"--actions", "--domain", "--world"},
     "validate": {"--actions", "--domain", "--plan"},
     "simulate": {"--actions", "--domain", "--plan", "--world"},
@@ -720,60 +736,21 @@ def test_each_subcommand_accepts_the_same_options():
     assert required == REQUIRED
 
 
-def test_ingest_actions_round_trip(tmp_path, base, data_dir, schemas):
-    out = tmp_path / "emb.txt"
-    assert main(["ingest-actions",
-                 "--actions", os.path.join(data_dir, "actions.txt"),
-                 "--out", str(out)]) == 0
-    from coachplan.actions import MockEmbeddingProvider, RecordedEmbeddingProvider
-
-    rec = RecordedEmbeddingProvider(out)
-    mock = MockEmbeddingProvider()
-    for schema in schemas.values():
-        assert rec.embed(schema.description).vector == pytest.approx(
-            mock.embed(schema.description).vector
-        )
-
-
-@pytest.mark.parametrize("dim", ["0", "-3"])
-def test_ingest_actions_bad_dim_exit_two(tmp_path, data_dir, capsys, dim):
-    out = tmp_path / "emb.txt"
-    assert main(["ingest-actions", "--actions", os.path.join(data_dir, "actions.txt"),
-                 "--out", str(out), "--dim", dim]) == 2
-    assert capsys.readouterr().err == f"error: embedding dim must be >= 1, got {dim}\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("value, message", [
-    # `value` is a template for line 2: {key} and {values} are its own, {rest} is
-    # its values after the first, {first} is line 1's key.
-    pytest.param("{key} x1 {rest}", "bad number 'x1'", id="x1-bad number 'x1'"),
-    pytest.param("{key} nan {rest}", "number must be finite, got 'nan'",
-                 id="nan-number must be finite, got 'nan'"),
-    pytest.param("{key}", "key {key} has no values", id="no-values"),
-    pytest.param("{key} {rest}", "vector has 15 values, the first has 16", id="short-vector"),
-    pytest.param("{key} {values} 0.5", "vector has 17 values, the first has 16",
-                 id="long-vector"),
-    pytest.param("{first} {values}", "repeated key {first}", id="repeated-key"),
-])
-def test_bad_recorded_embedding_exit_two(tmp_path, base, data_dir, golden_dir, capsys,
-                                         value, message):
-    out = tmp_path / "emb.txt"
-    assert main(["ingest-actions", "--actions", os.path.join(data_dir, "actions.txt"),
-                 "--out", str(out)]) == 0
-    lines = out.read_text().splitlines()
-    key, *values = lines[1].split()
-    parts = dict(key=key, values=" ".join(values), rest=" ".join(values[1:]),
-                 first=lines[0].split()[0])
-    lines[1] = value.format(**parts)
-    message = message.format(**parts)
-    out.write_text("\n".join(lines) + "\n")
-    capsys.readouterr()
-    code = main(["generate", *base, "--world", os.path.join(golden_dir, "frame_0.world"),
-                 "--transcript", os.path.join(golden_dir, "transcript.txt"),
-                 "--embeddings", str(out)])
-    assert code == 2
-    assert capsys.readouterr().err == f"error: line 2: {message}\n"
+def test_readme_names_only_real_commands_and_flags():
+    # The README outside its install section names every subcommand, and
+    # every --flag it names is one that some subcommand accepts.
+    readme_path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme_path) as fh:
+        readme = re.sub(r"\n## Install\n.*?(?=\n## )", "\n", fh.read(), flags=re.S)
+    parsers = dict(subcommand_parsers(build_parser()))
+    accepted = {s for p in parsers.values() for a in p._actions for s in a.option_strings}
+    assert set(re.findall(r"--[a-z][a-z-]*", readme)) - accepted == set()
+    # A subcommand counts as named as `simulate`, `coachplan evaluate` or
+    # `library ls|add|select`.
+    unnamed = [name for name in parsers if not re.search(
+        r"(?:`|coachplan )" + r" (?:[a-z-]+\|)*".join(map(re.escape, name.split())) + r"\b",
+        readme)]
+    assert unnamed == []
 
 
 def test_cli_import_loads_no_third_party_modules():

@@ -37,7 +37,6 @@ class TestChatRequest:
         base = ChatRequest("sys", "user")
         assert base.fingerprint() != ChatRequest("sys2", "user").fingerprint()
         assert base.fingerprint() != ChatRequest("sys", "user2").fingerprint()
-        assert base.fingerprint() != ChatRequest("sys", "user", "img.png").fingerprint()
 
     def test_empty_user_text_rejected(self):
         with pytest.raises(ValueError):
