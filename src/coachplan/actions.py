@@ -48,19 +48,10 @@ MOVE = "MOVE"        # at(AGENT,T)
 INSTANT = "INSTANT"  # no position or ball fact
 
 
-@dataclass(frozen=True)
-class Predicate:
+class Predicate(NamedTuple):
     name: str
     args: tuple
     negated: bool = False
-
-    def __post_init__(self):
-        if self.name not in PREDICATES:
-            raise ValueError(f"unknown predicate {self.name!r}")
-        if len(self.args) != PREDICATES[self.name]:
-            raise ValueError(
-                f"{self.name} expects {PREDICATES[self.name]} args, got {len(self.args)}"
-            )
 
     def __str__(self):
         prefix = "!" if self.negated else ""
@@ -82,12 +73,6 @@ class ActionSchema(NamedTuple):
 class Embedding:
     vector: tuple
     dim: int
-
-    def __post_init__(self):
-        if len(self.vector) != self.dim:
-            raise ValueError("vector length does not match dim")
-        if any(not math.isfinite(v) for v in self.vector):
-            raise ValueError("embedding contains NaN/Inf")
 
     @functools.cached_property
     def scaled(self) -> tuple:
@@ -115,12 +100,19 @@ class VectorIndex(NamedTuple):
 _PRED_RE = re.compile(r"(!?)(\w+)\(([^)]*)\)")
 
 
-def parse_predicate(text: str) -> Predicate:
+def parse_predicate(text: str, lineno: int) -> Predicate:
+    """One predicate of the closed vocabulary, `!` for a negated one;
+    ParseError, at line `lineno`, for any other text."""
     m = _PRED_RE.fullmatch(text.strip())
     if not m:
-        raise ValueError(f"bad predicate syntax: {text!r}")
+        raise ParseError(f"bad predicate syntax: {text!r}", line=lineno)
     neg, name, argstr = m.groups()
+    if name not in PREDICATES:
+        raise ParseError(f"unknown predicate {name!r}", line=lineno)
     args = tuple(a.strip() for a in argstr.split(",")) if argstr.strip() else ()
+    if len(args) != PREDICATES[name]:
+        raise ParseError(f"{name} expects {PREDICATES[name]} args, got {len(args)}",
+                         line=lineno)
     return Predicate(name, args, negated=bool(neg))
 
 
@@ -129,10 +121,7 @@ def _parse_predicates(value, lineno, declared):
     if not value.strip():
         return ()
     for chunk in re.findall(r"!?\w+\([^)]*\)", value):
-        try:
-            pred = parse_predicate(chunk)
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
+        pred = parse_predicate(chunk, lineno)
         for term in pred.args:
             # `?X` marks an explicit variable, which must be declared.
             if term.startswith("?") and term[1:] not in declared:
@@ -308,10 +297,7 @@ def cosine_similarity(a: Embedding, b: Embedding) -> float:
 def build_index(schemas, provider) -> VectorIndex:
     entries = []
     for schema in schemas:
-        emb = provider.embed(schema.description)
-        if entries and emb.dim != entries[0][1].dim:
-            raise DimMismatch("provider changed dimension mid-build")
-        entries.append((schema.action_id, emb))
+        entries.append((schema.action_id, provider.embed(schema.description)))
     return VectorIndex(tuple(entries), {s.action_id: s for s in schemas})
 
 

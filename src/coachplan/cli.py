@@ -89,8 +89,8 @@ def _sim_config(args) -> SimConfig:
         payload = json.loads(read_text(args.sim_config))
     except RecursionError:  # json.loads recurses once per nesting level
         raise ConfigInvalid(f"sim config {args.sim_config} is nested too deeply") from None
-    except json.JSONDecodeError:  # reported by main as it is
-        raise
+    except json.JSONDecodeError as exc:
+        raise ConfigInvalid(f"sim config {args.sim_config} is not JSON: {exc}") from None
     except ValueError:  # an integer longer than int() may convert
         raise ConfigInvalid(f"sim config {args.sim_config} has a number "
                             "with too many digits") from None
@@ -329,7 +329,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
     except ValidationFailed as exc:
-        print(f"FAILED at stage {exc.stage}:\n{exc}", file=sys.stderr)
+        print(f"FAILED at stage {exc.stage}:\n{exc}", end="", file=sys.stderr)
         return EXIT_VIOLATIONS
     except StageError as exc:
         print(f"FAILED at stage {exc.stage}: {exc}", file=sys.stderr)
@@ -339,7 +339,7 @@ def main(argv=None) -> int:
     except ProviderError as exc:
         print(f"provider error: {exc}", file=sys.stderr)
         return EXIT_PROVIDER
-    except (CoachPlanError, OSError, json.JSONDecodeError) as exc:
+    except (CoachPlanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -36,36 +36,21 @@ OPPONENT = "OPPONENT"
 BALL = "BALL"
 
 
-@dataclass(frozen=True)
-class Pose:
+class Pose(NamedTuple):
     x: float
     y: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError("pose coordinates must be finite")
 
-
-@dataclass(frozen=True)
-class Waypoint:
+class Waypoint(NamedTuple):
     token: str
     description: str
     position: tuple[float, float]
 
-    def __post_init__(self):
-        if not TOKEN_RE.match(self.token):
-            raise ValueError(f"bad waypoint token: {self.token!r}")
 
-
-@dataclass(frozen=True)
-class Role:
+class Role(NamedTuple):
     name: str
     description: str
     allowed_actions: frozenset[str]
-
-    def __post_init__(self):
-        if not self.allowed_actions:
-            raise ValueError(f"role {self.name} has no allowed actions")
 
 
 class Agent(NamedTuple):

@@ -73,7 +73,7 @@ def select_plan(library: Library, world: WorldState, domain: Domain) -> PlanReco
     the world's scenario, but only after the world's own errors."""
     records = library.records
     if not records:
-        raise EmptyLibrary("cannot select from an empty library")
+        raise EmptyLibrary("library is empty")
     rows = domain.distance_rows(scenario_from_world(world, domain))
     _, at = library.scenario_index(domain).nearest(rows)
     return min((records[i] for i in at), key=lambda r: (r.created_at, r.frame_id))
@@ -106,8 +106,6 @@ def evaluate(library: Library, worlds, domain: Domain, config: SimConfig,
     state apart from the FSMs, so one compiled plan runs many matches.  The
     library's ScenarioIndex is built by its first select_plan under
     `domain`, in this call or an earlier one, and serves every world."""
-    if not library.records:
-        raise EmptyLibrary("library is empty")
     compiled = {}  # id(record) -> its FSMs; the library holds every record
     results = []
     for world in worlds:

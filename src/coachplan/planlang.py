@@ -123,8 +123,6 @@ class _Parser:
                 steps.append(self.parse_join())
             else:
                 steps.append(PlanStep(SINGLE, (self.parse_action(),)))
-        if not steps:
-            raise EmptyPlan("plan text contains no steps")
         return Plan(tuple(steps))
 
     def parse_join(self):

@@ -23,8 +23,6 @@ class ChatRequest:
     user_text: str
 
     def __post_init__(self):
-        if not self.user_text:
-            raise ValueError("user_text must be non-empty")
         for text in (self.system_text, self.user_text):
             try:
                 text.encode()

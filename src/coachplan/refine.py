@@ -187,10 +187,7 @@ def parse_facts_file(text: str) -> frozenset:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            pred = parse_predicate(line)
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
+        pred = parse_predicate(line, lineno)
         if pred.negated:
             raise ParseError("initial facts must be positive", line=lineno)
         facts.add(pred)

@@ -85,9 +85,17 @@ class TestParseActionFile:
         kick = schemas["kick_to_goal"]
         assert any(p.name == "ball_held_by" for p in kick.preconditions)
 
+    def test_field_continued_on_the_next_line(self):
+        # A line that starts no field continues the one above it.
+        one_line = cp.parse_action_file(SAMPLE)
+        wrapped = SAMPLE.replace("PRECONDITIONS: ball_held_by(SENDER),",
+                                 "PRECONDITIONS: ball_held_by(SENDER),\n  ", 1)
+        assert wrapped.count("\n") == SAMPLE.count("\n") + 1
+        assert cp.parse_action_file(wrapped) == one_line
+
 
 def test_parse_predicate_negation():
-    pred = parse_predicate("!has_passed(STRIKER)")
+    pred = parse_predicate("!has_passed(STRIKER)", 1)
     assert pred.negated and pred.args == ("STRIKER",)
     assert str(pred) == "!has_passed(STRIKER)"
 

@@ -1,4 +1,6 @@
 import argparse
+import ast
+import glob
 import io
 import json
 import os
@@ -10,6 +12,7 @@ import urllib.request
 import pytest
 
 import coachplan as cp
+from coachplan import errors
 from coachplan.cli import build_parser, main
 from coachplan.providers import ChatRequest, Transcript
 
@@ -264,6 +267,13 @@ class TestMalformedInput:
         assert self.simulate(tmp_path, base, plan, world_text, "--sim-config", cfg) == 2
         assert capsys.readouterr().err == f"error: sim config {cfg} is nested too deeply\n"
 
+    def test_sim_config_that_is_not_json(self, tmp_path, base, plan, capsys):
+        cfg = write(tmp_path / "sim.json", "[1,")
+        world_text = "AGENT STRIKER OWN STRIKER 3.2 0.0 0.0\nBALL 3.3 0.0\n"
+        assert self.simulate(tmp_path, base, plan, world_text, "--sim-config", cfg) == 2
+        assert capsys.readouterr().err == (
+            f"error: sim config {cfg} is not JSON: Expecting value: line 1 column 4 (char 3)\n")
+
     def test_overlong_integer_sim_config(self, tmp_path, base, plan, capsys):
         # Longer than int() converts by default (4300 digits).
         cfg = write(tmp_path / "sim.json", '{"tick": ' + "1" * 5000 + "}")
@@ -334,6 +344,24 @@ class TestGenerate:
             "--transcript", empty,
         ])
         assert code == 3
+
+    def test_plan_with_violations_exit_one(self, tmp_path, base, golden_dir, capsys):
+        # A synchronizer reply that kicks without the ball: the report goes
+        # to stderr once, and nothing is printed or stored.
+        transcript = Transcript.load(os.path.join(golden_dir, "transcript.txt"))
+        _, _, sync_fp = transcript.records
+        transcript.records[sync_fp] = "kick_to_goal JOLLY {}\n"
+        transcript.save(tmp_path / "t.txt")
+        lib = tmp_path / "lib.jsonl"
+        assert main([
+            "generate", *base,
+            "--world", os.path.join(golden_dir, "frame_0.world"),
+            "--transcript", str(tmp_path / "t.txt"), "--library", str(lib),
+        ]) == 1
+        assert capsys.readouterr() == (
+            "", "FAILED at stage validation:\n"
+                "STEP 1: [PRECONDITION] kick_to_goal JOLLY: requires ball_held_by(JOLLY)\n")
+        assert not lib.exists()
 
     def test_needs_transcript_or_provider(self, base, golden_dir):
         code = main([
@@ -674,17 +702,88 @@ UNDECODABLE = {
 }
 
 
+@pytest.fixture()
+def ok(tmp_path, base, golden_dir):
+    """The valid inputs of UNDECODABLE's argvs; `library` does not exist."""
+    return {"base": base, "plan": write(tmp_path / "p.plan", "kick_to_goal STRIKER {}\n"),
+            "domain": base[1], "actions": base[3],
+            "world": os.path.join(golden_dir, "frame_0.world"),
+            "library": str(tmp_path / "out.jsonl")}
+
+
 @pytest.mark.parametrize("flag", UNDECODABLE)
-def test_undecodable_file_exit_two(tmp_path, base, data_dir, golden_dir, capsys, flag):
+def test_undecodable_file_exit_two(tmp_path, ok, capsys, flag):
     (tmp_path / "in").mkdir()
     bad = tmp_path / "in" / "a.world"
     bad.write_bytes(b"\xffAGENT STRIKER OWN STRIKER 3.2 0.0 0.0\n")
-    ok = {"base": base, "plan": write(tmp_path / "p.plan", "kick_to_goal STRIKER {}\n"),
-          "domain": base[1], "actions": base[3],
-          "world": os.path.join(golden_dir, "frame_0.world"),
-          "library": str(tmp_path / "out.jsonl")}
     assert main(UNDECODABLE[flag](str(bad), ok)) == 2
     assert capsys.readouterr().err == f"error: {bad} is not UTF-8 text: invalid start byte\n"
+    assert not os.path.exists(ok["library"])
+
+
+# (flag, file text, message): one parse error of each kind in the file read
+# through `flag` (with UNDECODABLE's argv), and main's whole stderr for it.
+MALFORMED = [
+    pytest.param("--domain", 'WAYPOINT A 0 0 "a"\nWAYPOINT A 1 0 "b"\n',
+                 "line 2: duplicate waypoint A", id="domain-duplicate-waypoint"),
+    pytest.param("--domain", 'ROLE striker "s" ACTIONS=move_to\n',
+                 """line 1: bad ROLE record: 'ROLE striker "s" ACTIONS=move_to'""",
+                 id="domain-bad-role"),
+    pytest.param("--domain", 'ROLE S "s" ACTIONS=move_to\nROLE S "t" ACTIONS=move_to\n',
+                 "line 2: duplicate role S", id="domain-duplicate-role"),
+    pytest.param("--domain", "GOAL A 0 0\n", "line 1: unknown record: 'GOAL A 0 0'",
+                 id="domain-unknown-record"),
+    pytest.param("--world", "AGENT a OWN STRIKER 0 0\n",
+                 "line 1: bad AGENT record: 'AGENT a OWN STRIKER 0 0'", id="world-bad-agent"),
+    pytest.param("--world", "AGENT a REFEREE - 0 0 0\n", "line 1: bad team 'REFEREE'",
+                 id="world-bad-team"),
+    pytest.param("--world", "AGENT a OWN KEEPER 0 0 0\n", "line 1: unknown role KEEPER",
+                 id="world-unknown-role"),
+    pytest.param("--world", "AGENT a OWN - 0 0 0\nAGENT a OPPONENT - 1 0 0\n",
+                 "line 2: duplicate agent a", id="world-duplicate-agent"),
+    pytest.param("--world", "BALL 0\n", "line 1: bad BALL record: 'BALL 0'",
+                 id="world-bad-ball"),
+    pytest.param("--world", "GOAL 4.5 0\n", "line 1: unknown record: 'GOAL 4.5 0'",
+                 id="world-unknown-record"),
+    pytest.param("--actions", "ACTION_ID: shoot\nARGS: T : ROLE\nARGS:\n",
+                 "line 3: duplicate field ARGS", id="actions-duplicate-field"),
+    pytest.param("--actions", "shoot\nACTION_ID: shoot\n",
+                 "line 1: text outside a field: 'shoot'", id="actions-text-outside-field"),
+    pytest.param("--actions", "DESCRIPTION: shoot\n", "line 1: action block missing ACTION_ID",
+                 id="actions-missing-id"),
+    pytest.param("--actions", "ACTION_ID: shoot\nARGS: TARGET\n",
+                 "line 2: bad ARGS entry 'TARGET'", id="actions-bad-arg"),
+    pytest.param("--actions", "ACTION_ID: shoot\nARGS: TARGET : PLACE\n",
+                 "line 2: bad value domain 'PLACE'", id="actions-bad-value-domain"),
+    pytest.param("--actions", "ACTION_ID: shoot\nARGS: T : ROLE, T : WAYPOINT\n",
+                 "line 2: duplicate arg T", id="actions-duplicate-arg"),
+    pytest.param("--plan", "JOIN { kick_to_goal STRIKER {} kick_to_goal JOLLY {} }\n",
+                 "line 1, col 32: expected ',' or '}' in JOIN", id="plan-join-separator"),
+    pytest.param("--plan", "{ kick_to_goal STRIKER {} }\n",
+                 "line 1, col 1: expected an action id", id="plan-action-id"),
+    pytest.param("--plan", "kick_to_goal {}\n", "line 1, col 14: expected an agent id",
+                 id="plan-agent-id"),
+    pytest.param("--plan", "move_to STRIKER {: CENTER_FIELD}\n",
+                 "line 1, col 18: expected an argument key", id="plan-argument-key"),
+    pytest.param("--plan", "move_to STRIKER {TARGET: ,}\n",
+                 "line 1, col 26: expected an argument value", id="plan-argument-value"),
+    pytest.param("--plan", "move_to STRIKER {TARGET: CENTER_FIELD LEFT_WING}\n",
+                 "line 1, col 39: expected ',' or '}'", id="plan-argument-separator"),
+    pytest.param("--plan", "move_to STRIKER {TARGET: foo}\n",
+                 "move_to: TARGET='foo' is not a waypoint token", id="plan-waypoint-token"),
+    pytest.param("--scenario", "SCENARIO:\nSTRIKER stands at CENTER_FIELD\n",
+                 "unparseable scenario line: 'STRIKER stands at CENTER_FIELD'",
+                 id="scenario-unparseable-line"),
+    pytest.param("--scenario", "SCENARIO:\n\nSTRIKER is at CENTER_FIELD\n",
+                 "SCENARIO block is empty", id="scenario-empty-block"),
+]
+
+
+@pytest.mark.parametrize("flag, text, message", MALFORMED)
+def test_malformed_file_exit_two(tmp_path, ok, capsys, flag, text, message):
+    bad = write(tmp_path / "bad.txt", text)
+    assert main(UNDECODABLE[flag](bad, ok)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not os.path.exists(ok["library"])
 
 
@@ -751,6 +850,32 @@ def test_readme_names_only_real_commands_and_flags():
         r"(?:`|coachplan )" + r" (?:[a-z-]+\|)*".join(map(re.escape, name.split())) + r"\b",
         readme)]
     assert unnamed == []
+
+
+def test_package_raises_only_coachplan_errors():
+    # main reports every CoachPlanError in one line with its exit code; any
+    # other exception would end in a traceback.  A bare `raise` re-raises
+    # the error at hand, and `entry` exits with main's code.
+    allowed = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, errors.CoachPlanError)}
+    package = os.path.dirname(os.path.abspath(cp.__file__))
+    others = []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        enclosing = {}  # raise node -> name of its innermost function
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                enclosing.update((node, fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = ast.unparse(exc)
+            if name in allowed or (name, enclosing.get(node)) == ("SystemExit", "entry"):
+                continue
+            others.append(f"{os.path.basename(path)}:{node.lineno}: {name}")
+    assert others == []
 
 
 def test_cli_import_loads_no_third_party_modules():

@@ -24,11 +24,6 @@ def make_world(domain, entries, ball):
     return cp.WorldState(agents, ball)
 
 
-def test_pose_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        cp.Pose(float("nan"), 0.0)
-
-
 class TestNearestWaypoint:
     def test_exact_position(self, domain):
         pos = domain.waypoints["OUR_GOAL"].position

@@ -38,10 +38,6 @@ class TestChatRequest:
         assert base.fingerprint() != ChatRequest("sys2", "user").fingerprint()
         assert base.fingerprint() != ChatRequest("sys", "user2").fingerprint()
 
-    def test_empty_user_text_rejected(self):
-        with pytest.raises(ValueError):
-            ChatRequest("sys", "")
-
 
 class TestTranscript:
     def test_round_trip(self, tmp_path):

@@ -12,6 +12,19 @@ ACTION_REPR = ("GroundedAction(action_id='pass_the_ball', agent_id='STRIKER', "
 # (make, repr, hashable): `make` builds a fresh record, so the equality and
 # hash checks compare two distinct objects holding equal values.
 RECORDS = {
+    "Pose": (lambda: cp.Pose(1.0, -2.5), "Pose(x=1.0, y=-2.5)", True),
+    "Waypoint": (
+        lambda: cp.Waypoint("CENTER_FIELD", "the center spot", (0.0, 0.0)),
+        "Waypoint(token='CENTER_FIELD', description='the center spot', position=(0.0, 0.0))",
+        True),
+    "Role": (
+        lambda: cp.Role("STRIKER", "scores", frozenset({"kick_to_goal"})),
+        "Role(name='STRIKER', description='scores', allowed_actions=frozenset({'kick_to_goal'}))",
+        True),
+    "Predicate": (
+        lambda: cp.Predicate("has_passed", ("STRIKER",), True),
+        "Predicate(name='has_passed', args=('STRIKER',), negated=True)",
+        True),
     "ActionSchema": (
         lambda: cp.ActionSchema(
             "kick_to_goal", "Kick the ball.", (("AGENT", "ROLE"),),
@@ -94,3 +107,4 @@ def test_value_record_defaults():
     assert cp.Agent("STRIKER", "OWN").role is None
     assert cp.Tactics().text == ""
     assert cp.ChatResponse("OK", "replay").latency == 0.0
+    assert cp.Predicate("at", ("STRIKER", "CENTER_FIELD")).negated is False
