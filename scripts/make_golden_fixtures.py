@@ -17,10 +17,7 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 sys.path.insert(0, SRC)
 
 import coachplan as cp
-from coachplan.actions import MockEmbeddingProvider, build_index, retrieve_actions
-from coachplan.pipeline import DEFAULT_GOAL, retrieval_query
-from coachplan.providers import Transcript
-from coachplan.refine import build_grounding_prompt, build_sync_prompt, load_sync_examples
+from coachplan.pipeline import run_generate
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "src", "coachplan", "data", "golden")
 
@@ -108,6 +105,18 @@ BALL -1.9 0.0
 }
 
 
+class ScriptedChat:
+    """A chat provider that returns the given replies in order."""
+
+    provider_id = "scripted"
+
+    def __init__(self, replies):
+        self.replies = iter(replies)
+
+    def complete(self, request):
+        return cp.ChatResponse(next(self.replies), self.provider_id)
+
+
 def main():
     os.makedirs(GOLDEN, exist_ok=True)
     scen_dir = os.path.join(GOLDEN, "scenarios")
@@ -126,27 +135,13 @@ def main():
         with open(os.path.join(scen_dir, name), "w") as fh:
             fh.write(text)
 
-    # Rebuild the three prompts exactly as the generate pipeline does, so the
-    # transcript fingerprints match.
-    embed = MockEmbeddingProvider()
-    index = build_index(schemas, embed)
-    retrieved = retrieve_actions(retrieval_query(DEFAULT_GOAL, domain), index, embed, k=8)
-
-    transcript = Transcript()
-    coach_req = cp.build_coach_prompt(domain, retrieved, DEFAULT_GOAL, cp.Tactics())
-    transcript.add(coach_req.fingerprint(), COACH_RESPONSE)
-
-    scenario = cp.parse_scenario_block(COACH_RESPONSE, domain)
-    advice = cp.parse_advice_block(COACH_RESPONSE)
-    ground_req = build_grounding_prompt(domain, retrieved, scenario, advice)
-    transcript.add(ground_req.fingerprint(), GROUNDING_RESPONSE)
-
-    grounded = cp.parse_plan(GROUNDING_RESPONSE, {s.action_id: s for s in retrieved},
-                             domain.roles)
-    positive, negatives = load_sync_examples()
-    sync_req = build_sync_prompt(cp.serialize_plan(grounded), positive, negatives)
-    transcript.add(sync_req.fingerprint(), SYNC_RESPONSE)
-    transcript.save(os.path.join(GOLDEN, "transcript.txt"))
+    # Run the generate pipeline on the frame with the three scripted
+    # replies, recording the prompts it sends into the transcript.
+    chat = cp.RecordingChatProvider(ScriptedChat([COACH_RESPONSE, GROUNDING_RESPONSE,
+                                                  SYNC_RESPONSE]))
+    run_generate(domain, schemas, cp.parse_world_file(FRAME_WORLD, domain), chat,
+                 cp.MockEmbeddingProvider())
+    chat.transcript.save(os.path.join(GOLDEN, "transcript.txt"))
 
     # Drive the CLI end to end to produce the golden report.
     data_dir = os.path.join(os.path.dirname(GOLDEN))

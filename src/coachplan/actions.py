@@ -97,7 +97,10 @@ class VectorIndex(NamedTuple):
 
 # --- parsing ---------------------------------------------------------------
 
-_PRED_RE = re.compile(r"(!?)(\w+)\(([^)]*)\)")
+_PRED_TEXT = r"(!?)(\w+)\(([^)]*)\)"
+_PRED_RE = re.compile(_PRED_TEXT)
+# A PRECONDITIONS or EFFECTS field: predicates separated by commas.
+_PRED_LIST_RE = re.compile(rf"{_PRED_TEXT}(?:\s*,\s*{_PRED_TEXT})*")
 
 
 def parse_predicate(text: str, lineno: int) -> Predicate:
@@ -118,10 +121,12 @@ def parse_predicate(text: str, lineno: int) -> Predicate:
 
 def _parse_predicates(value, lineno, declared):
     preds = []
-    if not value.strip():
+    if not value:
         return ()
-    for chunk in re.findall(r"!?\w+\([^)]*\)", value):
-        pred = parse_predicate(chunk, lineno)
+    if not _PRED_LIST_RE.fullmatch(value):
+        raise ParseError(f"bad predicate list: {value!r}", line=lineno)
+    for m in _PRED_RE.finditer(value):
+        pred = parse_predicate(m.group(), lineno)
         for term in pred.args:
             # `?X` marks an explicit variable, which must be declared.
             if term.startswith("?") and term[1:] not in declared:

@@ -195,7 +195,7 @@ def cmd_evaluate(args):
         text = read_text(path)
         try:
             world = parse_world_file(text, domain)
-            results += planlib.evaluate(lib, [world], domain, config, policy, schemas)
+            results.append(planlib.evaluate(lib, world, domain, config, policy, schemas))
         except EmptyLibrary:
             raise  # no world's fault
         except CoachPlanError as exc:
@@ -336,9 +336,6 @@ def main(argv=None) -> int:
         if isinstance(exc.__cause__, ProviderError):
             return EXIT_PROVIDER
         return EXIT_PARSE
-    except ProviderError as exc:
-        print(f"provider error: {exc}", file=sys.stderr)
-        return EXIT_PROVIDER
     except (CoachPlanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

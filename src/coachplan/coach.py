@@ -26,13 +26,6 @@ SYSTEM_TEXT = "You are the coach of a robot soccer team playing in the RoboCup S
 
 ADVICE_HEADER = "COACH ADVICE:"
 
-SCENARIO_EXAMPLE = """\
-SCENARIO:
-STRIKER is at CENTER_FIELD
-JOLLY is at FORWARD_LEFT
-OPPONENT_1 is at OPPONENT_PENALTY_MARK
-BALL is at CENTER_FIELD"""
-
 TACTICS_SENTENCE = "Your attitude is to perform the following tactics [TACTICS]"
 
 
@@ -85,7 +78,6 @@ def build_coach_prompt(domain: Domain, retrieved_actions, goal, tactics) -> Chat
     else:
         tactics_sentence = ""
     slots = {
-        "[SCENARIO_EXAMPLE]": SCENARIO_EXAMPLE,
         "[ROLES]": describe_roles(domain),
         "[WAYPOINTS]": describe_waypoints(domain),
         "[ACTIONS]": ", ".join(s.action_id for s in retrieved_actions),
@@ -93,7 +85,9 @@ def build_coach_prompt(domain: Domain, retrieved_actions, goal, tactics) -> Chat
         "[TACTICS_SENTENCE]": tactics_sentence,
     }
     user_text = fill_template("coach.txt", slots)
-    # Drop the blank line left behind when the tactics sentence is omitted.
+    # Collapse the blank lines an empty slot value leaves (a domain with no
+    # ROLE line, say).  An omitted tactics sentence leaves one blank line,
+    # which stays, so the packaged prompt is unchanged here.
     user_text = re.sub(r"\n{3,}", "\n\n", user_text)
     return ChatRequest(system_text=SYSTEM_TEXT, user_text=user_text)
 

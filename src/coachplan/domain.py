@@ -329,7 +329,7 @@ _WAYPOINT_RE = re.compile(
     r'WAYPOINT\s+([A-Z][A-Z0-9_]*)\s+(-?[\d.]+)\s+(-?[\d.]+)\s+"([^"]*)"\s*$'
 )
 _ROLE_RE = re.compile(
-    r'ROLE\s+([A-Z][A-Z0-9_]*)\s+"([^"]*)"\s+ACTIONS=([\w,]+)\s*$'
+    r'ROLE\s+([A-Z][A-Z0-9_]*)\s+"([^"]*)"\s+ACTIONS=(\w+(?:,\w+)*)\s*$'
 )
 
 

@@ -114,8 +114,6 @@ def compile_fsm(plan: Plan, schemas=None) -> dict:
         for action in step.actions:
             state = _compile_state(index, action, schemas, barrier)
             fsms.setdefault(action.agent_id, []).append(state)
-    if not fsms:
-        raise InvalidPlan("plan has no actions")
     return {aid: AgentFSM(aid, tuple(states)) for aid, states in sorted(fsms.items())}
 
 
@@ -196,19 +194,6 @@ SETTLE_PERIOD = 16
 class _Match:
     def __init__(self, fsms, world0: WorldState, domain: Domain,
                  config: SimConfig, opponent_policy):
-        missing = [aid for aid in fsms if aid not in world0.agents]
-        if missing:
-            raise ConfigInvalid(f"world is missing plan agents: {missing}")
-        self.states = {aid: fsms[aid].states for aid in sorted(fsms)}  # in id order
-        # Each MOVE target's position, resolved once (UnknownWaypoint here).
-        self.move_targets = {
-            state.target: tuple(domain.waypoint(state.target).position)
-            for states in self.states.values() for state in states if state.kind == MOVE
-        }
-        self.config = config
-        self.walk_step = config.walk_speed * config.tick
-        self.pass_step = config.pass_speed * config.tick
-        self.policy = opponent_policy
         self.own = {}
         self.opponents = {}
         for agent_id, (pose, agent) in sorted(world0.agents.items()):
@@ -216,6 +201,26 @@ class _Match:
                 self.own[agent_id] = (pose.x, pose.y)
             else:
                 self.opponents[agent_id] = (pose.x, pose.y)
+        self.states = {aid: fsms[aid].states for aid in sorted(fsms)}  # in id order
+        # Every acting agent and pass receiver must be an own agent of the
+        # world; each MOVE target's position is then resolved once
+        # (UnknownWaypoint here).
+        agents = set(self.states)
+        targets = {}
+        for states in self.states.values():
+            for state in states:
+                if state.kind == MOVE:
+                    targets[state.target] = None
+                elif state.kind == PASS:
+                    agents.add(state.target)
+        missing = sorted(agents - self.own.keys())
+        if missing:
+            raise ConfigInvalid(f"world is missing plan agents: {missing}")
+        self.move_targets = {t: tuple(domain.waypoint(t).position) for t in targets}
+        self.config = config
+        self.walk_step = config.walk_speed * config.tick
+        self.pass_step = config.pass_speed * config.tick
+        self.policy = opponent_policy
         # Opponents that neither move nor steal are only ever clamped onto
         # the field.  Nothing reads them before the first tick would, so
         # that is done here, once.
@@ -280,12 +285,11 @@ class _Match:
         goal = (FIELD_X, 0.0)
         dx, dy = goal[0] - ball.pos[0], goal[1] - ball.pos[1]
         dist = math.hypot(dx, dy)
-        if dist == 0.0:
-            return True
+        # A ball on the centre of the goal line goes straight in.
+        ux, uy = (dx / dist, dy / dist) if dist else (1.0, 0.0)
         ball.mode = KICK
         ball.holder = None
-        ball.velocity = (dx / dist * self.config.kick_speed,
-                         dy / dist * self.config.kick_speed)
+        ball.velocity = (ux * self.config.kick_speed, uy * self.config.kick_speed)
         self.launched.add(agent_id)
         self._event("KICK", agent_id)
         return False
@@ -318,10 +322,7 @@ class _Match:
                 ball.pos = self.opponents[ball.holder]
             return
         if mode == "PASS":
-            target = self.own.get(ball.receiver)
-            if target is None:
-                ball.mode = "FREE"
-                return
+            target = self.own[ball.receiver]
             ball.pos = _step_towards(ball.pos, target, self.pass_step)
             d = math.hypot(ball.pos[0] - target[0], ball.pos[1] - target[1])
             if d <= CONTROL_RADIUS:

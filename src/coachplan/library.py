@@ -24,7 +24,7 @@ from .errors import (
     KTooLarge,
     MalformedRecord,
 )
-from .executor import SimConfig, compile_fsm, run_match
+from .executor import MatchResult, SimConfig, compile_fsm, run_match
 from .planlang import Plan, parse_plan, serialize_plan
 
 
@@ -96,26 +96,14 @@ def _world_for_plan(world: WorldState, fsm_agents, record: PlanRecord,
     return WorldState(agents, world.ball)
 
 
-def evaluate(library: Library, worlds, domain: Domain, config: SimConfig,
-             policy, schemas=None) -> list:
-    """One match per world, in order: select the nearest plan, compile it
-    against `schemas`, rename the world's own agents to the plan's roles
-    when needed and run it against `policy`.  Returns the MatchResults.
-
-    Each selected record is compiled once per call: a match keeps its run
-    state apart from the FSMs, so one compiled plan runs many matches.  The
-    library's ScenarioIndex is built by its first select_plan under
-    `domain`, in this call or an earlier one, and serves every world."""
-    compiled = {}  # id(record) -> its FSMs; the library holds every record
-    results = []
-    for world in worlds:
-        record = select_plan(library, world, domain)
-        fsms = compiled.get(id(record))
-        if fsms is None:
-            fsms = compiled[id(record)] = compile_fsm(record.plan, schemas)
-        world = _world_for_plan(world, fsms, record, domain)
-        results.append(run_match(fsms, world, domain, config, policy))
-    return results
+def evaluate(library: Library, world: WorldState, domain: Domain, config: SimConfig,
+             policy, schemas=None) -> MatchResult:
+    """One match: select the plan nearest to `world`, compile it against
+    `schemas`, rename the world's own agents to the plan's roles when
+    needed and run it against `policy`."""
+    record = select_plan(library, world, domain)
+    fsms = compile_fsm(record.plan, schemas)
+    return run_match(fsms, _world_for_plan(world, fsms, record, domain), domain, config, policy)
 
 
 def cluster_scenarios(library: Library, k: int, domain: Domain):

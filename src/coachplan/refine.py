@@ -26,17 +26,6 @@ SELF_JOIN = "SELF_JOIN"
 EFFECT_CONFLICT = "EFFECT_CONFLICT"
 PASS_CONSTRAINT = "PASS_CONSTRAINT"
 
-GROUNDING_CONSTRAINTS = """\
-Don't write actions for the opponent team players.
-Only use the listed actions, with exactly their declared arguments.
-Each agent may only perform actions its role allows.
-Respect the sequential execution of actions, considering that the previous
-action changes the game situation. Constraints on passing: a robot
-cannot pass or kick the ball if it has passed it before, receive
-the ball only if you are at the target location otherwise, consider
-robot movement actions."""
-
-
 class Violation(NamedTuple):
     step_index: int
     kind: str
@@ -259,15 +248,12 @@ def build_grounding_prompt(domain: Domain, retrieved_actions, scenario,
                            advice) -> ChatRequest:
     if not advice.strip():
         raise UnresolvedPlaceholder("advice is empty")
-    if not retrieved_actions:
-        raise UnresolvedPlaceholder("no retrieved actions to fill [ACTIONS]")
     slots = {
         "[DOMAIN]": describe_waypoints(domain),
         "[ACTIONS]": serialize_actions(retrieved_actions).rstrip(),
         "[ACTION_IDS]": ", ".join(s.action_id for s in retrieved_actions),
         "[AGENT_IDS]": ", ".join(domain.roles),
         "[ROLES]": describe_roles(domain),
-        "[CONSTRAINTS]": GROUNDING_CONSTRAINTS,
         "[SCENARIO]": serialize_scenario(scenario),
         "[ADVICE]": advice,
     }
@@ -321,12 +307,6 @@ def _packaged_sync_examples():
 
 def build_sync_prompt(grounded_plan_text: str, positive_example: str,
                       negative_examples) -> ChatRequest:
-    if not grounded_plan_text.strip():
-        raise UnresolvedPlaceholder("grounded plan text is empty")
-    if not positive_example:
-        raise UnresolvedPlaceholder("missing positive example")
-    if len(negative_examples) < 2:
-        raise UnresolvedPlaceholder("need at least two negative examples")
     negatives = "\n\n".join(
         f"Invalid ({reason}):\n{text}" for reason, text in negative_examples
     )

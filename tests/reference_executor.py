@@ -122,12 +122,11 @@ class ReferenceMatch:
         goal = (FIELD_X, 0.0)
         dx, dy = goal[0] - self.ball.pos[0], goal[1] - self.ball.pos[1]
         dist = math.hypot(dx, dy)
-        if dist == 0.0:
-            return True
+        # A ball on the centre of the goal line goes straight in.
+        ux, uy = (dx / dist, dy / dist) if dist else (1.0, 0.0)
         self.ball.mode = KICK
         self.ball.holder = None
-        self.ball.velocity = (dx / dist * cfg.kick_speed,
-                              dy / dist * cfg.kick_speed)
+        self.ball.velocity = (ux * cfg.kick_speed, uy * cfg.kick_speed)
         self.launched.add(agent_id)
         self._event("KICK", agent_id)
         return False

@@ -93,6 +93,18 @@ class TestParseActionFile:
         assert wrapped.count("\n") == SAMPLE.count("\n") + 1
         assert cp.parse_action_file(wrapped) == one_line
 
+    @pytest.mark.parametrize("field, value", [
+        ("PRECONDITIONS", "ball_held_by AGENT"),
+        ("EFFECTS", "ball_at(OPPONENT_GOAL) junk"),
+        ("EFFECTS", "!ball_held_by(AGENT) ball_at(OPPONENT_GOAL)"),
+    ])
+    def test_field_holds_only_predicates(self, field, value):
+        # Text that is no predicate fails the parse; it is not dropped.
+        text = f"ACTION_ID: shoot\n{field}: {value}\n"
+        with pytest.raises(ParseError, match="bad predicate list") as exc:
+            cp.parse_action_file(text)
+        assert exc.value.line == 2
+
 
 def test_parse_predicate_negation():
     pred = parse_predicate("!has_passed(STRIKER)", 1)

@@ -361,6 +361,11 @@ class TestFileFormats:
         with pytest.raises(ParseError):
             cp.parse_domain_file("WAYPOINT lower 0 0 \"x\"")
 
+    @pytest.mark.parametrize("actions", [",,", "move_to,,kick_to_goal", "move_to,", ",move_to"])
+    def test_role_actions_need_names(self, actions):
+        with pytest.raises(ParseError, match="bad ROLE record"):
+            cp.parse_domain_file(f'ROLE S "s" ACTIONS={actions}\n')
+
     def test_world_file(self, domain):
         world = cp.parse_world_file(
             "AGENT s OWN STRIKER 1.0 0.5 0.2\nAGENT o OPPONENT - 2.0 0.0 3.0\nBALL 1.0 0.6\n",

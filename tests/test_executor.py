@@ -245,6 +245,32 @@ class TestRunMatch:
         with pytest.raises(ConfigInvalid):
             run_match(compile_fsm(plan), world, domain, cp.SimConfig())
 
+    @pytest.mark.parametrize("world_text, plan_text, missing", [
+        # A pass to an absent receiver used to relaunch until the timeout.
+        (PASS_KICK_WORLD, "pass_the_ball STRIKER {SENDER: STRIKER, RECEIVER: SUPPORTER}",
+         "SUPPORTER"),
+        # A plan agent that the world has only as an opponent.
+        ("AGENT STRIKER OPPONENT - 3.2 0.0 0.0\nBALL 3.3 0.0\n", "kick_to_goal STRIKER {}",
+         "STRIKER"),
+    ], ids=["receiver", "opponent"])
+    def test_plan_agents_must_be_own_agents(self, domain, schemas, roles, world_text,
+                                            plan_text, missing):
+        world = cp.parse_world_file(world_text, domain)
+        plan = parse(plan_text, schemas, roles)
+        with pytest.raises(ConfigInvalid, match=rf"missing plan agents: \['{missing}'\]$"):
+            run_match(compile_fsm(plan), world, domain, cp.SimConfig())
+
+    def test_kick_from_goal_line_centre_scores(self, domain, schemas, roles, golden_dir):
+        with open(os.path.join(golden_dir, "frame_0.world")) as fh:
+            world = cp.parse_world_file(fh.read(), domain)
+        plan = parse("dribble_to STRIKER {TARGET: OPPONENT_GOAL}\nkick_to_goal STRIKER {}",
+                     schemas, roles)
+        result = run_match(compile_fsm(plan), world, domain, cp.SimConfig())
+        assert result.success and result.scoring_time == pytest.approx(17.70)
+        assert result.trace[-3:] == ("t=17.70 EVENT KICK STRIKER",
+                                     "t=17.70 EVENT GOAL BALL x=4.500 y=0.000",
+                                     "t=17.70 EVENT ACTION_DONE STRIKER kick_to_goal")
+
     def test_unknown_waypoint_before_first_tick(self, domain, schemas, roles):
         world = cp.parse_world_file(PASS_KICK_WORLD, domain)
         fsms = compile_fsm(parse("move_to JOLLY {TARGET: NOWHERE}", schemas, roles))

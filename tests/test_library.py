@@ -27,7 +27,6 @@ from coachplan.errors import (
 from coachplan.executor import (
     STATIC,
     aggregate,
-    compile_fsm,
     format_metrics_table,
     make_opponent_policy,
 )
@@ -473,20 +472,8 @@ class TestClusterDifferential:
                 assert outcome(cluster_scenarios) == outcome(oracle_cluster_scenarios)
 
 
-def count_compiles(monkeypatch):
-    """The plans library.evaluate compiles, appended to as it compiles them."""
-    compiled = []
-
-    def counting(plan, schemas=None):
-        compiled.append(plan)
-        return compile_fsm(plan, schemas)
-
-    monkeypatch.setattr("coachplan.library.compile_fsm", counting)
-    return compiled
-
-
 class TestEvaluate:
-    def test_golden_report(self, domain, schemas, golden_dir, monkeypatch):
+    def test_golden_report(self, domain, schemas, golden_dir):
         # The golden frame's plan over the eight scenario worlds, without the CLI.
         def world(path):
             with open(path) as fh:
@@ -500,27 +487,11 @@ class TestEvaluate:
         lib = cp.add(cp.new_library(),
                      make_record(plan, scenario, "frame_0", "1970-01-01T00:00:00Z"))
         paths = sorted(glob.glob(os.path.join(golden_dir, "scenarios", "*.world")))
-        compiled = count_compiles(monkeypatch)
-        results = evaluate(lib, [world(p) for p in paths], domain, cp.SimConfig(),
-                           make_opponent_policy(STATIC))
+        policy = make_opponent_policy(STATIC)
+        results = [evaluate(lib, world(p), domain, cp.SimConfig(), policy) for p in paths]
         assert len(results) == 8
-        assert compiled == [plan]  # one record selected for all eight worlds
         with open(os.path.join(golden_dir, "report.txt")) as fh:
             assert format_metrics_table(aggregate(results)) == fh.read()
-
-    def test_compiles_each_selected_plan_once(self, domain, kick_plan, monkeypatch):
-        lib = cp.new_library()
-        for token in ("KICKING_POSITION", "OUR_GOAL"):
-            lib = cp.add(lib, record(kick_plan, scenario_at(token), token))
-        compiled = count_compiles(monkeypatch)
-        worlds = [world_at(domain, *domain.waypoints[t].position)
-                  for t in ("KICKING_POSITION", "OUR_GOAL", "KICKING_POSITION", "OUR_GOAL")]
-        policy = make_opponent_policy(STATIC)
-        results = evaluate(lib, worlds, domain, cp.SimConfig(), policy)
-        assert len(compiled) == 2
-        # Shared FSMs give each match what a fresh compile gives it.
-        assert results == [evaluate(lib, [w], domain, cp.SimConfig(), policy)[0]
-                           for w in worlds]
 
     def test_builds_the_index_once(self, domain, kick_plan, monkeypatch):
         lib = cp.new_library()
@@ -529,19 +500,20 @@ class TestEvaluate:
         built = count_index_builds(monkeypatch)
         worlds = [world_at(domain, *domain.waypoints[t].position)
                   for t in ("KICKING_POSITION", "OUR_GOAL", "KICKING_POSITION", "OUR_GOAL")]
-        evaluate(lib, worlds, domain, cp.SimConfig(), make_opponent_policy(STATIC))
+        for world in worlds:
+            evaluate(lib, world, domain, cp.SimConfig(), make_opponent_policy(STATIC))
         assert built == [2]
 
     def test_renames_agents_to_plan_roles(self, domain, kick_plan):
         # The world's striker is called s; the plan names it STRIKER.
         lib = cp.add(cp.new_library(), record(kick_plan, scenario_at("KICKING_POSITION"), "f"))
-        [result] = evaluate(lib, [world_at(domain, 3.2, 0.0)], domain, cp.SimConfig(),
-                            make_opponent_policy(STATIC))
+        result = evaluate(lib, world_at(domain, 3.2, 0.0), domain, cp.SimConfig(),
+                          make_opponent_policy(STATIC))
         assert result.success
 
     def test_empty_library(self, domain):
         with pytest.raises(EmptyLibrary):
-            evaluate(cp.new_library(), [world_at(domain, 0, 0)], domain, cp.SimConfig(),
+            evaluate(cp.new_library(), world_at(domain, 0, 0), domain, cp.SimConfig(),
                      make_opponent_policy(STATIC))
 
 

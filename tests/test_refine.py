@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 
 import coachplan as cp
@@ -265,6 +267,11 @@ class TestAutoParallelize:
         with pytest.raises(InvalidInputPlan):
             auto_parallelize(plan, schemas, HELD)
 
+    def test_rejects_join_with_duplicate_agents(self, schemas, roles):
+        plan = cp.parse_plan(SELF_JOIN_PLAN_TEXT, schemas, roles)
+        with pytest.raises(InvalidInputPlan, match="input JOIN contains duplicate agents"):
+            auto_parallelize(plan, schemas)
+
     def test_per_agent_order_preserved(self, corpus_plans, schemas):
         for name, plan in corpus_plans.items():
             out = auto_parallelize(plan, schemas)
@@ -315,9 +322,13 @@ class TestPrompts:
         assert len(negatives) >= 2
         assert all(reason for reason, _ in negatives)
 
-    def test_sync_prompt_needs_negatives(self):
-        with pytest.raises(UnresolvedPlaceholder):
-            build_sync_prompt("kick_to_goal STRIKER {}", "positive", [("r", "x")])
+    def test_packaged_sync_examples_one_positive_two_negatives(self):
+        # The synchronizer prompt takes its examples from this file alone;
+        # a second POSITIVE block would silently replace the first.
+        text = resources.files("coachplan.data").joinpath("sync_examples.txt").read_text()
+        lines = text.splitlines()
+        assert sum(ln.startswith("POSITIVE:") for ln in lines) == 1
+        assert sum(ln.startswith("NEGATIVE:") for ln in lines) >= 2
 
     def test_sync_prompt_filled(self):
         positive, negatives = load_sync_examples()
