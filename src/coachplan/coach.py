@@ -97,9 +97,28 @@ _HEADER_RE = re.compile(r"[A-Z][A-Z ]*:\s*$")
 _OPPONENT_RE = re.compile(r"OPPONENT_\d+")
 
 
+@functools.lru_cache(maxsize=4096)
+def _scenario_line(raw: str):
+    """The syntax of one line of a SCENARIO block, which no domain changes:
+    None for the blank line or section header that ends the block, else
+    (assignment, fixed) with one shared (subject, token) tuple per distinct
+    line, and fixed true for a subject every domain knows (BALL or an
+    OPPONENT_i marker).  An unparseable line raises each time it is read:
+    lru_cache keeps no exception."""
+    line = raw.strip()
+    if not line or _HEADER_RE.match(line):
+        return None
+    m = _ASSIGNMENT_RE.match(line)
+    if not m:
+        raise MissingScenarioBlock(f"unparseable scenario line: {raw!r}")
+    subject, token = m.groups()
+    return (subject, token), subject == BALL or bool(_OPPONENT_RE.fullmatch(subject))
+
+
 def parse_scenario_block(response_text: str, domain: Domain) -> Scenario:
-    """Extract the SCENARIO block: lines between `SCENARIO:` and the next
-    blank line or section header, each `<SUBJECT> is at <WAYPOINT>`."""
+    """Extract the SCENARIO block: lines between a `SCENARIO:` header line
+    and the next blank line or section header, each `<SUBJECT> is at
+    <WAYPOINT>`.  Text after `SCENARIO:` on the header line is refused."""
     lines = response_text.splitlines()
     try:
         start = next(
@@ -107,21 +126,21 @@ def parse_scenario_block(response_text: str, domain: Domain) -> Scenario:
         )
     except StopIteration:
         raise MissingScenarioBlock("response has no SCENARIO: header") from None
+    if lines[start].strip() != "SCENARIO:":
+        raise MissingScenarioBlock(f"text after SCENARIO: on its line: {lines[start]!r}")
     assignments = []
+    roles, waypoints = domain.roles, domain.waypoints
     for raw in lines[start + 1:]:
-        line = raw.strip()
-        if not line or _HEADER_RE.match(line):
+        parsed = _scenario_line(raw)
+        if parsed is None:
             break
-        m = _ASSIGNMENT_RE.match(line)
-        if not m:
-            raise MissingScenarioBlock(f"unparseable scenario line: {raw!r}")
-        subject, token = m.groups()
-        if (subject != BALL and subject not in domain.roles
-                and not _OPPONENT_RE.fullmatch(subject)):
+        assignment, fixed = parsed
+        subject, token = assignment
+        if not fixed and subject not in roles:
             raise UnknownSubject(subject)
-        if token not in domain.waypoints:
+        if token not in waypoints:
             raise UnknownWaypoint(token)
-        assignments.append((subject, token))
+        assignments.append(assignment)
     if not assignments:
         raise MissingScenarioBlock("SCENARIO block is empty")
     return Scenario(tuple(assignments))

@@ -112,6 +112,11 @@ class Domain:
             for b, (bx, by) in positions.items()
         }
 
+    @cached_property
+    def _ranked_waypoints(self) -> list:
+        """(token, x, y) of every waypoint, in token order."""
+        return [(t, *self.waypoints[t].position) for t in sorted(self.waypoints)]
+
     def distance_rows(self, b: Scenario) -> dict:
         """subject -> its row of the waypoint-distance table, for scoring
         many scenarios against `b` with distances_to or
@@ -260,11 +265,11 @@ def nearest_waypoint(pos: tuple[float, float], domain: Domain) -> str:
     """Token of the waypoint closest to pos; ties broken lexicographically."""
     if not domain.waypoints:
         raise EmptyDomain("no waypoints in domain")
+    px, py = pos
     best = None
     best_d = None
-    for token in sorted(domain.waypoints):
-        wx, wy = domain.waypoints[token].position
-        d = math.hypot(pos[0] - wx, pos[1] - wy)
+    for token, wx, wy in domain._ranked_waypoints:
+        d = math.hypot(px - wx, py - wy)
         if best_d is None or d < best_d:
             best, best_d = token, d
     return best

@@ -7,6 +7,7 @@ import os
 from dataclasses import dataclass, field
 
 from . import jsonl
+from .actions import PASS
 from .coach import parse_scenario_block, retrieve_roles
 from .domain import (
     Agent,
@@ -79,11 +80,16 @@ def select_plan(library: Library, world: WorldState, domain: Domain) -> PlanReco
     return min((records[i] for i in at), key=lambda r: (r.created_at, r.frame_id))
 
 
-def _world_for_plan(world: WorldState, fsm_agents, record: PlanRecord,
+def _world_for_plan(world: WorldState, fsms: dict, record: PlanRecord,
                     domain: Domain) -> WorldState:
-    """Rename own agents to the plan's role names when needed, using
-    minimum-cost matching against the record's scenario."""
-    if all(aid in world.agents for aid in fsm_agents):
+    """Rename own agents to the plan's role names, using minimum-cost
+    matching against the record's scenario, when the world lacks one of
+    the plan's acting agents or pass receivers (the agents run_match
+    requires)."""
+    needed = set(fsms)
+    needed.update(state.target for fsm in fsms.values() for state in fsm.states
+                  if state.kind == PASS)
+    if needed <= world.agents.keys():
         return world
     mapping = retrieve_roles(world, record.scenario, domain)
     agents = {}

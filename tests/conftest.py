@@ -7,9 +7,10 @@ import urllib.request
 from importlib import resources
 
 import pytest
+from hypothesis import strategies as st
 
 import coachplan as cp
-from coachplan.domain import UNMATCHED_PENALTY
+from coachplan.domain import BALL, UNMATCHED_PENALTY
 
 HERE = os.path.dirname(__file__)
 CORPUS_DIR = os.path.join(HERE, "corpus")
@@ -110,3 +111,16 @@ def reference_distance(a, b, domain):
         if subject not in pos_a:
             total += UNMATCHED_PENALTY
     return total
+
+
+def parseable_scenarios(domain):
+    """Scenarios that parse_scenario_block reads back from their
+    serialize_scenario text under `domain`: one to all of its roles,
+    OPPONENT_i markers and BALL, each at a waypoint of the domain."""
+    subjects = st.one_of(
+        st.sampled_from([*domain.roles, BALL]),
+        st.integers(1, 12).map(lambda i: f"OPPONENT_{i}"),
+    )
+    pairs = st.tuples(subjects, st.sampled_from(sorted(domain.waypoints)))
+    return st.lists(pairs, min_size=1, unique_by=lambda pair: pair[0]).map(
+        lambda pairs: cp.Scenario(tuple(pairs)))

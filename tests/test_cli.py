@@ -405,6 +405,24 @@ class TestGenerate:
             ]) == 2
             assert capsys.readouterr().err == "error: planning goal must be non-empty\n"
 
+    def test_coach_text_on_the_header_line_fails_the_coach_stage(self, tmp_path, base,
+                                                                 golden_dir, capsys):
+        # A reply whose first assignment shares the SCENARIO: line is
+        # refused, not parsed without it.
+        with open(os.path.join(golden_dir, "transcript.txt")) as fh:
+            text = fh.read()
+        transcript = write(tmp_path / "t.txt", text.replace(
+            "SCENARIO:\\nSTRIKER", "SCENARIO: STRIKER", 1))
+        assert main([
+            "generate", *base,
+            "--world", os.path.join(golden_dir, "frame_0.world"),
+            "--transcript", transcript, "--library", str(tmp_path / "lib"),
+        ]) == 2
+        assert capsys.readouterr() == ("", (
+            "FAILED at stage coach: text after SCENARIO: on its line: "
+            "'SCENARIO: STRIKER is at CENTER_FIELD'\n"))
+        assert not (tmp_path / "lib").exists()
+
     # "\udcff" is what Python makes of the byte 0xff in a command-line
     # argument, or of the JSON escape \udcff in a transcript.
     @pytest.mark.parametrize("flags, advice, stage", [
@@ -580,6 +598,28 @@ class TestEvaluateAndLibrary:
                      "--scenarios", str(scenarios)]) == 2
         # One error line, naming the first world that fails.
         assert capsys.readouterr() == ("", f"error: {scenarios / 'b.world'}: {message}\n")
+
+    def test_evaluate_renames_a_world_lacking_only_the_pass_receiver(self, tmp_path, base,
+                                                                    capsys):
+        # The world names its striker STRIKER but its jolly r2: the plan's
+        # receiver JOLLY is missing, so the own agents are renamed.
+        lib = str(tmp_path / "lib")
+        assert main(["library", "add", "--library", lib, *base,
+                     "--plan", write(tmp_path / "p.plan",
+                                     "pass_the_ball STRIKER {SENDER: STRIKER, RECEIVER: JOLLY}\n"),
+                     "--scenario", write(tmp_path / "s.scenario", self.TWO_ROLES),
+                     "--frame-id", "f"]) == 0
+        scenarios = tmp_path / "scenarios"
+        scenarios.mkdir()
+        write(scenarios / "a.world",
+              "AGENT STRIKER OWN STRIKER 0.0 0.0 0.0\nAGENT r2 OWN JOLLY 2.0 1.5 0.0\n"
+              "BALL 0.1 0.0\n")
+        capsys.readouterr()
+        assert main(["evaluate", *base, "--library", lib, "--scenarios", str(scenarios),
+                     "--format", "tsv"]) == 0
+        # The pass completes; the plan has no kick, so nothing scores.
+        assert capsys.readouterr() == (
+            "success_rate\tavg_passes\tavg_scoring_time\n0\t1\t\n", "")
 
     def test_library_ls(self, base, lib_path, capsys):
         assert main(["library", "ls", "--library", lib_path, *base]) == 0
@@ -776,6 +816,9 @@ MALFORMED = [
                  id="scenario-unparseable-line"),
     pytest.param("--scenario", "SCENARIO:\n\nSTRIKER is at CENTER_FIELD\n",
                  "SCENARIO block is empty", id="scenario-empty-block"),
+    pytest.param("--scenario", "SCENARIO: STRIKER is at CENTER_FIELD\nBALL is at CENTER_FIELD\n",
+                 "text after SCENARIO: on its line: 'SCENARIO: STRIKER is at CENTER_FIELD'",
+                 id="scenario-text-on-header-line"),
 ]
 
 

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import coachplan as cp
 from coachplan.actions import MockEmbeddingProvider
@@ -16,7 +17,7 @@ from coachplan.coach import (
     parse_scenario_block,
     retrieve_roles,
 )
-from coachplan.domain import BALL, OWN
+from coachplan.domain import BALL, OWN, serialize_scenario
 from coachplan.errors import (
     CardinalityMismatch,
     DuplicateSubject,
@@ -26,6 +27,8 @@ from coachplan.errors import (
     UnknownWaypoint,
     UnresolvedPlaceholder,
 )
+
+from conftest import parseable_scenarios
 
 GOAL = cp.PlanningGoal("The own team should score a goal in the opponent's goal.")
 
@@ -133,6 +136,55 @@ class TestParseScenarioBlock:
     def test_stops_at_next_header(self, domain):
         scenario = parse_scenario_block(RESPONSE.replace("\n\n", "\n"), domain)
         assert len(scenario.assignments) == 4
+
+
+    def test_text_after_the_header_is_refused(self, domain):
+        # At one time STRIKER was dropped without an error.
+        text = "SCENARIO: STRIKER is at CENTER_FIELD\nBALL is at CENTER_FIELD"
+        with pytest.raises(MissingScenarioBlock) as exc:
+            parse_scenario_block(text, domain)
+        assert str(exc.value) == (
+            "text after SCENARIO: on its line: 'SCENARIO: STRIKER is at CENTER_FIELD'")
+
+    def test_header_alone_on_its_line(self, domain):
+        scenario = parse_scenario_block("  SCENARIO:  \nBALL is at CENTER_FIELD", domain)
+        assert scenario.assignments == ((BALL, "CENTER_FIELD"),)
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_round_trips_serialize_scenario(self, domain, data):
+        scenario = data.draw(parseable_scenarios(domain))
+        text = serialize_scenario(scenario)
+        # The second parse reads every line from the cache.
+        assert parse_scenario_block(text, domain) == scenario
+        assert parse_scenario_block(text, domain) == scenario
+
+    def test_each_domain_checks_the_same_line(self, domain):
+        # One line, parsed under a domain that knows its subject and then
+        # under one that does not: the cached syntax holds no domain result.
+        other = cp.parse_domain_file(
+            'WAYPOINT CENTER_FIELD 0.0 0.0 "The center."\n'
+            'ROLE WINGER "A winger." ACTIONS=move_to\n')
+        text = "SCENARIO:\nSTRIKER is at CENTER_FIELD"
+        for _ in range(2):
+            assert parse_scenario_block(text, domain).assignments == (
+                ("STRIKER", "CENTER_FIELD"),)
+            with pytest.raises(UnknownSubject, match="^STRIKER$"):
+                parse_scenario_block(text, other)
+        with pytest.raises(UnknownWaypoint, match="^FORWARD_LEFT$"):
+            parse_scenario_block("SCENARIO:\nBALL is at FORWARD_LEFT", other)
+        with pytest.raises(UnknownSubject, match="^WINGER$"):
+            parse_scenario_block("SCENARIO:\nWINGER is at CENTER_FIELD", domain)
+        assert parse_scenario_block("SCENARIO:\nWINGER is at CENTER_FIELD", other) \
+            .assignments == (("WINGER", "CENTER_FIELD"),)
+
+    def test_a_bad_line_fails_every_time(self, domain):
+        text = "SCENARIO:\nSTRIKER stands at CENTER_FIELD"
+        for _ in range(3):
+            with pytest.raises(MissingScenarioBlock) as exc:
+                parse_scenario_block(text, domain)
+            assert str(exc.value) == (
+                "unparseable scenario line: 'STRIKER stands at CENTER_FIELD'")
 
 
 class TestParseAdviceBlock:

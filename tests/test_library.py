@@ -21,6 +21,7 @@ from coachplan.errors import (
     KTooLarge,
     MalformedRecord,
     MissingRole,
+    MissingScenarioBlock,
     PlanSyntaxError,
     UnknownWaypoint,
 )
@@ -33,7 +34,7 @@ from coachplan.executor import (
 from coachplan.library import cluster_scenarios, evaluate
 from coachplan.pipeline import make_record, run_generate
 
-from conftest import reference_distance
+from conftest import parseable_scenarios, reference_distance
 
 
 def record(plan, scenario, frame_id, created_at="2024-01-01T00:00:00Z"):
@@ -511,6 +512,23 @@ class TestEvaluate:
                           make_opponent_policy(STATIC))
         assert result.success
 
+    def test_renames_a_world_lacking_only_the_pass_receiver(self, domain, schemas, roles):
+        # STRIKER acts and passes to JOLLY, which has no action of its own.
+        # A world naming its striker STRIKER and its jolly r2 lacks only the
+        # receiver; it is renamed like one that lacks both.
+        plan = cp.parse_plan("pass_the_ball STRIKER {SENDER: STRIKER, RECEIVER: JOLLY}",
+                             schemas, roles)
+        scenario = cp.Scenario((("STRIKER", "CENTER_FIELD"), ("JOLLY", "FORWARD_LEFT"),
+                                (BALL, "CENTER_FIELD")))
+        lib = cp.add(cp.new_library(), record(plan, scenario, "f"))
+        for striker in ("STRIKER", "r1"):
+            world = cp.parse_world_file(
+                f"AGENT {striker} OWN STRIKER 0.0 0.0 0.0\n"
+                "AGENT r2 OWN JOLLY 2.0 1.5 0.0\nBALL 0.1 0.0\n", domain)
+            result = evaluate(lib, world, domain, cp.SimConfig(), make_opponent_policy(STATIC))
+            assert result.passes == 1
+            assert "EVENT PASS_COMPLETE JOLLY passes=1" in result.trace_text()
+
     def test_empty_library(self, domain):
         with pytest.raises(EmptyLibrary):
             evaluate(cp.new_library(), world_at(domain, 0, 0), domain, cp.SimConfig(),
@@ -734,6 +752,42 @@ class TestPersistence:
         assert message.startswith("line 3: ")
         assert f"bad {field} text of frame_id 'f3' in {path}: {error.__name__}: " in message
         assert str(exc.value.__cause__) in message
+
+    def test_a_shared_bad_scenario_line_names_its_first_record_on_every_load(
+            self, tmp_path, domain, schemas, roles, kick_plan):
+        # Records 2 and 4 hold the same unparseable line; each load names
+        # line 2 and its frame id, with the parser's error as the cause.
+        path = tmp_path / "lib.jsonl"
+        lib = cp.new_library()
+        for i in range(5):
+            lib = cp.add(lib, record(kick_plan, scenario_at("CENTER_FIELD"), f"f{i + 1}"))
+        cp.save_library(lib, path)
+        lines = [json.loads(ln) for ln in path.read_text().splitlines()]
+        lines[1]["scenario"] = lines[3]["scenario"] = (
+            "SCENARIO:\nSTRIKER stands at CENTER_FIELD\nBALL is at CENTER_FIELD")
+        path.write_text("".join(json.dumps(ln) + "\n" for ln in lines))
+        for _ in range(2):
+            with pytest.raises(MalformedRecord) as exc:
+                cp.load_library(path, schemas, roles, domain)
+            assert exc.value.line == 2
+            assert isinstance(exc.value.__cause__, MissingScenarioBlock)
+            assert str(exc.value) == (
+                f"line 2: bad scenario text of frame_id 'f2' in {path}: MissingScenarioBlock: "
+                "unparseable scenario line: 'STRIKER stands at CENTER_FIELD'")
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_any_scenarios_round_trip(self, tmp_path_factory, domain, schemas, roles,
+                                      corpus_plans, data):
+        drawn = data.draw(st.lists(
+            st.tuples(parseable_scenarios(domain), st.sampled_from(sorted(corpus_plans))),
+            max_size=8))
+        lib = cp.new_library()
+        for i, (s, name) in enumerate(drawn):
+            lib = cp.add(lib, record(corpus_plans[name], s, f"f{i}"))
+        path = tmp_path_factory.getbasetemp() / "any_scenarios.jsonl"
+        cp.save_library(lib, path)
+        assert cp.load_library(path, schemas, roles, domain) == lib
 
     def test_repeated_plan_texts_are_parsed_once(self, tmp_path, domain, schemas, roles,
                                                  corpus_plans):
