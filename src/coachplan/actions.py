@@ -211,6 +211,7 @@ def parse_action_file(text: str) -> list:
     return schemas
 
 
+@functools.lru_cache(maxsize=256)  # per distinct schema, read for every action of a plan
 def classify(schema: ActionSchema) -> str | None:
     """The kind of an action, from its schema's add effects; None when they
     fit no single kind (two position or ball facts, a ball moved to a

@@ -26,12 +26,12 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-from .actions import INSTANT, KICK, MOVE, PASS, RECEIVE, classify, packaged_schemas
+from .actions import INSTANT, KICK, MOVE, PASS, RECEIVE, packaged_schemas
 from .domain import (CONTROL_RADIUS, FIELD_X, GOAL_HALF_WIDTH, OWN, Domain, WorldState,
                      ball_holder, clamp_to_field)
 from .errors import ConfigInvalid, EmptyInput, InvalidPlan
 from .planlang import JOIN, Plan
-from .refine import grounded_effects
+from .refine import SELF_JOIN, ground_plan
 
 
 # Most ticks one match may take (timeout / tick): ten times the default
@@ -98,39 +98,23 @@ class AggregateMetrics(NamedTuple):
 def compile_fsm(plan: Plan, schemas=None) -> dict:
     """One FSM per agent, actions in plan order; each JOIN contributes one
     barrier shared by exactly its members.  Agents absent from a step simply
-    have no state for it.  Each state runs as the kind its action's schema
-    gives (default: the packaged actions); InvalidPlan if there is none."""
+    have no state for it.  Each state runs as the kind and target that
+    `refine.ground_plan` reads from the schemas (default: the packaged
+    actions); InvalidPlan on its first SELF_JOIN or UNRUNNABLE fault."""
     if schemas is None:
         schemas = packaged_schemas()
     fsms: dict[str, list] = {}
-    for index, step in enumerate(plan.steps, start=1):
-        if step.kind == JOIN:
-            agents = step.agents()
-            if len(set(agents)) != len(agents):
-                raise InvalidPlan(f"step {index}: JOIN with duplicate agents")
-            barrier = f"barrier_{index}"
-        else:
-            barrier = None
-        for action in step.actions:
-            state = _compile_state(index, action, schemas, barrier)
-            fsms.setdefault(action.agent_id, []).append(state)
+    for step in ground_plan(plan, schemas):
+        if step.faults:
+            fault = step.faults[0]
+            raise InvalidPlan(f"step {step.index}: " + (
+                "JOIN with duplicate agents" if fault.kind == SELF_JOIN else fault.message))
+        barrier = f"barrier_{step.index}" if step.kind == JOIN else None
+        for grounding in step.actions:
+            action = grounding.action
+            fsms.setdefault(action.agent_id, []).append(
+                FSMState(action.action_id, grounding.kind, grounding.target, barrier))
     return {aid: AgentFSM(aid, tuple(states)) for aid, states in sorted(fsms.items())}
-
-
-def _compile_state(index, action, schemas, barrier) -> FSMState:
-    where = f"step {index}: {action.action_id} {action.agent_id}"
-    kind = classify(schemas[action.action_id]) if action.action_id in schemas else None
-    if kind is None:
-        raise InvalidPlan(f"{where}: no schema whose effects fit one action kind")
-    if kind not in (MOVE, PASS):
-        return FSMState(action.action_id, kind, None, barrier)
-    adds, _ = grounded_effects(action, schemas)
-    senders = sorted(f.args[0] for f in adds if f.name == "has_passed")
-    if kind == PASS and senders != [action.agent_id]:
-        raise InvalidPlan(f"{where}: the pass is made by {', '.join(senders)}, "
-                          "not the acting agent")
-    target = next(f.args[-1] for f in adds if f.name in ("at", "ball_at"))
-    return FSMState(action.action_id, kind, target, barrier)
 
 
 # --- opponent policies -----------------------------------------------------
@@ -185,6 +169,12 @@ class _Ball:
         self.holder = holder
         self.receiver = None
         self.velocity = (0.0, 0.0)
+
+
+def _coord(v: float) -> str:
+    """A trace coordinate to three decimals, never `-0.000`."""
+    text = f"{v:.3f}"
+    return "0.000" if text == "-0.000" else text
 
 
 # Ticks between two checks for a match whose state has stopped changing.
@@ -344,7 +334,7 @@ class _Match:
                 self.success = True
                 self.scoring_time = self.t
                 self._event("GOAL", "BALL",
-                            f"x={ball.pos[0]:.3f} y={ball.pos[1]:.3f}")
+                            f"x={_coord(ball.pos[0])} y={_coord(ball.pos[1])}")
                 return
             clamped = clamp_to_field(new_pos)
             if clamped != new_pos:
@@ -352,7 +342,7 @@ class _Match:
                 ball.mode = "FREE"
                 ball.velocity = (0.0, 0.0)
                 self._event("BALL_STOPPED", "BALL",
-                            f"x={ball.pos[0]:.3f} y={ball.pos[1]:.3f}")
+                            f"x={_coord(ball.pos[0])} y={_coord(ball.pos[1])}")
             else:
                 ball.pos = new_pos
 

@@ -1,5 +1,5 @@
 """Plan refinement: grounding/synchronizer prompts, STRIPS validation and a
-deterministic parallelizer.
+deterministic parallelizer, all three reading one grounding pass.
 
 Validation simulates a plan over ground facts.  `at` and the ball facts are
 functional slots: adding `at(R, X)` displaces any other `at(R, _)`, adding a
@@ -13,7 +13,8 @@ import functools
 from importlib import resources
 from typing import NamedTuple
 
-from .actions import ACTING_AGENT, KICK, PASS, Predicate, classify, parse_predicate, serialize_actions
+from .actions import (ACTING_AGENT, KICK, MOVE, PASS, Predicate, classify, parse_predicate,
+                      serialize_actions)
 from .coach import SYSTEM_TEXT, describe_roles, describe_waypoints, fill_template
 from .domain import OWN, Domain, WorldState, ball_holder, nearest_waypoint, serialize_scenario
 from .errors import InvalidInputPlan, ParseError, UnresolvedPlaceholder
@@ -25,6 +26,7 @@ PRECONDITION = "PRECONDITION"
 SELF_JOIN = "SELF_JOIN"
 EFFECT_CONFLICT = "EFFECT_CONFLICT"
 PASS_CONSTRAINT = "PASS_CONSTRAINT"
+UNRUNNABLE = "UNRUNNABLE"
 
 class Violation(NamedTuple):
     step_index: int
@@ -49,27 +51,74 @@ class ValidationReport(NamedTuple):
         return "\n".join(str(v) for v in self.violations) + "\n"
 
 
-def ground_predicate(pred: Predicate, action: GroundedAction) -> Predicate:
+class ActionGrounding(NamedTuple):
+    action: GroundedAction
+    kind: str | None  # from `actions.classify`; None without a schema or a kind
+    preconditions: tuple  # of grounded Predicate; a negated one must not hold
+    adds: set  # of grounded Predicate
+    deletes: set  # of grounded Predicate, stored without the negation
+    target: str | None  # the MOVE waypoint or the PASS receiver
+
+
+class StepGrounding(NamedTuple):
+    index: int  # 1-based, as violations count steps
+    kind: str  # SINGLE | JOIN
+    actions: tuple  # of ActionGrounding, in step order
+    faults: tuple  # of Violation: a SELF_JOIN, then each UNRUNNABLE action
+
+
+def _ground(pred: Predicate, env, negated=False) -> Predicate:
+    """`pred` with each term `X` or `?X` replaced by `env[X]`, if any, else by `X`."""
+    return Predicate(pred.name, tuple([env.get(t[1:], t[1:]) if t.startswith("?")
+                                       else env.get(t, t) for t in pred.args]), negated)
+
+
+def _ground_action(action: GroundedAction, schema):
+    """(ActionGrounding, the reason no match can run the action, or None)."""
+    if schema is None:
+        return (ActionGrounding(action, None, (), set(), set(), None),
+                "no schema whose effects fit one action kind")
     env = dict(action.args)
     env[ACTING_AGENT] = action.agent_id
-    terms = []
-    for term in pred.args:
-        name = term[1:] if term.startswith("?") else term
-        terms.append(env.get(name, name))
-    return Predicate(pred.name, tuple(terms), negated=pred.negated)
-
-
-def grounded_effects(action: GroundedAction, schemas):
     adds, deletes = set(), set()
-    for pred in schemas[action.action_id].effects:
-        g = ground_predicate(pred, action)
-        bare = Predicate(g.name, g.args)
-        (deletes if g.negated else adds).add(bare)
-    return adds, deletes
+    for pred in schema.effects:
+        (deletes if pred.negated else adds).add(_ground(pred, env))
+    kind = classify(schema)
+    target = fault = None
+    if kind is None:
+        fault = "no schema whose effects fit one action kind"
+    elif kind in (MOVE, PASS):
+        target = next(f.args[-1] for f in adds if f.name in ("at", "ball_at"))
+        senders = sorted(f.args[0] for f in adds if f.name == "has_passed")
+        if kind == PASS and senders != [action.agent_id]:
+            fault = f"the pass is made by {', '.join(senders)}, not the acting agent"
+    preconditions = tuple(_ground(p, env, p.negated) for p in schema.preconditions)
+    return ActionGrounding(action, kind, preconditions, adds, deletes, target), fault
 
 
-def grounded_preconditions(action: GroundedAction, schemas):
-    return [ground_predicate(p, action) for p in schemas[action.action_id].preconditions]
+def ground_plan(plan: Plan, schemas):
+    """Yield a StepGrounding per step, each action grounded once against
+    `schemas`: what validate_plan, executor.compile_fsm and auto_parallelize
+    read.  A step's faults are what no match can run: a JOIN with two
+    actions by one agent (SELF_JOIN), or an UNRUNNABLE action, one with no
+    schema, with effects that fit no action kind, or a pass whose
+    `has_passed` names another agent than the acting one, which holds the
+    ball the simulator passes."""
+    for index, step in enumerate(plan.steps, start=1):
+        faults = []
+        agents = step.agents()
+        dupes = sorted({a for a in agents if agents.count(a) > 1})
+        if dupes:
+            faults.append(Violation(index, SELF_JOIN,
+                                    "JOIN contains multiple actions by " + ", ".join(dupes)))
+        actions = []
+        for action in step.actions:
+            grounding, fault = _ground_action(action, schemas.get(action.action_id))
+            actions.append(grounding)
+            if fault:
+                faults.append(Violation(
+                    index, UNRUNNABLE, f"{action.action_id} {action.agent_id}: {fault}"))
+        yield StepGrounding(index, step.kind, tuple(actions), tuple(faults))
 
 
 def _slot(pred: Predicate):
@@ -89,66 +138,36 @@ def apply_effects(state: frozenset, adds, deletes) -> frozenset:
     return frozenset(facts)
 
 
-def _check_preconditions(action, schemas, state, step_index, violations):
-    for pred in grounded_preconditions(action, schemas):
-        bare = Predicate(pred.name, pred.args)
-        holds = (bare in state) != pred.negated
-        if not holds:
-            violations.append(
-                Violation(
-                    step_index,
-                    PRECONDITION,
-                    f"{action.action_id} {action.agent_id}: requires {pred}",
-                )
-            )
-    if classify(schemas[action.action_id]) in (PASS, KICK):
-        if Predicate("has_passed", (action.agent_id,)) in state:
-            violations.append(
-                Violation(
-                    step_index,
-                    PASS_CONSTRAINT,
-                    f"{action.agent_id} cannot {action.action_id}: it has passed "
-                    "the ball and has not received it back",
-                )
-            )
-
-
 def validate_plan(plan: Plan, schemas: dict, initial: frozenset) -> ValidationReport:
     """Simulate the plan from `initial`, collecting every violation (not
-    fail-fast).  Effects are applied even after violations so later steps
-    are still checked.  A SINGLE step runs as a JOIN of one action; the
-    SELF_JOIN and EFFECT_CONFLICT checks apply to JOINs only."""
+    fail-fast): per step, its `ground_plan` faults, its actions' unmet
+    preconditions and PASS_CONSTRAINTs, then a JOIN's EFFECT_CONFLICT.
+    Effects are applied even after violations, so later steps are checked."""
     state = frozenset(initial)
     violations = []
-    for index, step in enumerate(plan.steps, start=1):
-        join = step.kind == JOIN
-        if join:
-            agents = step.agents()
-            dupes = sorted({a for a in agents if agents.count(a) > 1})
-            if dupes:
-                violations.append(
-                    Violation(
-                        index,
-                        SELF_JOIN,
-                        "JOIN contains multiple actions by " + ", ".join(dupes),
-                    )
-                )
+    for step in ground_plan(plan, schemas):
+        violations += step.faults
         all_adds, all_deletes = set(), set()
-        for action in step.actions:
-            _check_preconditions(action, schemas, state, index, violations)
-            adds, deletes = grounded_effects(action, schemas)
-            all_adds |= adds
-            all_deletes |= deletes
+        for grounding in step.actions:
+            action = grounding.action
+            for pred in grounding.preconditions:
+                if (Predicate(pred.name, pred.args) in state) == pred.negated:
+                    violations.append(Violation(
+                        step.index, PRECONDITION,
+                        f"{action.action_id} {action.agent_id}: requires {pred}"))
+            if (grounding.kind in (PASS, KICK)
+                    and Predicate("has_passed", (action.agent_id,)) in state):
+                violations.append(Violation(
+                    step.index, PASS_CONSTRAINT,
+                    f"{action.agent_id} cannot {action.action_id}: it has passed "
+                    "the ball and has not received it back"))
+            all_adds |= grounding.adds
+            all_deletes |= grounding.deletes
         conflicts = sorted(all_adds & all_deletes, key=str)
-        if join and conflicts:
-            violations.append(
-                Violation(
-                    index,
-                    EFFECT_CONFLICT,
-                    "JOIN both adds and deletes: "
-                    + ", ".join(str(c) for c in conflicts),
-                )
-            )
+        if step.kind == JOIN and conflicts:
+            violations.append(Violation(
+                step.index, EFFECT_CONFLICT,
+                "JOIN both adds and deletes: " + ", ".join(str(c) for c in conflicts)))
         state = apply_effects(state, all_adds, all_deletes)
     return ValidationReport(tuple(violations), state)
 
@@ -185,59 +204,47 @@ def parse_facts_file(text: str) -> frozenset:
 
 # --- deterministic parallelizer -------------------------------------------
 
-def _footprint(action: GroundedAction, schemas):
-    reads = {_slot(Predicate(p.name, p.args))
-             for p in grounded_preconditions(action, schemas)}
-    adds, deletes = grounded_effects(action, schemas)
-    writes = {_slot(f) for f in adds | deletes}
-    return reads, writes
-
-
-def _compatible(a, b, schemas):
-    if a.agent_id == b.agent_id:
-        return False
-    reads_a, writes_a = _footprint(a, schemas)
-    reads_b, writes_b = _footprint(b, schemas)
-    return not (
-        writes_a & writes_b or writes_a & reads_b or writes_b & reads_a
-    )
-
-
 def auto_parallelize(plan: Plan, schemas: dict, initial: frozenset | None = None) -> Plan:
     """Greedily merge runs of consecutive SINGLE steps into JOINs when the
     agents are pairwise distinct and the actions touch disjoint fact slots.
-    Per-agent action order is preserved; existing JOINs pass through."""
+    Per-agent action order is preserved; existing JOINs pass through.  A
+    plan with a `ground_plan` fault, or, given `initial`, any violation, is
+    refused."""
     if initial is not None:
         report = validate_plan(plan, schemas, initial)
         if not report.ok:
             raise InvalidInputPlan(report.serialize())
-    for step in plan.steps:
-        if step.kind == JOIN and len(set(step.agents())) != len(step.agents()):
-            raise InvalidInputPlan("input JOIN contains duplicate agents")
+    grounded = tuple(ground_plan(plan, schemas))
+    faults = [fault for step in grounded for fault in step.faults]
+    if faults:
+        raise InvalidInputPlan("input JOIN contains duplicate agents"
+                               if faults[0].kind == SELF_JOIN else f"input {faults[0]}")
 
     out_steps = []
-    group = []
+    group = []  # of (action, slots read, slots written)
 
     def flush():
         if not group:
             return
-        if len(group) == 1:
-            out_steps.append(PlanStep(SINGLE, (group[0],)))
-        else:
-            out_steps.append(PlanStep(JOIN, tuple(group)))
+        actions = tuple(action for action, _, _ in group)
+        out_steps.append(PlanStep(SINGLE if len(actions) == 1 else JOIN, actions))
         group.clear()
 
-    for step in plan.steps:
+    for step, ground in zip(plan.steps, grounded):
         if step.kind == JOIN:
             flush()
             out_steps.append(step)
             continue
-        action = step.actions[0]
-        if all(_compatible(action, member, schemas) for member in group):
-            group.append(action)
-        else:
+        grounding, = ground.actions
+        reads = {_slot(p) for p in grounding.preconditions}
+        writes = {_slot(f) for f in grounding.adds | grounding.deletes}
+        agent = grounding.action.agent_id
+        compatible = all(agent != other.agent_id and not (
+            writes & other_writes or writes & other_reads or other_writes & reads)
+            for other, other_reads, other_writes in group)
+        if not compatible:
             flush()
-            group.append(action)
+        group.append((grounding.action, reads, writes))
     flush()
     return Plan(tuple(out_steps))
 

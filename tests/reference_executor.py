@@ -34,6 +34,12 @@ class _Ball:
         self.velocity = (0.0, 0.0)
 
 
+def _coord(v: float) -> str:
+    """A trace coordinate to three decimals, never `-0.000`."""
+    text = f"{v:.3f}"
+    return "0.000" if text == "-0.000" else text
+
+
 # Ticks between two checks for a match whose state has stopped changing.
 SETTLE_PERIOD = 16
 
@@ -182,7 +188,7 @@ class ReferenceMatch:
                 self.success = True
                 self.scoring_time = self.t
                 self._event("GOAL", "BALL",
-                            f"x={ball.pos[0]:.3f} y={ball.pos[1]:.3f}")
+                            f"x={_coord(ball.pos[0])} y={_coord(ball.pos[1])}")
                 return
             clamped = clamp_to_field(new_pos)
             if clamped != new_pos:
@@ -190,7 +196,7 @@ class ReferenceMatch:
                 ball.mode = "FREE"
                 ball.velocity = (0.0, 0.0)
                 self._event("BALL_STOPPED", "BALL",
-                            f"x={ball.pos[0]:.3f} y={ball.pos[1]:.3f}")
+                            f"x={_coord(ball.pos[0])} y={_coord(ball.pos[1])}")
             else:
                 ball.pos = new_pos
 

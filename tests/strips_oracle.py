@@ -9,6 +9,7 @@ PRECONDITION = "PRECONDITION"
 SELF_JOIN = "SELF_JOIN"
 EFFECT_CONFLICT = "EFFECT_CONFLICT"
 PASS_CONSTRAINT = "PASS_CONSTRAINT"
+UNRUNNABLE = "UNRUNNABLE"
 
 
 def _ground(pred, action):
@@ -47,7 +48,16 @@ def _restricted(action_id):
     return "pass" in action_id or "kick" in action_id
 
 
+def _passed_by_another(action):
+    # The robot that runs a pass kicks the ball it holds, so the pass must
+    # be its own: SENDER is the acting agent.
+    return (action.action_id == "pass_the_ball"
+            and dict(action.args)["SENDER"] != action.agent_id)
+
+
 def _check_action(action, schema, facts, index, found):
+    if _passed_by_another(action):
+        found.append((index, UNRUNNABLE))
     for pred in schema.preconditions:
         fact = _ground(pred, action)
         present = fact in facts

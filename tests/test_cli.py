@@ -191,13 +191,16 @@ class TestActionsFileSemantics:
         assert capsys.readouterr().out.splitlines()[1].split("\t")[0] == "1"
 
     def test_pass_by_another_agent(self, tmp_path, base, capsys):
-        # The validator accepts it; the simulator cannot run it as validated.
+        # JOLLY cannot pass a ball STRIKER holds: the validator reports what
+        # the simulator refuses.
         plan = write(tmp_path / "p.plan",
                      "pass_the_ball JOLLY {SENDER: STRIKER, RECEIVER: JOLLY}\n")
         init = write(tmp_path / "init.facts", "ball_held_by(STRIKER)\n")
         assert main(["validate", "--plan", plan, "--initial", init,
-                     "--format", "lines", *base]) == 0
-        assert capsys.readouterr().out == "OK\n"
+                     "--format", "lines", *base]) == 1
+        assert capsys.readouterr().out == (
+            "STEP 1: [UNRUNNABLE] pass_the_ball JOLLY: "
+            "the pass is made by STRIKER, not the acting agent\n")
         world = write(tmp_path / "w.world",
                       "AGENT STRIKER OWN STRIKER 0.1 0.1 0.0\n"
                       "AGENT JOLLY OWN JOLLY 3.2 0.0 0.0\nBALL 0.2 0.1\n")
@@ -361,6 +364,25 @@ class TestGenerate:
         assert capsys.readouterr() == (
             "", "FAILED at stage validation:\n"
                 "STEP 1: [PRECONDITION] kick_to_goal JOLLY: requires ball_held_by(JOLLY)\n")
+        assert not lib.exists()
+
+    def test_pass_by_another_agent_exit_one(self, tmp_path, base, golden_dir, capsys):
+        # A synchronizer reply that no match can run fails the validation
+        # stage, so the library never holds a plan `evaluate` would refuse.
+        transcript = Transcript.load(os.path.join(golden_dir, "transcript.txt"))
+        _, _, sync_fp = transcript.records
+        transcript.records[sync_fp] = "pass_the_ball JOLLY {SENDER: STRIKER, RECEIVER: JOLLY}\n"
+        transcript.save(tmp_path / "t.txt")
+        lib = tmp_path / "lib.jsonl"
+        assert main([
+            "generate", *base,
+            "--world", os.path.join(golden_dir, "frame_0.world"),
+            "--transcript", str(tmp_path / "t.txt"), "--library", str(lib),
+        ]) == 1
+        assert capsys.readouterr() == (
+            "", "FAILED at stage validation:\n"
+                "STEP 1: [UNRUNNABLE] pass_the_ball JOLLY: "
+                "the pass is made by STRIKER, not the acting agent\n")
         assert not lib.exists()
 
     def test_needs_transcript_or_provider(self, base, golden_dir):

@@ -134,8 +134,7 @@ class TestCompileFsm:
             fsm.states = ()
 
     def test_pass_by_another_agent_rejected(self, schemas, roles):
-        # Validates (the effects only name SENDER), but JOLLY cannot pass a
-        # ball STRIKER holds.
+        # JOLLY cannot pass a ball STRIKER holds.
         plan = parse("pass_the_ball JOLLY {SENDER: STRIKER, RECEIVER: JOLLY}",
                      schemas, roles)
         with pytest.raises(InvalidPlan, match="made by STRIKER"):
@@ -270,6 +269,17 @@ class TestRunMatch:
         assert result.trace[-3:] == ("t=17.70 EVENT KICK STRIKER",
                                      "t=17.70 EVENT GOAL BALL x=4.500 y=0.000",
                                      "t=17.70 EVENT ACTION_DONE STRIKER kick_to_goal")
+
+    def test_goal_near_the_centre_line_prints_no_negative_zero(self, domain, schemas, roles):
+        # The flight ends a hair below y = 0; the trace prints 0.000 for it,
+        # as for a kick that ends a hair above.
+        world = cp.parse_world_file("AGENT STRIKER OWN STRIKER 2.1 -1.0 0.0\n"
+                                    "BALL 2.1 -1.0\n", domain)
+        result = run_match(compile_fsm(parse("kick_to_goal STRIKER {}", schemas, roles)),
+                           world, domain, cp.SimConfig())
+        assert result.trace == ("t=0.05 EVENT KICK STRIKER",
+                                "t=0.65 EVENT GOAL BALL x=4.500 y=0.000",
+                                "t=0.65 EVENT ACTION_DONE STRIKER kick_to_goal")
 
     def test_unknown_waypoint_before_first_tick(self, domain, schemas, roles):
         world = cp.parse_world_file(PASS_KICK_WORLD, domain)

@@ -1,16 +1,22 @@
+import ast
+import os
+import re
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import coachplan as cp
+from coachplan import refine
 from coachplan.actions import Predicate
-from coachplan.errors import InvalidInputPlan, ParseError, UnresolvedPlaceholder
+from coachplan.errors import InvalidInputPlan, InvalidPlan, ParseError, UnresolvedPlaceholder
 from coachplan.planlang import JOIN, SINGLE
 from coachplan.refine import (
     EFFECT_CONFLICT,
     PASS_CONSTRAINT,
     PRECONDITION,
     SELF_JOIN,
+    UNRUNNABLE,
     apply_effects,
     auto_parallelize,
     build_grounding_prompt,
@@ -20,6 +26,7 @@ from coachplan.refine import (
     parse_facts_file,
 )
 
+import strips_oracle
 from conftest import SELF_JOIN_PLAN_TEXT
 
 HELD = frozenset({Predicate("ball_held_by", ("STRIKER",))})
@@ -135,6 +142,77 @@ class TestValidatePlan:
     def test_empty_plan_steps_ok(self, schemas):
         report = cp.validate_plan(cp.Plan(()), schemas, HELD)
         assert report.ok and report.final_state == HELD
+
+
+# An action whose effects fit no kind: it moves the agent and the ball.
+TELEPORT = ("ACTION_ID: teleport\nARGS: TARGET : WAYPOINT\n"
+            "EFFECTS: at(AGENT,TARGET), ball_at(TARGET)\n")
+
+
+@st.composite
+def any_plans(draw, schemas, roles, tokens):
+    """One to four steps of SINGLEs and JOINs of two or three actions, by
+    any roles, with any argument values; an action id may also be one that
+    `schemas` lacks."""
+    def action(agent):
+        action_id = draw(st.sampled_from([*sorted(schemas), "no_such_action"]))
+        schema = schemas.get(action_id)
+        args = tuple((name, draw(st.sampled_from(tokens if value_domain == "WAYPOINT" else roles)))
+                     for name, value_domain in (schema.args if schema else ()))
+        return cp.GroundedAction(action_id, agent, args)
+
+    steps = []
+    for agents in draw(st.lists(st.lists(st.sampled_from(roles), min_size=1, max_size=3),
+                                min_size=1, max_size=4)):
+        steps.append(cp.PlanStep(JOIN if len(agents) > 1 else SINGLE,
+                                 tuple(action(agent) for agent in agents)))
+    return cp.Plan(tuple(steps))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_validator_reports_what_compile_fsm_refuses(domain, schemas, data):
+    """compile_fsm raises InvalidPlan exactly when the validator reports a
+    SELF_JOIN or an UNRUNNABLE violation, and names the first one, from any
+    initial facts, over the packaged schemas plus an unclassifiable action.
+    Left out: the simulator's refusal of a plan whose agents the world lacks
+    (`world is missing plan agents`), which needs a world that neither the
+    validator nor compile_fsm sees."""
+    custom = {**schemas, "teleport": cp.parse_action_file(TELEPORT)[0]}
+    roles = sorted(domain.roles)
+    plan = data.draw(any_plans(custom, roles, sorted(domain.waypoints)), label="plan")
+    initial = data.draw(st.frozensets(st.sampled_from(
+        [Predicate(name, (role,)) for role in roles
+         for name in ("ball_held_by", "ball_at", "has_passed")])), label="initial")
+    report = cp.validate_plan(plan, custom, initial)
+    faults = [v for v in report.violations if v.kind in (SELF_JOIN, UNRUNNABLE)]
+    if not faults:
+        cp.compile_fsm(plan, custom)
+        return
+    first = faults[0]
+    reason = "JOIN with duplicate agents" if first.kind == SELF_JOIN else first.message
+    with pytest.raises(InvalidPlan, match=f"^{re.escape(f'step {first.step_index}: {reason}')}$"):
+        cp.compile_fsm(plan, custom)
+
+
+def violation_kinds(module):
+    """The names a module binds at its top level to their own text, such as
+    `PRECONDITION = "PRECONDITION"`."""
+    with open(module.__file__) as fh:
+        tree = ast.parse(fh.read())
+    return {target.id for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and isinstance(node.value, ast.Constant)
+            and node.value.value == target.id}
+
+
+def test_readme_and_oracle_name_every_violation_kind():
+    kinds = violation_kinds(refine)
+    assert kinds == {PRECONDITION, SELF_JOIN, EFFECT_CONFLICT, PASS_CONSTRAINT, UNRUNNABLE}
+    assert violation_kinds(strips_oracle) == kinds
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        readme = fh.read()
+    assert {kind for kind in kinds if f"`{kind}`" not in readme} == set()
 
 
 class TestFunctionalSlots:
@@ -270,6 +348,12 @@ class TestAutoParallelize:
     def test_rejects_join_with_duplicate_agents(self, schemas, roles):
         plan = cp.parse_plan(SELF_JOIN_PLAN_TEXT, schemas, roles)
         with pytest.raises(InvalidInputPlan, match="input JOIN contains duplicate agents"):
+            auto_parallelize(plan, schemas)
+
+    def test_rejects_unrunnable_action(self, schemas, roles):
+        plan = cp.parse_plan("pass_the_ball JOLLY {SENDER: STRIKER, RECEIVER: JOLLY}",
+                             schemas, roles)
+        with pytest.raises(InvalidInputPlan, match=r"^input STEP 1: \[UNRUNNABLE\] "):
             auto_parallelize(plan, schemas)
 
     def test_per_agent_order_preserved(self, corpus_plans, schemas):
