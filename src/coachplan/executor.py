@@ -18,6 +18,18 @@ ticks would have given.  The liveness pass moves done agents past their
 actions in id order and stops at the first agent whose plan is not over,
 so later agents move on only in the next tick's act step.  Traces and
 tick counts depend on both facts.
+
+A match jumps over its walking ticks (`_Match._walk`): ticks in which an
+own agent holds the ball, every agent that acts walks a MOVE and every
+done agent, a passer whose pass has landed among them, is held at a
+barrier.  Two facts make the jump equal to the ticks it skips: a held ball
+is never stolen (opponents steal only a free or flying ball), and a
+walker's step reads only its own position and target, so each walker's
+path is stepped on its own, and moving opponents step toward the holder
+along its path.  The jump ends before the first tick in which a walker
+would arrive or stand still, or that would pass the timeout; the general
+tick runs that one.  A skipped tick logs nothing and finishes nothing, so
+traces and tick counts are unchanged.
 """
 from __future__ import annotations
 
@@ -27,11 +39,11 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .actions import INSTANT, KICK, MOVE, PASS, RECEIVE, packaged_schemas
-from .domain import (CONTROL_RADIUS, FIELD_X, GOAL_HALF_WIDTH, OWN, Domain, WorldState,
-                     ball_holder, clamp_to_field)
+from .domain import (CONTROL_RADIUS, FIELD_X, FIELD_Y, GOAL_HALF_WIDTH, OWN, Domain,
+                     WorldState, ball_holder, clamp_to_field)
 from .errors import ConfigInvalid, EmptyInput, InvalidPlan
 from .planlang import JOIN, Plan
-from .refine import SELF_JOIN, ground_plan
+from .refine import ground_plan
 
 
 # Most ticks one match may take (timeout / tick): ten times the default
@@ -106,9 +118,7 @@ def compile_fsm(plan: Plan, schemas=None) -> dict:
     fsms: dict[str, list] = {}
     for step in ground_plan(plan, schemas):
         if step.faults:
-            fault = step.faults[0]
-            raise InvalidPlan(f"step {step.index}: " + (
-                "JOIN with duplicate agents" if fault.kind == SELF_JOIN else fault.message))
+            raise InvalidPlan(f"step {step.index}: {step.faults[0].message}")
         barrier = f"barrier_{step.index}" if step.kind == JOIN else None
         for grounding in step.actions:
             action = grounding.action
@@ -126,7 +136,10 @@ NEAREST_INTERCEPT = "NEAREST_INTERCEPT"
 def make_opponent_policy(name: str = STATIC, seed: int = 0):
     """Opponent policy by name.  Both policies are deterministic, so `seed`
     currently has no effect; it is accepted for callers that pass one.
-    Policies keep no state, so one object can serve any number of matches."""
+    Policies keep no state, so one object can serve any number of matches.
+    A policy's `move` must be a pure function of `(pos, ball, config)`, and
+    return `pos` when `moves` is false: the jump over walking ticks calls it
+    many ticks ahead, and not at all for a policy that does not move."""
     if name == STATIC:
         return _StaticPolicy()
     if name == NEAREST_INTERCEPT:
@@ -158,6 +171,29 @@ def _step_towards(pos, target, step):
     if dist <= step or dist == 0.0:
         return (target[0], target[1])
     return (pos[0] + dx / dist * step, pos[1] + dy / dist * step)
+
+
+def _walk_path(pos, target, step, limit):
+    """The positions, at most `limit`, that a MOVE from `pos` takes toward
+    `target`, each by _step_towards then clamp_to_field as in _Match._act,
+    up to the step in which it would arrive or stand still."""
+    x, y = pos
+    tx, ty = target
+    hypot = math.hypot
+    path = []
+    for _ in range(limit):
+        dx, dy = tx - x, ty - y
+        dist = hypot(dx, dy)
+        if dist <= step:
+            break  # arrives (or, for a target off the field, reaches the edge)
+        nx, ny = x + dx / dist * step, y + dy / dist * step
+        if not (-FIELD_X <= nx <= FIELD_X and -FIELD_Y <= ny <= FIELD_Y):
+            nx, ny = max(-FIELD_X, min(FIELD_X, nx)), max(-FIELD_Y, min(FIELD_Y, ny))
+        if (nx == tx and ny == ty) or (nx == x and ny == y):
+            break
+        x, y = nx, ny
+        path.append((x, y))
+    return path
 
 
 class _Ball:
@@ -232,6 +268,11 @@ class _Match:
         self.possession_lost = False
         self.t = 0.0
         self.ticks = 0
+        # The last tick whose time (ticks * tick, as run() computes it) is
+        # within the timeout.
+        self.last_tick = int(config.timeout / config.tick) + 2
+        while self.last_tick * config.tick > config.timeout:
+            self.last_tick -= 1
         self.trace: list[str] = []
         self.passes = 0
         self.success = False
@@ -393,7 +434,7 @@ class _Match:
     def run(self) -> MatchResult:
         tick, timeout = self.config.tick, self.config.timeout
         states, cursor, done, ball = self.states, self.cursor, self.done, self.ball
-        advance, act, finish = self._advance, self._act, self._finish
+        advance, act, finish, walk = self._advance, self._act, self._finish, self._walk
         before = settled = None
         while True:
             self.ticks += 1
@@ -437,12 +478,63 @@ class _Match:
             # After a steal, a match no own action can finish in ends too.
             if self.possession_lost and not settled:
                 settled = self._nothing_can_finish()
+            # Jump over the walking ticks ahead.  None of them is settled,
+            # as a walker moves in each, so only a last jumped tick of
+            # phase 0 leaves work for the check: its snapshot.
+            if (ball.mode == "HELD" and not settled and walk()
+                    and self.ticks % SETTLE_PERIOD == 0):
+                before = self._snapshot()
         return MatchResult(
             success=self.success,
             passes=self.passes,
             scoring_time=self.scoring_time,
             trace=tuple(self.trace),
         )
+
+    def _walk(self):
+        """Jump over the walking ticks ahead (see the module docstring);
+        returns how many it ran.  Called after a tick that leaves the ball
+        held; the ticks ahead are walking ones while possession is not
+        lost, every agent in `done` (which holds every launcher) is held at
+        a barrier that has not released and every other agent whose plan is
+        not over walks a MOVE that it neither ends nor stands still in."""
+        # A held ball is in no flight, so every launcher is done (a pass
+        # that lands finishes its passer in that tick); an opponent holds
+        # it only once possession is lost.
+        ball = self.ball
+        if self.possession_lost:
+            return 0
+        walkers = {}  # agent id -> MOVE target
+        for aid, state in self._unblocked():
+            if state is None or state.kind != MOVE:
+                return 0
+            walkers[aid] = self.move_targets[state.target]
+        if not walkers:
+            return 0
+        own = self.own
+        # The nearest walker first: each path caps how far the next one looks.
+        left = self.last_tick - self.ticks
+        paths = {}
+        for aid in sorted(walkers, key=lambda aid: math.dist(own[aid], walkers[aid])):
+            path = _walk_path(own[aid], walkers[aid], self.walk_step, left)
+            if not path:
+                return 0
+            left = len(path)
+            paths[aid] = path
+        for aid, path in paths.items():
+            own[aid] = path[left - 1]
+        if self.policy.moves:
+            # Each tick the opponents step toward the ball at its holder.
+            ball_path = paths.get(ball.holder) or (ball.pos,) * left
+            move, config = self.policy.move, self.config
+            opponents = self.opponents
+            for oid, pos in opponents.items():
+                for k in range(left):
+                    pos = clamp_to_field(move(pos, ball_path[k], config))
+                opponents[oid] = pos
+        ball.pos = own[ball.holder]
+        self.ticks += left
+        return left
 
     def _plan_live(self):
         """True while some agent's plan is not over.  On the way, done agents
@@ -466,19 +558,24 @@ class _Match:
         never released while every unfinished agent is stuck so.  An
         opponent policy that acts on the ball must revisit this exit.
         Reads the run state only; it moves no cursor."""
+        return all(state is not None and state.kind not in (MOVE, INSTANT)
+                   for _, state in self._unblocked())
+
+    def _unblocked(self):
+        """(agent id, state at its cursor) for each agent whose plan is not
+        over and that is not held at a barrier that has not released, in id
+        order; the state is None for a done agent, which moves on next tick."""
         barrier_done, barrier_total = self.barrier_done, self.barrier_total
         for aid, states in self.states.items():
             cursor = self.cursor[aid]
             if cursor == len(states):
                 continue  # plan over
             state = states[cursor]
-            if aid in self.done:
-                barrier = state.barrier_id
-                if barrier is None or barrier_done[barrier] >= barrier_total[barrier]:
-                    return False  # moves on next tick
-            elif state.kind in (MOVE, INSTANT):
-                return False  # can still finish
-        return True
+            if aid not in self.done:
+                yield aid, state
+            elif state.barrier_id is None or (barrier_done[state.barrier_id]
+                                              >= barrier_total[state.barrier_id]):
+                yield aid, None
 
     def _settle_flights(self):
         """Complete pass/kick actions whose ball flight has resolved."""

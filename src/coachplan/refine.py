@@ -143,9 +143,14 @@ def validate_plan(plan: Plan, schemas: dict, initial: frozenset) -> ValidationRe
     fail-fast): per step, its `ground_plan` faults, its actions' unmet
     preconditions and PASS_CONSTRAINTs, then a JOIN's EFFECT_CONFLICT.
     Effects are applied even after violations, so later steps are checked."""
+    return _validate_grounded(ground_plan(plan, schemas), initial)
+
+
+def _validate_grounded(grounded, initial: frozenset) -> ValidationReport:
+    """validate_plan over the StepGroundings of a plan."""
     state = frozenset(initial)
     violations = []
-    for step in ground_plan(plan, schemas):
+    for step in grounded:
         violations += step.faults
         all_adds, all_deletes = set(), set()
         for grounding in step.actions:
@@ -210,15 +215,14 @@ def auto_parallelize(plan: Plan, schemas: dict, initial: frozenset | None = None
     Per-agent action order is preserved; existing JOINs pass through.  A
     plan with a `ground_plan` fault, or, given `initial`, any violation, is
     refused."""
+    grounded = tuple(ground_plan(plan, schemas))
     if initial is not None:
-        report = validate_plan(plan, schemas, initial)
+        report = _validate_grounded(grounded, initial)
         if not report.ok:
             raise InvalidInputPlan(report.serialize())
-    grounded = tuple(ground_plan(plan, schemas))
     faults = [fault for step in grounded for fault in step.faults]
     if faults:
-        raise InvalidInputPlan("input JOIN contains duplicate agents"
-                               if faults[0].kind == SELF_JOIN else f"input {faults[0]}")
+        raise InvalidInputPlan(f"input {faults[0]}")
 
     out_steps = []
     group = []  # of (action, slots read, slots written)

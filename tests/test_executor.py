@@ -2,16 +2,18 @@ import contextlib
 import dataclasses
 import glob
 import hashlib
+import math
 import os
 import random
 import re
+from importlib import resources
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import coachplan as cp
 from coachplan.actions import INSTANT, KICK, MOVE, PASS, RECEIVE
-from coachplan.domain import FIELD_X, FIELD_Y, OPPONENT, OWN, clamp_to_field
+from coachplan.domain import CONTROL_RADIUS, FIELD_X, FIELD_Y, OPPONENT, OWN, clamp_to_field
 from coachplan.errors import ConfigInvalid, EmptyInput, InvalidPlan, UnknownWaypoint
 from coachplan.executor import (
     MAX_TICKS,
@@ -19,6 +21,8 @@ from coachplan.executor import (
     STATIC,
     AggregateMetrics,
     _Match,
+    _step_towards,
+    _walk_path,
     aggregate,
     compile_fsm,
     format_metrics_delimited,
@@ -106,7 +110,7 @@ class TestCompileFsm:
 
     def test_self_join_rejected(self, schemas, roles):
         plan = parse(SELF_JOIN_PLAN_TEXT, schemas, roles)
-        with pytest.raises(InvalidPlan):
+        with pytest.raises(InvalidPlan, match="^step 2: JOIN contains multiple actions by JOLLY$"):
             compile_fsm(plan)
 
     def test_states_carry_kind_and_target(self, schemas, roles):
@@ -373,6 +377,14 @@ def without_possession_exit():
         yield mp
 
 
+@contextlib.contextmanager
+def without_walk_jump():
+    """Matches in this block run every walking tick as a general tick."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Match, "_walk", lambda self: 0)
+        yield mp
+
+
 @st.composite
 def full_team_worlds(draw, roles):
     """Every role present (so any corpus plan runs), up to three opponents,
@@ -424,7 +436,8 @@ def test_match_invariants(domain, corpus_plans, data, policy_name, tick, timeout
 def test_match_equals_reference_loop(domain, corpus_plans, data, policy_name, tick, timeout):
     # The plainer loop in reference_executor.py is the reference for the
     # optimised one: every result must be equal, and every tick count too
-    # once the possession-lost exit (which the reference lacks) is off.
+    # once the possession-lost exit (which the reference lacks) is off,
+    # with the walking jump and without it.
     plan = corpus_plans[data.draw(st.sampled_from(sorted(corpus_plans)), label="plan")]
     world = data.draw(full_team_worlds(list(domain.roles)), label="world")
     config = cp.SimConfig(tick=tick, timeout=timeout)
@@ -435,7 +448,10 @@ def test_match_equals_reference_loop(domain, corpus_plans, data, policy_name, ti
     with without_possession_exit():
         match = _Match(fsms, world, domain, config, make_opponent_policy(policy_name))
         assert match.run() == expected
-    assert match.ticks == reference.ticks
+        with without_walk_jump():
+            stepped = _Match(fsms, world, domain, config, make_opponent_policy(policy_name))
+            assert stepped.run() == expected
+    assert match.ticks == stepped.ticks == reference.ticks
 
 
 @settings(max_examples=20, deadline=None,
@@ -554,7 +570,7 @@ def test_seeded_traces_pinned(domain, corpus_plans):
 # --- settled matches end at once, with the trace they would have had ---
 
 def run_every_tick(*args):
-    with without_possession_exit() as mp:
+    with without_possession_exit() as mp, without_walk_jump():
         # Nor do two snapshots compare equal, so the match runs every tick.
         mp.setattr(_Match, "_snapshot", lambda self: object())
         return run_match(*args)
@@ -683,3 +699,157 @@ def test_barrier_released_after_a_steal_lets_its_members_move_on(domain, schemas
                             "t=120.00 EVENT TIMEOUT MATCH")
     assert match.ticks == 84
     assert run_every_tick(*args) == result
+
+
+# --- a match jumps over its walking ticks, with the floats of the general tick ---
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(),
+       policy_name=st.sampled_from([STATIC, NEAREST_INTERCEPT]),
+       tick=st.sampled_from([0.03, 0.05, 0.1]),
+       timeout=st.sampled_from([1.0, 12.5, 120.0]))
+def test_walk_jump_changes_nothing(domain, corpus_plans, data, policy_name, tick, timeout):
+    plan = corpus_plans[data.draw(st.sampled_from(sorted(corpus_plans)), label="plan")]
+    world = data.draw(full_team_worlds(list(domain.roles)), label="world")
+    args = (compile_fsm(plan), world, domain, cp.SimConfig(tick=tick, timeout=timeout),
+            make_opponent_policy(policy_name))
+    match = _Match(*args)
+    result = match.run()
+    with without_walk_jump():
+        stepped = _Match(*args)
+        assert stepped.run() == result
+    assert match.ticks == stepped.ticks
+    assert match._snapshot() == stepped._snapshot()
+
+
+def run_walking(*args):
+    """(match, result, walked) for a match that must equal the same match
+    stepped tick by tick and the reference loop, in result, tick count and
+    final positions; `walked` counts the ticks the jump ran."""
+    walked = []
+    walk = _Match._walk
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Match, "_walk", lambda self: walked.append(walk(self)) or walked[-1])
+        match = _Match(*args)
+        result = match.run()
+    with without_walk_jump():
+        stepped = _Match(*args)
+        assert stepped.run() == result
+    reference = ReferenceMatch(*args)
+    assert reference.run() == result
+    assert match.ticks == stepped.ticks == reference.ticks
+    for other in (stepped, reference):
+        assert (match.own, match.opponents, match.ball.pos) == (
+            other.own, other.opponents, other.ball.pos)
+    return match, result, sum(walked)
+
+
+@pytest.mark.parametrize("x, last_walk", [("0.0", 360), ("-0.1", 368)])
+def test_walker_stalled_on_the_goal_line(schemas, x, last_walk):
+    # FAR lies past the goal line: STRIKER dribbles onto the line and then
+    # stands still, so the match settles on ticks 368-369.  From x = -0.1
+    # the jump ends on tick 368, a settle-check tick.
+    text = resources.files("coachplan.data").joinpath("domain.txt").read_text()
+    domain = cp.parse_domain_file(text + 'WAYPOINT FAR 6.0 0.0 "Past the goal line."\n')
+    world = cp.parse_world_file(f"AGENT STRIKER OWN STRIKER {x} 0.0 0.0\nBALL {x} 0.0\n",
+                                domain)
+    fsms = compile_fsm(parse("dribble_to STRIKER {TARGET: FAR}", schemas, domain.roles))
+    match, result, walked = run_walking(fsms, world, domain, cp.SimConfig(),
+                                        make_opponent_policy(STATIC))
+    assert result.trace == ("t=120.00 EVENT TIMEOUT MATCH",)
+    assert match.ticks == 370
+    assert walked == last_walk - 1  # every tick from tick 2
+
+
+def test_walk_path_stops_before_an_arrival_from_past_one_step():
+    # The step lands on the target from a hair more than one step away; the
+    # general tick finishes the MOVE there, so the jump ends before it.
+    pos, target, step = (2.198919494082024, 1.5124532127164527), (2.2, 1.5), 0.25 * 0.05
+    assert math.hypot(target[0] - pos[0], target[1] - pos[1]) > step
+    assert clamp_to_field(_step_towards(pos, target, step)) == target
+    assert _walk_path(pos, target, step, 10) == []
+
+
+def test_walk_while_a_join_member_waits(domain, schemas, roles):
+    # STRIKER aligns on tick 1 and waits at the barrier while JOLLY walks
+    # to KICKING_POSITION; JOLLY's arrival releases the kick in that tick.
+    world = cp.parse_world_file("AGENT STRIKER OWN STRIKER 3.0 0.0 0.0\n"
+                                "AGENT JOLLY OWN JOLLY 0.0 1.0 0.0\n"
+                                "BALL 3.1 0.0\n", domain)
+    fsms = compile_fsm(parse("JOIN {move_to JOLLY {TARGET: KICKING_POSITION},\n"
+                             "      align_to_goal STRIKER {}}\n"
+                             "kick_to_goal STRIKER {}", schemas, roles))
+    match, result, walked = run_walking(fsms, world, domain, cp.SimConfig(),
+                                        make_opponent_policy(STATIC))
+    assert result.trace == ("t=0.05 EVENT ACTION_DONE STRIKER align_to_goal",
+                            "t=13.45 EVENT ACTION_DONE JOLLY move_to",
+                            "t=13.45 EVENT KICK STRIKER",
+                            "t=13.80 EVENT GOAL BALL x=4.500 y=0.000",
+                            "t=13.80 EVENT ACTION_DONE STRIKER kick_to_goal")
+    assert match.ticks == 276
+    assert walked == 267
+
+
+def test_walk_after_a_pass_while_the_passer_waits(domain, corpus_plans, golden_dir):
+    # STRIKER's pass reaches JOLLY at t=1.00.  STRIKER, done and still
+    # counted as the launcher, waits at the JOIN barrier while JOLLY walks
+    # the ball to KICKING_POSITION.
+    with open(os.path.join(golden_dir, "frame_0.world")) as fh:
+        world = cp.parse_world_file(fh.read(), domain)
+    match, result, walked = run_walking(compile_fsm(corpus_plans["p04_join_move_pass.plan"]),
+                                        world, domain, cp.SimConfig(),
+                                        make_opponent_policy(STATIC))
+    assert result.trace == ("t=0.05 EVENT PASS_LAUNCH STRIKER to=JOLLY",
+                            "t=1.00 EVENT PASS_COMPLETE JOLLY passes=1",
+                            "t=1.00 EVENT ACTION_DONE STRIKER pass_the_ball",
+                            "t=7.40 EVENT ACTION_DONE JOLLY move_to",
+                            "t=7.45 EVENT ACTION_DONE JOLLY receive_ball",
+                            "t=7.50 EVENT KICK JOLLY",
+                            "t=7.80 EVENT GOAL BALL x=4.500 y=0.000",
+                            "t=7.80 EVENT ACTION_DONE JOLLY kick_to_goal")
+    assert match.ticks == 156
+    assert walked == 127
+
+
+def test_walk_cut_by_the_timeout(domain, schemas, roles):
+    # The dribble needs 680 ticks; the 1 s timeout allows 20.
+    world = cp.parse_world_file("AGENT STRIKER OWN STRIKER -4.0 -2.5 0.0\n"
+                                "BALL -4.0 -2.5\n", domain)
+    fsms = compile_fsm(parse("dribble_to STRIKER {TARGET: OPPONENT_GOAL}", schemas, roles))
+    match, result, walked = run_walking(fsms, world, domain, cp.SimConfig(timeout=1.0),
+                                        make_opponent_policy(STATIC))
+    assert result.trace == ("t=1.00 EVENT TIMEOUT MATCH",)
+    assert match.ticks == 21
+    assert walked == 19
+
+
+def test_intercepting_opponents_follow_a_dribbling_holder(domain, schemas, roles):
+    # O1 and O2 close in on STRIKER's ball and trail it to the goal line,
+    # O1 within the control radius; a held ball is never stolen.
+    world = cp.parse_world_file("AGENT STRIKER OWN STRIKER -3.0 0.0 0.0\n"
+                                "AGENT O1 OPPONENT - 1.0 1.0 0.0\n"
+                                "AGENT O2 OPPONENT - 1.0 -1.5 0.0\n"
+                                "BALL -3.0 0.0\n", domain)
+    fsms = compile_fsm(parse("dribble_to STRIKER {TARGET: OPPONENT_GOAL}", schemas, roles))
+    match, result, walked = run_walking(fsms, world, domain, cp.SimConfig(),
+                                        make_opponent_policy(NEAREST_INTERCEPT))
+    assert result.trace == ("t=30.00 EVENT ACTION_DONE STRIKER dribble_to",
+                            "t=30.00 EVENT PLAN_DONE MATCH")
+    assert match.ticks == 600
+    assert walked == 598
+    assert math.dist(match.opponents["O1"], match.ball.pos) < CONTROL_RADIUS
+
+
+def test_a_long_walk_makes_few_act_calls(domain, schemas, roles):
+    world = cp.parse_world_file("AGENT STRIKER OWN STRIKER -4.0 0.0 0.0\n"
+                                "BALL -4.0 0.0\n", domain)
+    fsms = compile_fsm(parse("dribble_to STRIKER {TARGET: OPPONENT_GOAL}", schemas, roles))
+    calls = []
+    act = _Match._act
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Match, "_act", lambda self, *args: calls.append(args) or act(self, *args))
+        match = _Match(fsms, world, domain, cp.SimConfig(), make_opponent_policy(STATIC))
+        match.run()
+    assert match.ticks > 200
+    assert len(calls) <= 3

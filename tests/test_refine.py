@@ -190,8 +190,8 @@ def test_validator_reports_what_compile_fsm_refuses(domain, schemas, data):
         cp.compile_fsm(plan, custom)
         return
     first = faults[0]
-    reason = "JOIN with duplicate agents" if first.kind == SELF_JOIN else first.message
-    with pytest.raises(InvalidPlan, match=f"^{re.escape(f'step {first.step_index}: {reason}')}$"):
+    reason = f"step {first.step_index}: {first.message}"
+    with pytest.raises(InvalidPlan, match=f"^{re.escape(reason)}$"):
         cp.compile_fsm(plan, custom)
 
 
@@ -347,7 +347,8 @@ class TestAutoParallelize:
 
     def test_rejects_join_with_duplicate_agents(self, schemas, roles):
         plan = cp.parse_plan(SELF_JOIN_PLAN_TEXT, schemas, roles)
-        with pytest.raises(InvalidInputPlan, match="input JOIN contains duplicate agents"):
+        with pytest.raises(InvalidInputPlan, match=re.escape(
+                "input STEP 2: [SELF_JOIN] JOIN contains multiple actions by JOLLY")):
             auto_parallelize(plan, schemas)
 
     def test_rejects_unrunnable_action(self, schemas, roles):
@@ -355,6 +356,18 @@ class TestAutoParallelize:
                              schemas, roles)
         with pytest.raises(InvalidInputPlan, match=r"^input STEP 1: \[UNRUNNABLE\] "):
             auto_parallelize(plan, schemas)
+
+    def test_grounds_each_action_once(self, corpus_plans, schemas, monkeypatch):
+        # With initial facts too: the validation reads the same grounding.
+        calls = []
+        ground = refine._ground_action
+        monkeypatch.setattr(refine, "_ground_action",
+                            lambda *args: calls.append(args) or ground(*args))
+        plan = corpus_plans["p03_pass_receive_shoot.plan"]
+        for initial in (None, HELD):
+            calls.clear()
+            auto_parallelize(plan, schemas, initial)
+            assert len(calls) == 3
 
     def test_per_agent_order_preserved(self, corpus_plans, schemas):
         for name, plan in corpus_plans.items():
