@@ -9,15 +9,15 @@ physics beyond opponent ball-steal contact.
 One tick runs, in this order: act (each agent in id order; a done agent
 first moves past its action unless its JOIN barrier still holds), the
 opponents (in id order), the ball, the flights (pass and kick actions whose
-ball flight has ended), the liveness pass, the settle check (every
-SETTLE_PERIOD ticks, a match that has stopped changing ends) and the
-possession-lost check (once an opponent has stolen the ball, a match in
-which no own action can finish any more ends).  Either exit logs the
-TIMEOUT on the next tick, at the timeout: the trace is the one the idle
-ticks would have given.  The liveness pass moves done agents past their
-actions in id order and stops at the first agent whose plan is not over,
-so later agents move on only in the next tick's act step.  Traces and
-tick counts depend on both facts.
+ball flight has ended), the liveness pass and the possession-lost check
+(once an opponent has stolen the ball, a match in which no own action can
+finish any more ends).  That exit logs the TIMEOUT on the next tick, at the
+timeout: the trace is the one the idle ticks would have given.  Any other
+match that can only idle, such as one stalled on a pass that never comes,
+runs every tick to its timeout, which MAX_TICKS bounds.  The liveness pass
+moves done agents past their actions in id order and stops at the first
+agent whose plan is not over, so later agents move on only in the next
+tick's act step.  Traces and tick counts depend on both facts.
 
 A match jumps over its walking ticks (`_Match._walk`): ticks in which an
 own agent holds the ball, every agent that acts walks a MOVE and every
@@ -127,6 +127,15 @@ def compile_fsm(plan: Plan, schemas=None) -> dict:
     return {aid: AgentFSM(aid, tuple(states)) for aid, states in sorted(fsms.items())}
 
 
+def plan_agents(fsms) -> set:
+    """The agents a compiled plan needs in its world: every acting agent
+    and every pass receiver."""
+    agents = set(fsms)
+    agents.update(state.target for fsm in fsms.values() for state in fsm.states
+                  if state.kind == PASS)
+    return agents
+
+
 # --- opponent policies -----------------------------------------------------
 
 STATIC = "STATIC"
@@ -213,10 +222,6 @@ def _coord(v: float) -> str:
     return "0.000" if text == "-0.000" else text
 
 
-# Ticks between two checks for a match whose state has stopped changing.
-SETTLE_PERIOD = 16
-
-
 class _Match:
     def __init__(self, fsms, world0: WorldState, domain: Domain,
                  config: SimConfig, opponent_policy):
@@ -228,21 +233,14 @@ class _Match:
             else:
                 self.opponents[agent_id] = (pose.x, pose.y)
         self.states = {aid: fsms[aid].states for aid in sorted(fsms)}  # in id order
-        # Every acting agent and pass receiver must be an own agent of the
-        # world; each MOVE target's position is then resolved once
-        # (UnknownWaypoint here).
-        agents = set(self.states)
-        targets = {}
-        for states in self.states.values():
-            for state in states:
-                if state.kind == MOVE:
-                    targets[state.target] = None
-                elif state.kind == PASS:
-                    agents.add(state.target)
-        missing = sorted(agents - self.own.keys())
+        # The plan's agents must be own agents of the world; each MOVE
+        # target's position is then resolved once (UnknownWaypoint here).
+        missing = sorted(plan_agents(fsms) - self.own.keys())
         if missing:
             raise ConfigInvalid(f"world is missing plan agents: {missing}")
-        self.move_targets = {t: tuple(domain.waypoint(t).position) for t in targets}
+        self.move_targets = {state.target: tuple(domain.waypoint(state.target).position)
+                             for states in self.states.values() for state in states
+                             if state.kind == MOVE}
         self.config = config
         self.walk_step = config.walk_speed * config.tick
         self.pass_step = config.pass_speed * config.tick
@@ -421,26 +419,16 @@ class _Match:
             self.launched.discard(aid)
         return None
 
-    def _snapshot(self):
-        """Everything a tick reads and writes, except the clock; the trace
-        length stands for the events (and counts) a tick may log."""
-        ball = self.ball
-        return (tuple(self.own.values()), tuple(self.opponents.values()),
-                ball.pos, ball.mode, ball.holder, ball.receiver, ball.velocity,
-                tuple(self.cursor.values()), frozenset(self.done),
-                frozenset(self.launched), tuple(self.barrier_done.items()),
-                len(self.trace))
-
     def run(self) -> MatchResult:
         tick, timeout = self.config.tick, self.config.timeout
         states, cursor, done, ball = self.states, self.cursor, self.done, self.ball
         advance, act, finish, walk = self._advance, self._act, self._finish, self._walk
-        before = settled = None
+        idle = False
         while True:
             self.ticks += 1
             self.t = self.ticks * tick
-            # A settled match would idle to the timeout, so it ends there now.
-            if self.t > timeout or settled:
+            # An idle match would only idle to the timeout, so it ends there now.
+            if self.t > timeout or idle:
                 self.t = round(timeout, 10)
                 self._event("TIMEOUT", "MATCH")
                 break
@@ -467,23 +455,12 @@ class _Match:
             if not self._plan_live() and ball.mode not in ("PASS", "KICK"):
                 self._event("PLAN_DONE", "MATCH")
                 break
-            # The tick reads no clock, so a tick that changed nothing will
-            # change nothing ever again.  Checked on two ticks in every
-            # SETTLE_PERIOD, since a snapshot per tick costs more than it saves.
-            phase = self.ticks % SETTLE_PERIOD
-            if phase == 0:
-                before = self._snapshot()
-            elif phase == 1:
-                settled = self._snapshot() == before
-            # After a steal, a match no own action can finish in ends too.
-            if self.possession_lost and not settled:
-                settled = self._nothing_can_finish()
-            # Jump over the walking ticks ahead.  None of them is settled,
-            # as a walker moves in each, so only a last jumped tick of
-            # phase 0 leaves work for the check: its snapshot.
-            if (ball.mode == "HELD" and not settled and walk()
-                    and self.ticks % SETTLE_PERIOD == 0):
-                before = self._snapshot()
+            # After a steal, a match no own action can finish in is idle;
+            # before one, a held ball may start a run of walking ticks.
+            if self.possession_lost:
+                idle = self._nothing_can_finish()
+            elif ball.mode == "HELD":
+                walk()
         return MatchResult(
             success=self.success,
             passes=self.passes,
@@ -494,16 +471,14 @@ class _Match:
     def _walk(self):
         """Jump over the walking ticks ahead (see the module docstring);
         returns how many it ran.  Called after a tick that leaves the ball
-        held; the ticks ahead are walking ones while possession is not
-        lost, every agent in `done` (which holds every launcher) is held at
-        a barrier that has not released and every other agent whose plan is
-        not over walks a MOVE that it neither ends nor stands still in."""
+        held while possession is not lost, so an own agent holds it; the
+        ticks ahead are walking ones while every agent in `done` (which
+        holds every launcher) is held at a barrier that has not released and
+        every other agent whose plan is not over walks a MOVE that it
+        neither ends nor stands still in."""
         # A held ball is in no flight, so every launcher is done (a pass
-        # that lands finishes its passer in that tick); an opponent holds
-        # it only once possession is lost.
+        # that lands finishes its passer in that tick).
         ball = self.ball
-        if self.possession_lost:
-            return 0
         walkers = {}  # agent id -> MOVE target
         for aid, state in self._unblocked():
             if state is None or state.kind != MOVE:

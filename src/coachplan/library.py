@@ -7,7 +7,6 @@ import os
 from dataclasses import dataclass, field
 
 from . import jsonl
-from .actions import PASS
 from .coach import parse_scenario_block, retrieve_roles
 from .domain import (
     Agent,
@@ -25,7 +24,7 @@ from .errors import (
     KTooLarge,
     MalformedRecord,
 )
-from .executor import MatchResult, SimConfig, compile_fsm, run_match
+from .executor import MatchResult, SimConfig, compile_fsm, plan_agents, run_match
 from .planlang import Plan, parse_plan, serialize_plan
 
 
@@ -84,12 +83,9 @@ def _world_for_plan(world: WorldState, fsms: dict, record: PlanRecord,
                     domain: Domain) -> WorldState:
     """Rename own agents to the plan's role names, using minimum-cost
     matching against the record's scenario, when the world lacks one of
-    the plan's acting agents or pass receivers (the agents run_match
+    the agents the plan needs (`executor.plan_agents`, as run_match
     requires)."""
-    needed = set(fsms)
-    needed.update(state.target for fsm in fsms.values() for state in fsm.states
-                  if state.kind == PASS)
-    if needed <= world.agents.keys():
+    if plan_agents(fsms) <= world.agents.keys():
         return world
     mapping = retrieve_roles(world, record.scenario, domain)
     agents = {}

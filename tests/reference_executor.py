@@ -1,8 +1,9 @@
-"""The simulator's match loop as it stood before its ticks were made
-cheaper, kept verbatim as the reference that `tests/test_executor.py`
-compares `coachplan.executor._Match` against: every `MatchResult` must be
-equal, and every tick count too once `_Match`'s possession-lost exit is
-turned off (this loop has only the snapshot exit)."""
+"""The simulator's match loop in its plainest form: every tick runs in
+full, with no early exit and no jump, up to a goal, the end of every plan
+or the timeout.  `tests/test_executor.py` compares
+`coachplan.executor._Match` against it: every `MatchResult` must be equal,
+and every tick count too once `_Match`'s possession-lost exit is turned
+off."""
 from __future__ import annotations
 
 import math
@@ -38,10 +39,6 @@ def _coord(v: float) -> str:
     """A trace coordinate to three decimals, never `-0.000`."""
     text = f"{v:.3f}"
     return "0.000" if text == "-0.000" else text
-
-
-# Ticks between two checks for a match whose state has stopped changing.
-SETTLE_PERIOD = 16
 
 
 class ReferenceMatch:
@@ -232,24 +229,12 @@ class ReferenceMatch:
             self.launched.discard(aid)
         return None
 
-    def _snapshot(self):
-        """Everything a tick reads and writes, except the clock; the trace
-        length stands for the events (and counts) a tick may log."""
-        ball = self.ball
-        return (tuple(self.own.values()), tuple(self.opponents.values()),
-                ball.pos, ball.mode, ball.holder, ball.receiver, ball.velocity,
-                tuple(self.cursor.values()), frozenset(self.done),
-                frozenset(self.launched), tuple(self.barrier_done.items()),
-                len(self.trace))
-
     def run(self) -> MatchResult:
         cfg = self.config
-        before = settled = None
         while True:
             self.ticks += 1
             self.t = self.ticks * cfg.tick
-            # A settled match would idle to the timeout, so it ends there now.
-            if self.t > cfg.timeout or settled:
+            if self.t > cfg.timeout:
                 self.t = round(cfg.timeout, 10)
                 self._event("TIMEOUT", "MATCH")
                 break
@@ -266,14 +251,6 @@ class ReferenceMatch:
             if not plan_live and self.ball.mode not in ("PASS", "KICK"):
                 self._event("PLAN_DONE", "MATCH")
                 break
-            # The tick reads no clock, so a tick that changed nothing will
-            # change nothing ever again.  Checked on two ticks in every
-            # SETTLE_PERIOD, since a snapshot per tick costs more than it saves.
-            phase = self.ticks % SETTLE_PERIOD
-            if phase == 0:
-                before = self._snapshot()
-            elif phase == 1:
-                settled = self._snapshot() == before
         return MatchResult(
             success=self.success,
             passes=self.passes,

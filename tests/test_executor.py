@@ -434,10 +434,10 @@ def test_match_invariants(domain, corpus_plans, data, policy_name, tick, timeout
        tick=st.sampled_from([0.03, 0.05, 0.1]),
        timeout=st.sampled_from([1.0, 12.5, 120.0]))
 def test_match_equals_reference_loop(domain, corpus_plans, data, policy_name, tick, timeout):
-    # The plainer loop in reference_executor.py is the reference for the
+    # The every-tick loop in reference_executor.py is the reference for the
     # optimised one: every result must be equal, and every tick count too
-    # once the possession-lost exit (which the reference lacks) is off,
-    # with the walking jump and without it.
+    # once the possession-lost exit (the reference has no early exit) is
+    # off, with the walking jump and without it.
     plan = corpus_plans[data.draw(st.sampled_from(sorted(corpus_plans)), label="plan")]
     world = data.draw(full_team_worlds(list(domain.roles)), label="world")
     config = cp.SimConfig(tick=tick, timeout=timeout)
@@ -567,25 +567,22 @@ def test_seeded_traces_pinned(domain, corpus_plans):
     assert digest.hexdigest() == SEEDED_TRACE_DIGEST
 
 
-# --- settled matches end at once, with the trace they would have had ---
+# --- a match that possession loss leaves idle ends at once, with the trace
+# --- it would have had; any other stalled match runs to its timeout
 
 def run_every_tick(*args):
-    with without_possession_exit() as mp, without_walk_jump():
-        # Nor do two snapshots compare equal, so the match runs every tick.
-        mp.setattr(_Match, "_snapshot", lambda self: object())
+    with without_possession_exit(), without_walk_jump():
         return run_match(*args)
 
 
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data(), policy_name=st.sampled_from([STATIC, NEAREST_INTERCEPT]))
-def test_settled_exit_changes_nothing(domain, corpus_plans, data, policy_name):
-    plan = corpus_plans[data.draw(st.sampled_from(sorted(corpus_plans)), label="plan")]
-    world = data.draw(full_team_worlds(list(domain.roles)), label="world")
-    fsms = compile_fsm(plan)
-    policy = make_opponent_policy(policy_name)
-    result = run_match(fsms, world, domain, cp.SimConfig(), policy)
-    assert run_every_tick(fsms, world, domain, cp.SimConfig(), policy) == result
+def match_state(match):
+    """The state a tick reads and writes, of a `_Match` or a `ReferenceMatch`:
+    positions, the ball, the run state, the trace length and the ticks run."""
+    ball = match.ball
+    return (match.own, match.opponents, ball.pos, ball.mode, ball.holder, ball.receiver,
+            ball.velocity, match.cursor, match.done, match.launched,
+            {barrier: n for barrier, n in match.barrier_done.items() if n},
+            len(match.trace), match.ticks)
 
 
 @settings(max_examples=60, deadline=None,
@@ -616,10 +613,11 @@ def test_walking_opponent_is_not_settled(domain, schemas, roles):
 
 
 def test_liveness_pass_stops_at_first_live_agent(domain, schemas, roles):
-    # JOLLY reaches CENTER_FIELD on tick 16, a settle-check tick.  The
-    # liveness pass stops at DEFENDER (waiting for a pass that never comes),
-    # so JOLLY moves on to its receive only on tick 17; the match is found
-    # settled on ticks 32-33, not 16-17.
+    # JOLLY reaches CENTER_FIELD on tick 16.  The liveness pass stops at
+    # DEFENDER (waiting for a pass that never comes), so JOLLY moves on to
+    # its receive only on tick 17; with the timeout on tick 16, it is still
+    # done at its move when the match ends.  The match then stalls, as
+    # STRIKER keeps the ball, and runs every tick to the timeout.
     world = cp.parse_world_file(
         "AGENT DEFENDER OWN DEFENDER -3.0 0.0 0.0\n"
         "AGENT JOLLY OWN JOLLY -0.195 0.0 0.0\n"
@@ -634,7 +632,31 @@ def test_liveness_pass_stops_at_first_live_agent(domain, schemas, roles):
     assert result.trace == ("t=0.80 EVENT ACTION_DONE JOLLY move_to",
                             "t=120.00 EVENT TIMEOUT MATCH")
     assert result == reference.run()
-    assert match.ticks == reference.ticks == 34
+    assert match.ticks == reference.ticks == 2401
+    short = _Match(fsms, world, domain, cp.SimConfig(timeout=0.8), make_opponent_policy(STATIC))
+    assert short.run().trace == ("t=0.80 EVENT ACTION_DONE JOLLY move_to",
+                                 "t=0.80 EVENT TIMEOUT MATCH")
+    assert (short.cursor["JOLLY"], "JOLLY" in short.done) == (0, True)
+
+
+def test_stalled_static_match_runs_to_the_timeout(domain, schemas, roles):
+    # DEFENDER waits for a pass that never comes while STRIKER keeps the
+    # ball and nothing moves: the match runs every tick, as the reference
+    # does, and logs the TIMEOUT at the timeout on the tick after the last.
+    world = cp.parse_world_file(
+        "AGENT DEFENDER OWN DEFENDER -3.0 0.0 0.0\n"
+        "AGENT STRIKER OWN STRIKER -1.0 -1.0 0.0\n"
+        "AGENT O1 OPPONENT - 1.0 0.0 0.0\n"
+        "BALL -1.0 -1.0\n", domain)
+    fsms = compile_fsm(parse("receive_ball DEFENDER {SENDER: STRIKER}", schemas, roles))
+    args = (fsms, world, domain, cp.SimConfig(tick=0.03, timeout=12.5),
+            make_opponent_policy(STATIC))
+    match, reference = _Match(*args), ReferenceMatch(*args)
+    result = match.run()
+    assert result.trace == ("t=12.50 EVENT TIMEOUT MATCH",)
+    assert result == reference.run()
+    assert match.ticks == reference.ticks == match.last_tick + 1 == 417
+    assert match_state(match) == match_state(reference)
 
 
 def test_settled_intercept_match_ends_early(domain, corpus_plans, golden_dir):
@@ -651,8 +673,8 @@ def test_settled_intercept_match_ends_early(domain, corpus_plans, golden_dir):
 
 def test_stolen_kick_ends_the_match(domain, schemas, roles):
     # O1 steals STRIKER's kick at t=1.20, 5 m from both kickers: without
-    # the possession-lost exit the match would run until STRIKER and JOLLY
-    # had walked onto O1 (466 ticks), though nothing is logged on the way.
+    # the possession-lost exit the match would run every tick to the
+    # timeout, though nothing is logged after the steal.
     world = cp.parse_world_file(
         "AGENT STRIKER OWN STRIKER -4.0 0.0 0.0\n"
         "AGENT JOLLY OWN JOLLY -4.0 2.5 0.0\n"
@@ -668,7 +690,7 @@ def test_stolen_kick_ends_the_match(domain, schemas, roles):
     assert run_every_tick(*args) == result
     reference = ReferenceMatch(*args)
     assert reference.run() == result
-    assert reference.ticks == 466
+    assert reference.ticks == 2401
 
 
 def test_barrier_released_after_a_steal_lets_its_members_move_on(domain, schemas, roles):
@@ -719,14 +741,13 @@ def test_walk_jump_changes_nothing(domain, corpus_plans, data, policy_name, tick
     with without_walk_jump():
         stepped = _Match(*args)
         assert stepped.run() == result
-    assert match.ticks == stepped.ticks
-    assert match._snapshot() == stepped._snapshot()
+    assert match_state(match) == match_state(stepped)
 
 
 def run_walking(*args):
     """(match, result, walked) for a match that must equal the same match
-    stepped tick by tick and the reference loop, in result, tick count and
-    final positions; `walked` counts the ticks the jump ran."""
+    stepped tick by tick and the reference loop, in result and final state
+    (tick count included); `walked` counts the ticks the jump ran."""
     walked = []
     walk = _Match._walk
     with pytest.MonkeyPatch.context() as mp:
@@ -738,18 +759,16 @@ def run_walking(*args):
         assert stepped.run() == result
     reference = ReferenceMatch(*args)
     assert reference.run() == result
-    assert match.ticks == stepped.ticks == reference.ticks
-    for other in (stepped, reference):
-        assert (match.own, match.opponents, match.ball.pos) == (
-            other.own, other.opponents, other.ball.pos)
+    assert match_state(match) == match_state(stepped) == match_state(reference)
     return match, result, sum(walked)
 
 
 @pytest.mark.parametrize("x, last_walk", [("0.0", 360), ("-0.1", 368)])
 def test_walker_stalled_on_the_goal_line(schemas, x, last_walk):
     # FAR lies past the goal line: STRIKER dribbles onto the line and then
-    # stands still, so the match settles on ticks 368-369.  From x = -0.1
-    # the jump ends on tick 368, a settle-check tick.
+    # stands still, so the match stalls and runs every tick to the timeout.
+    # The jump runs every walking tick from tick 2 to `last_walk`; the
+    # stand-still ticks after it run one by one.
     text = resources.files("coachplan.data").joinpath("domain.txt").read_text()
     domain = cp.parse_domain_file(text + 'WAYPOINT FAR 6.0 0.0 "Past the goal line."\n')
     world = cp.parse_world_file(f"AGENT STRIKER OWN STRIKER {x} 0.0 0.0\nBALL {x} 0.0\n",
@@ -758,8 +777,8 @@ def test_walker_stalled_on_the_goal_line(schemas, x, last_walk):
     match, result, walked = run_walking(fsms, world, domain, cp.SimConfig(),
                                         make_opponent_policy(STATIC))
     assert result.trace == ("t=120.00 EVENT TIMEOUT MATCH",)
-    assert match.ticks == 370
-    assert walked == last_walk - 1  # every tick from tick 2
+    assert match.ticks == 2401
+    assert walked == last_walk - 1
 
 
 def test_walk_path_stops_before_an_arrival_from_past_one_step():
@@ -853,3 +872,60 @@ def test_a_long_walk_makes_few_act_calls(domain, schemas, roles):
         match.run()
     assert match.ticks > 200
     assert len(calls) <= 3
+
+
+# --- the field is mirror-symmetric about y = 0, and so is every match ---
+
+MIRROR_TOKEN = re.compile(r"LEFT|RIGHT")
+TRACE_Y = re.compile(r"y=(-?\d+\.\d{3})")
+
+
+def mirror_plan_text(text):
+    """The plan with every LEFT waypoint token swapped for its RIGHT twin."""
+    return MIRROR_TOKEN.sub(lambda m: "RIGHT" if m.group() == "LEFT" else "LEFT", text)
+
+
+def mirror_world(world):
+    agents = {aid: (cp.Pose(pose.x, -pose.y), agent)
+              for aid, (pose, agent) in world.agents.items()}
+    return cp.WorldState(agents, (world.ball[0], -world.ball[1]))
+
+
+def mirror_trace(trace):
+    """The trace with every `y=` value negated (a zero prints as 0.000)."""
+    return tuple(TRACE_Y.sub(lambda m: f"y={-float(m.group(1)) + 0.0:.3f}", line)
+                 for line in trace)
+
+
+def test_waypoints_are_mirror_symmetric(domain):
+    # The premise of the mirror relation: each LEFT waypoint's RIGHT twin
+    # lies at -y, and every other waypoint lies on y = 0.
+    for token, waypoint in domain.waypoints.items():
+        x, y = waypoint.position
+        assert tuple(domain.waypoint(mirror_plan_text(token)).position) == (x, -y)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), policy_name=st.sampled_from([STATIC, NEAREST_INTERCEPT]))
+def test_mirrored_match_is_the_mirror_image(domain, schemas, roles, corpus_texts, data,
+                                            policy_name):
+    # Reflecting the world in y and swapping LEFT and RIGHT in the plan
+    # reflects the match: negation is exact in every step, distance and
+    # clamp the simulator computes, so outcomes, traces and the final
+    # positions agree exactly.
+    text = corpus_texts[data.draw(st.sampled_from(sorted(corpus_texts)), label="plan")]
+    world = data.draw(full_team_worlds(list(domain.roles)), label="world")
+    policy = make_opponent_policy(policy_name)
+    match = _Match(compile_fsm(parse(text, schemas, roles)), world, domain,
+                   cp.SimConfig(), policy)
+    mirrored = _Match(compile_fsm(parse(mirror_plan_text(text), schemas, roles)),
+                      mirror_world(world), domain, cp.SimConfig(), policy)
+    result, image = match.run(), mirrored.run()
+    assert (image.success, image.passes, image.scoring_time) == (
+        result.success, result.passes, result.scoring_time)
+    assert image.trace == mirror_trace(result.trace)
+    assert mirrored.own == {aid: (x, -y) for aid, (x, y) in match.own.items()}
+    assert mirrored.opponents == {oid: (x, -y) for oid, (x, y) in match.opponents.items()}
+    ball_x, ball_y = match.ball.pos
+    assert (mirrored.ball.pos, mirrored.ticks) == ((ball_x, -ball_y), match.ticks)
