@@ -19,20 +19,26 @@ moves done agents past their actions in id order and stops at the first
 agent whose plan is not over, so later agents move on only in the next
 tick's act step.  Traces and tick counts depend on both facts.
 
-A match jumps over its walking ticks (`_Match._walk`): ticks in which an
-own agent holds the ball, every agent that acts walks a MOVE and every
-done agent, a passer whose pass has landed among them, is held at a
-barrier.  Two facts make the jump equal to the ticks it skips: a held ball
-is never stolen (opponents steal only a free or flying ball), and a
-walker's step reads only its own position and target, so each walker's
-path is stepped on its own, and moving opponents step toward the holder
-along its path.  The jump ends before the first tick in which a walker
-would arrive or stand still, or that would pass the timeout; the general
-tick runs that one.  A skipped tick logs nothing and finishes nothing, so
+A match jumps over the ticks in which only positions change
+(`_Match._jump`): an own agent holds the ball or it flies, every agent that
+acts walks a MOVE or waits (a RECEIVE, or a PASS or KICK of the flight's
+kind, while the ball flies) and every done agent is held at a barrier.
+Three facts make the jump equal to the ticks it skips.  A walker's step
+reads only its own position and target, so each walker's path is stepped
+on its own.  Opponents move before the ball, so they step toward the
+holder's position of the same tick, or where the flying ball was at the
+end of the tick before, and a pass steps toward its receiver's position
+after the receiver's step.  A held ball is never stolen, and no flight
+ends in a jumped tick, so the flights and liveness passes settle nothing
+there.  The jump ends before the first tick in which a walker would arrive
+or stand still, the ball would score, stop at the edge or reach its
+receiver, an opponent would reach the flying ball, or that would pass the
+timeout; the general tick runs that one.  A jumped tick logs nothing, so
 traces and tick counts are unchanged.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -147,8 +153,10 @@ def make_opponent_policy(name: str = STATIC, seed: int = 0):
     currently has no effect; it is accepted for callers that pass one.
     Policies keep no state, so one object can serve any number of matches.
     A policy's `move` must be a pure function of `(pos, ball, config)`, and
-    return `pos` when `moves` is false: the jump over walking ticks calls it
-    many ticks ahead, and not at all for a policy that does not move."""
+    return `pos` when `moves` is false: the jump over walking and flight
+    ticks calls it many ticks ahead, toward the holder's position in each
+    tick or where the flying ball was a tick earlier, and not at all for a
+    policy that neither moves nor steals."""
     if name == STATIC:
         return _StaticPolicy()
     if name == NEAREST_INTERCEPT:
@@ -177,19 +185,18 @@ class _InterceptPolicy:
 def _step_towards(pos, target, step):
     dx, dy = target[0] - pos[0], target[1] - pos[1]
     dist = math.hypot(dx, dy)
-    if dist <= step or dist == 0.0:
+    if dist <= step:
         return (target[0], target[1])
     return (pos[0] + dx / dist * step, pos[1] + dy / dist * step)
 
 
 def _walk_path(pos, target, step, limit):
-    """The positions, at most `limit`, that a MOVE from `pos` takes toward
-    `target`, each by _step_towards then clamp_to_field as in _Match._act,
-    up to the step in which it would arrive or stand still."""
+    """Yields the positions, at most `limit`, that a MOVE from `pos` takes
+    toward `target`, each by _step_towards then clamp_to_field as in
+    _Match._act, up to the step in which it would arrive or stand still."""
     x, y = pos
     tx, ty = target
     hypot = math.hypot
-    path = []
     for _ in range(limit):
         dx, dy = tx - x, ty - y
         dist = hypot(dx, dy)
@@ -201,8 +208,7 @@ def _walk_path(pos, target, step, limit):
         if (nx == tx and ny == ty) or (nx == x and ny == y):
             break
         x, y = nx, ny
-        path.append((x, y))
-    return path
+        yield (x, y)
 
 
 class _Ball:
@@ -422,7 +428,7 @@ class _Match:
     def run(self) -> MatchResult:
         tick, timeout = self.config.tick, self.config.timeout
         states, cursor, done, ball = self.states, self.cursor, self.done, self.ball
-        advance, act, finish, walk = self._advance, self._act, self._finish, self._walk
+        advance, act, finish, jump = self._advance, self._act, self._finish, self._jump
         idle = False
         while True:
             self.ticks += 1
@@ -456,11 +462,12 @@ class _Match:
                 self._event("PLAN_DONE", "MATCH")
                 break
             # After a steal, a match no own action can finish in is idle;
-            # before one, a held ball may start a run of walking ticks.
+            # before one, a held or flying ball may start a run of ticks
+            # that can be jumped.
             if self.possession_lost:
                 idle = self._nothing_can_finish()
-            elif ball.mode == "HELD":
-                walk()
+            elif ball.mode != "FREE":
+                jump()
         return MatchResult(
             success=self.success,
             passes=self.passes,
@@ -468,48 +475,94 @@ class _Match:
             trace=tuple(self.trace),
         )
 
-    def _walk(self):
-        """Jump over the walking ticks ahead (see the module docstring);
-        returns how many it ran.  Called after a tick that leaves the ball
-        held while possession is not lost, so an own agent holds it; the
-        ticks ahead are walking ones while every agent in `done` (which
-        holds every launcher) is held at a barrier that has not released and
-        every other agent whose plan is not over walks a MOVE that it
-        neither ends nor stands still in."""
-        # A held ball is in no flight, so every launcher is done (a pass
-        # that lands finishes its passer in that tick).
+    def _jump(self):
+        """Jump over the ticks ahead in which only positions change (see
+        the module docstring); returns how many it ran.  Called after a tick
+        that leaves the ball held or flying while possession is not lost,
+        so an own agent holds it, or its launcher waits for its flight to end."""
         ball = self.ball
+        mode = ball.mode
         walkers = {}  # agent id -> MOVE target
         for aid, state in self._unblocked():
-            if state is None or state.kind != MOVE:
+            if state is not None and state.kind == MOVE:
+                walkers[aid] = self.move_targets[state.target]
+            elif state is None or mode == "HELD" or state.kind not in (RECEIVE, mode):
                 return 0
-            walkers[aid] = self.move_targets[state.target]
-        if not walkers:
-            return 0
-        own = self.own
-        # The nearest walker first: each path caps how far the next one looks.
+        own, step = self.own, self.walk_step
         left = self.last_tick - self.ticks
         paths = {}
+        if mode != "HELD":
+            # A pass flies toward its receiver's position after the
+            # receiver's own step; the flight caps how far walkers look.
+            receiver = ball.receiver
+            if receiver in walkers:
+                targets, walk = itertools.tee(
+                    _walk_path(own[receiver], walkers.pop(receiver), step, left))
+            else:
+                targets, walk = itertools.repeat(own.get(receiver), left), None
+            flight = self._flight_path(targets)
+            left = len(flight)
+            if not left:
+                return 0
+            if walk is not None:
+                paths[receiver] = list(itertools.islice(walk, left))
+        # The nearest walker first: each path caps how far the next one looks.
         for aid in sorted(walkers, key=lambda aid: math.dist(own[aid], walkers[aid])):
-            path = _walk_path(own[aid], walkers[aid], self.walk_step, left)
+            path = paths[aid] = list(_walk_path(own[aid], walkers[aid], step, left))
             if not path:
                 return 0
             left = len(path)
-            paths[aid] = path
+        moved = {}
+        if self.opponents_act:
+            # Opponents move before the ball: toward its holder's position
+            # of the same tick, or where it flew to in the tick before.
+            if mode == "HELD":
+                targets = paths.get(ball.holder) or (ball.pos,) * left
+            else:
+                targets = (ball.pos, *flight)
+            move, config = self.policy.move, self.config
+            steals = self.policy.steals and mode != "HELD"
+            for oid, pos in self.opponents.items():
+                path = moved[oid] = []
+                for target in targets[:left]:
+                    pos = clamp_to_field(move(pos, target, config))
+                    if steals and math.hypot(pos[0] - target[0],
+                                             pos[1] - target[1]) <= CONTROL_RADIUS:
+                        break  # the general tick steals the ball
+                    path.append(pos)
+                left = len(path)
+            if not left:
+                return 0
         for aid, path in paths.items():
             own[aid] = path[left - 1]
-        if self.policy.moves:
-            # Each tick the opponents step toward the ball at its holder.
-            ball_path = paths.get(ball.holder) or (ball.pos,) * left
-            move, config = self.policy.move, self.config
-            opponents = self.opponents
-            for oid, pos in opponents.items():
-                for k in range(left):
-                    pos = clamp_to_field(move(pos, ball_path[k], config))
-                opponents[oid] = pos
-        ball.pos = own[ball.holder]
+        for oid, path in moved.items():
+            self.opponents[oid] = path[left - 1]
+        ball.pos = own[ball.holder] if mode == "HELD" else flight[left - 1]
         self.ticks += left
         return left
+
+    def _flight_path(self, targets):
+        """The flying ball's positions, one per tick ahead, at most one per
+        target (a pass's receiver position in that tick; a kick reads none),
+        each by the floats of _update_ball, up to the tick in which it would
+        score, stop at the edge or come within CONTROL_RADIUS of its receiver."""
+        ball = self.ball
+        path = []
+        if ball.mode == PASS:
+            pos = ball.pos
+            for target in targets:
+                pos = _step_towards(pos, target, self.pass_step)
+                if math.hypot(pos[0] - target[0], pos[1] - target[1]) <= CONTROL_RADIUS:
+                    break
+                path.append(pos)
+            return path
+        (x, y), (vx, vy), tick = ball.pos, ball.velocity, self.config.tick
+        for _ in targets:
+            x, y = x + vx * tick, y + vy * tick
+            if not (-FIELD_X <= x < FIELD_X and -FIELD_Y <= y <= FIELD_Y):
+                break  # a kick scores or stops only at x >= FIELD_X or off the field
+            path.append((x, y))
+        return path
 
     def _plan_live(self):
         """True while some agent's plan is not over.  On the way, done agents
