@@ -8,16 +8,24 @@ physics beyond opponent ball-steal contact.
 
 One tick runs, in this order: act (each agent in id order; a done agent
 first moves past its action unless its JOIN barrier still holds), the
-opponents (in id order), the ball, the flights (pass and kick actions whose
-ball flight has ended), the liveness pass and the possession-lost check
-(once an opponent has stolen the ball, a match in which no own action can
-finish any more ends).  That exit logs the TIMEOUT on the next tick, at the
-timeout: the trace is the one the idle ticks would have given.  Any other
-match that can only idle, such as one stalled on a pass that never comes,
-runs every tick to its timeout, which MAX_TICKS bounds.  The liveness pass
+opponents (in id order), the ball (a flight that ends finishes its
+launcher's pass or kick, right after its PASS_COMPLETE, GOAL or
+BALL_STOPPED), the liveness pass and the idle exit.  The liveness pass
 moves done agents past their actions in id order and stops at the first
 agent whose plan is not over, so later agents move on only in the next
 tick's act step.  Traces and tick counts depend on both facts.
+
+The idle exit ends a match with a held ball in which no action can finish
+any more: every agent that can still act is on a RECEIVE, PASS or KICK,
+and none of them holds the ball.  It rests on one invariant: a held ball is
+never taken (takes and steals need a free or flying ball), and its holder
+acts only through its own plan, so an opponent that holds it keeps it.  A
+policy that takes a held ball, or lets an opponent give it up, breaks it.
+The exit logs the TIMEOUT on the next tick, at the timeout: the trace is
+the one the idle ticks would have given.  A match that stalls otherwise,
+on a loose ball that no one reaches or on a walker that stands still at
+the edge of the field, runs every tick to its timeout, which MAX_TICKS
+bounds.
 
 A match jumps over the ticks in which only positions change
 (`_Match._jump`): an own agent holds the ball or it flies, every agent that
@@ -29,12 +37,12 @@ on its own.  Opponents move before the ball, so they step toward the
 holder's position of the same tick, or where the flying ball was at the
 end of the tick before, and a pass steps toward its receiver's position
 after the receiver's step.  A held ball is never stolen, and no flight
-ends in a jumped tick, so the flights and liveness passes settle nothing
-there.  The jump ends before the first tick in which a walker would arrive
-or stand still, the ball would score, stop at the edge or reach its
-receiver, an opponent would reach the flying ball, or that would pass the
-timeout; the general tick runs that one.  A jumped tick logs nothing, so
-traces and tick counts are unchanged.
+ends in a jumped tick, so no action finishes there and the liveness pass
+moves no agent on.  The jump ends before the first tick in which a walker
+would arrive or stand still, the ball would score, stop at the edge or
+reach its receiver, an opponent would reach the flying ball, or that would
+pass the timeout; the general tick runs that one.  A jumped tick logs
+nothing, so traces and tick counts are unchanged.
 """
 from __future__ import annotations
 
@@ -212,12 +220,25 @@ def _walk_path(pos, target, step, limit):
 
 
 class _Ball:
-    __slots__ = ("pos", "mode", "holder", "receiver", "velocity")
+    __slots__ = ("pos", "mode", "holder", "receiver", "velocity", "launcher")
 
-    def __init__(self, pos, mode, holder):
+    def __init__(self, pos, holder):
         self.pos = pos
-        self.mode = mode  # FREE | HELD | PASS | KICK (in flight, by the kind that launched it)
+        # FREE | HELD | PASS | KICK (in flight, by the kind that launched it)
+        self.mode = "FREE" if holder is None else "HELD"
+        self.holder = holder  # the agent that holds it, else None
+        self.receiver = None  # a flying pass's receiver
+        self.velocity = (0.0, 0.0)  # a flying kick's
+        # The own agent whose pass or kick has not finished: set at the
+        # launch, cleared when the flight ends; a stolen flight keeps it.
+        self.launcher = None
+
+    def take(self, holder, pos):
+        """The only way the ball becomes held: a free ball taken, a pass
+        received, a steal."""
+        self.mode = "HELD"
         self.holder = holder
+        self.pos = pos
         self.receiver = None
         self.velocity = (0.0, 0.0)
 
@@ -257,19 +278,14 @@ class _Match:
         self.opponents_act = opponent_policy.moves or opponent_policy.steals
         if not self.opponents_act:
             self.opponents = {oid: clamp_to_field(pos) for oid, pos in self.opponents.items()}
-        holder = ball_holder(world0)
-        self.ball = _Ball(world0.ball, "FREE" if holder is None else "HELD", holder)
-        # Members per barrier, and members done at it so far.
-        self.barrier_total = Counter(state.barrier_id for states in self.states.values()
-                                     for state in states if state.barrier_id)
-        self.barrier_done = dict.fromkeys(self.barrier_total, 0)
+        self.ball = _Ball(world0.ball, ball_holder(world0))
+        # Members per barrier not yet done at it; a barrier releases at 0.
+        self.barrier_left = Counter(state.barrier_id for states in self.states.values()
+                                    for state in states if state.barrier_id)
         # Run state: each agent's current state, and the agents whose
-        # current state is done, or has launched the ball.
+        # current state is done.
         self.cursor = dict.fromkeys(self.states, 0)
         self.done: set = set()
-        self.launched: set = set()
-        # Set by a steal; an opponent never gives the ball up again.
-        self.possession_lost = False
         self.t = 0.0
         self.ticks = 0
         # The last tick whose time (ticks * tick, as run() computes it) is
@@ -301,20 +317,18 @@ class _Match:
             return new_pos == target
         if kind == INSTANT:
             return True
-        holds = ball.mode == "HELD" and ball.holder == agent_id
+        holds = ball.holder == agent_id
         if kind == RECEIVE:
             return holds or (ball.mode == "FREE" and self._try_take(agent_id))
         # PASS or KICK: get the ball, unless a flight of this kind is under
-        # way (a launched one ends in _settle_flights).
+        # way (a launched one is finished by _update_ball as it ends).
         if not holds:
             if ball.mode != kind:
                 self._chase_ball(agent_id)
             return False
+        ball.mode, ball.holder, ball.launcher = kind, None, agent_id
         if kind == PASS:
-            ball.mode = PASS
-            ball.holder = None
             ball.receiver = state.target
-            self.launched.add(agent_id)
             self._event("PASS_LAUNCH", agent_id, f"to={state.target}")
             return False
         goal = (FIELD_X, 0.0)
@@ -322,10 +336,7 @@ class _Match:
         dist = math.hypot(dx, dy)
         # A ball on the centre of the goal line goes straight in.
         ux, uy = (dx / dist, dy / dist) if dist else (1.0, 0.0)
-        ball.mode = KICK
-        ball.holder = None
         ball.velocity = (ux * self.config.kick_speed, uy * self.config.kick_speed)
-        self.launched.add(agent_id)
         self._event("KICK", agent_id)
         return False
 
@@ -342,14 +353,16 @@ class _Match:
         ball = self.ball
         if math.hypot(pos[0] - ball.pos[0], pos[1] - ball.pos[1]) > CONTROL_RADIUS:
             return False
-        ball.mode = "HELD"
-        ball.holder = agent_id
-        ball.pos = pos
+        ball.take(agent_id, pos)
         return True
 
     def _update_ball(self):
+        """Moves the ball one tick.  A flight that ends finishes its
+        launcher's pass or kick, right after the event that ends it."""
         ball = self.ball
         mode = ball.mode
+        if mode == "FREE":
+            return
         if mode == "HELD":
             if ball.holder in self.own:
                 ball.pos = self.own[ball.holder]
@@ -359,37 +372,28 @@ class _Match:
         if mode == "PASS":
             target = self.own[ball.receiver]
             ball.pos = _step_towards(ball.pos, target, self.pass_step)
-            d = math.hypot(ball.pos[0] - target[0], ball.pos[1] - target[1])
-            if d <= CONTROL_RADIUS:
-                ball.mode = "HELD"
-                ball.holder = ball.receiver
-                ball.receiver = None
-                ball.pos = target
-                self.passes += 1
-                self._event("PASS_COMPLETE", ball.holder, f"passes={self.passes}")
-            return
-        if mode == "KICK":
+            if math.hypot(ball.pos[0] - target[0], ball.pos[1] - target[1]) > CONTROL_RADIUS:
+                return
+            ball.take(ball.receiver, target)
+            self.passes += 1
+            self._event("PASS_COMPLETE", ball.holder, f"passes={self.passes}")
+        else:  # KICK
             tick = self.config.tick
             new_pos = (ball.pos[0] + ball.velocity[0] * tick,
                        ball.pos[1] + ball.velocity[1] * tick)
-            if new_pos[0] >= FIELD_X and abs(new_pos[1]) <= GOAL_HALF_WIDTH:
-                ball.pos = clamp_to_field(new_pos)
-                ball.mode = "FREE"
-                ball.velocity = (0.0, 0.0)
+            scored = new_pos[0] >= FIELD_X and abs(new_pos[1]) <= GOAL_HALF_WIDTH
+            ball.pos = clamp_to_field(new_pos)
+            if not scored and ball.pos == new_pos:
+                return
+            ball.mode = "FREE"
+            ball.velocity = (0.0, 0.0)
+            if scored:
                 self.success = True
                 self.scoring_time = self.t
-                self._event("GOAL", "BALL",
-                            f"x={_coord(ball.pos[0])} y={_coord(ball.pos[1])}")
-                return
-            clamped = clamp_to_field(new_pos)
-            if clamped != new_pos:
-                ball.pos = clamped
-                ball.mode = "FREE"
-                ball.velocity = (0.0, 0.0)
-                self._event("BALL_STOPPED", "BALL",
-                            f"x={_coord(ball.pos[0])} y={_coord(ball.pos[1])}")
-            else:
-                ball.pos = new_pos
+            self._event("GOAL" if scored else "BALL_STOPPED", "BALL",
+                        f"x={_coord(ball.pos[0])} y={_coord(ball.pos[1])}")
+        self._finish(ball.launcher)
+        ball.launcher = None
 
     def _move_opponents(self):
         ball, policy, config = self.ball, self.policy, self.config
@@ -399,12 +403,7 @@ class _Match:
             if policy.steals and ball.mode in ("FREE", "PASS", "KICK"):
                 d = math.hypot(pos[0] - ball.pos[0], pos[1] - ball.pos[1])
                 if d <= CONTROL_RADIUS:
-                    ball.mode = "HELD"
-                    ball.holder = oid
-                    ball.receiver = None
-                    ball.velocity = (0.0, 0.0)
-                    ball.pos = pos
-                    self.possession_lost = True
+                    ball.take(oid, pos)
                     self._event("STEAL", oid)
 
     def _advance(self, aid):
@@ -418,26 +417,26 @@ class _Match:
             if aid not in done:
                 return state
             barrier = state.barrier_id
-            if barrier is not None and self.barrier_done[barrier] < self.barrier_total[barrier]:
+            if barrier is not None and self.barrier_left[barrier]:
                 return state  # hold at the barrier
             cursor[aid] += 1
             done.discard(aid)
-            self.launched.discard(aid)
         return None
 
     def run(self) -> MatchResult:
-        tick, timeout = self.config.tick, self.config.timeout
+        tick, last_tick = self.config.tick, self.last_tick
         states, cursor, done, ball = self.states, self.cursor, self.done, self.ball
         advance, act, finish, jump = self._advance, self._act, self._finish, self._jump
+        opponents = self.opponents
         idle = False
         while True:
             self.ticks += 1
-            self.t = self.ticks * tick
             # An idle match would only idle to the timeout, so it ends there now.
-            if self.t > timeout or idle:
-                self.t = round(timeout, 10)
+            if self.ticks > last_tick or idle:
+                self.t = round(self.config.timeout, 10)
                 self._event("TIMEOUT", "MATCH")
                 break
+            self.t = self.ticks * tick
             # Only an agent in `done` can move its cursor; any other agent
             # acts on the state at its cursor, if its plan is not over.
             for aid, agent_states in states.items():
@@ -450,23 +449,21 @@ class _Match:
                 else:
                     continue
                 if act(aid, state):
-                    finish(aid, state)
+                    finish(aid)
             if self.opponents_act:
                 self._move_opponents()
             self._update_ball()
-            if self.launched:
-                self._settle_flights()
             if self.success:
                 break
             if not self._plan_live() and ball.mode not in ("PASS", "KICK"):
                 self._event("PLAN_DONE", "MATCH")
                 break
-            # After a steal, a match no own action can finish in is idle;
-            # before one, a held or flying ball may start a run of ticks
-            # that can be jumped.
-            if self.possession_lost:
-                idle = self._nothing_can_finish()
-            elif ball.mode != "FREE":
+            # A match with a held ball in which no action can finish any
+            # more is idle; otherwise a flying ball, or one an own agent
+            # holds, may start a run of ticks that can be jumped.
+            if ball.mode == "HELD" and self._nothing_can_finish():
+                idle = True
+            elif ball.mode != "FREE" and ball.holder not in opponents:
                 jump()
         return MatchResult(
             success=self.success,
@@ -478,8 +475,8 @@ class _Match:
     def _jump(self):
         """Jump over the ticks ahead in which only positions change (see
         the module docstring); returns how many it ran.  Called after a tick
-        that leaves the ball held or flying while possession is not lost,
-        so an own agent holds it, or its launcher waits for its flight to end."""
+        that leaves the ball held by an own agent, or flying while its
+        launcher waits for its flight to end."""
         ball = self.ball
         mode = ball.mode
         walkers = {}  # agent id -> MOVE target
@@ -576,24 +573,23 @@ class _Match:
         return False
 
     def _nothing_can_finish(self):
-        """True when, with an opponent holding the ball, no own action can
-        finish any more, so the match would idle to the timeout.
-
-        This rests on one invariant: an opponent that holds the ball keeps
-        it and causes no event.  Then no RECEIVE, PASS or KICK that is not
-        done can finish (each needs a free ball or one the actor holds, and
-        a stolen flight never lands), and a done agent held at a barrier is
-        never released while every unfinished agent is stuck so.  An
-        opponent policy that acts on the ball must revisit this exit.
-        Reads the run state only; it moves no cursor."""
-        return all(state is not None and state.kind not in (MOVE, INSTANT)
-                   for _, state in self._unblocked())
+        """True when no action can finish any more, so the match would
+        idle to the timeout: the idle exit, whose invariant the module
+        docstring gives.  Called with the ball held, by an opponent or by
+        one of our agents: true when every agent that can still act is on
+        a RECEIVE, PASS or KICK and none of them holds the ball.  A holder
+        of ours cannot act either: its plan is over, or it is held at a
+        barrier that no agent left can release.  Reads the run state only;
+        it moves no cursor."""
+        holder = self.ball.holder
+        return all(state is not None and state.kind in (RECEIVE, PASS, KICK)
+                   and aid != holder for aid, state in self._unblocked())
 
     def _unblocked(self):
         """(agent id, state at its cursor) for each agent whose plan is not
         over and that is not held at a barrier that has not released, in id
         order; the state is None for a done agent, which moves on next tick."""
-        barrier_done, barrier_total = self.barrier_done, self.barrier_total
+        barrier_left = self.barrier_left
         for aid, states in self.states.items():
             cursor = self.cursor[aid]
             if cursor == len(states):
@@ -601,25 +597,16 @@ class _Match:
             state = states[cursor]
             if aid not in self.done:
                 yield aid, state
-            elif state.barrier_id is None or (barrier_done[state.barrier_id]
-                                              >= barrier_total[state.barrier_id]):
+            elif state.barrier_id is None or not barrier_left[state.barrier_id]:
                 yield aid, None
 
-    def _settle_flights(self):
-        """Complete pass/kick actions whose ball flight has resolved."""
-        for aid in sorted(self.launched - self.done):
-            state = self.states[aid][self.cursor[aid]]
-            if state.kind == PASS:
-                if self.ball.mode == "HELD" and self.ball.holder == state.target:
-                    self._finish(aid, state)
-            elif self.ball.mode == "FREE" and self.ball.velocity == (0.0, 0.0):
-                self._finish(aid, state)  # KICK: scored or stopped
-
-    def _finish(self, aid, state: FSMState):
+    def _finish(self, aid):
+        """Marks the agent's current state done."""
+        state = self.states[aid][self.cursor[aid]]
         self.done.add(aid)
         self._event("ACTION_DONE", aid, state.action_id)
         if state.barrier_id is not None:
-            self.barrier_done[state.barrier_id] += 1
+            self.barrier_left[state.barrier_id] -= 1
 
 
 def run_match(fsms, world0: WorldState, domain: Domain, config: SimConfig,

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import socket
 import urllib.request
 from importlib import resources
@@ -124,3 +125,19 @@ def parseable_scenarios(domain):
     pairs = st.tuples(subjects, st.sampled_from(sorted(domain.waypoints)))
     return st.lists(pairs, min_size=1, unique_by=lambda pair: pair[0]).map(
         lambda pairs: cp.Scenario(tuple(pairs)))
+
+
+MIRROR_TOKEN = re.compile(r"LEFT|RIGHT")
+
+
+def mirror_plan_text(text):
+    """The text with every LEFT waypoint token swapped for its RIGHT twin,
+    and every RIGHT for its LEFT twin: the field's mirror in y."""
+    return MIRROR_TOKEN.sub(lambda m: "RIGHT" if m.group() == "LEFT" else "LEFT", text)
+
+
+def mirror_world(world):
+    """The world reflected in y."""
+    agents = {aid: (cp.Pose(pose.x, -pose.y), agent)
+              for aid, (pose, agent) in world.agents.items()}
+    return cp.WorldState(agents, (world.ball[0], -world.ball[1]))

@@ -1,9 +1,11 @@
 """The simulator's match loop in its plainest form: every tick runs in
 full, with no early exit and no jump, up to a goal, the end of every plan
-or the timeout.  `tests/test_executor.py` compares
-`coachplan.executor._Match` against it: every `MatchResult` must be equal,
-and every tick count too once `_Match`'s possession-lost exit is turned
-off."""
+or the timeout.  It keeps the run state its own way: the set of agents
+that launched the ball, and the members done at each barrier, where
+`coachplan.executor._Match` keeps the ball's launcher and counts each
+barrier down.  `tests/test_executor.py` compares `_Match` against it:
+every `MatchResult` must be equal, and every tick count too once `_Match`'s
+idle exit is turned off."""
 from __future__ import annotations
 
 import math

@@ -32,7 +32,7 @@ from coachplan.executor import (
     run_match,
 )
 
-from conftest import SELF_JOIN_PLAN_TEXT
+from conftest import SELF_JOIN_PLAN_TEXT, mirror_plan_text, mirror_world
 from reference_executor import ReferenceMatch
 
 CLEAR_SHOT_WORLD = """\
@@ -371,8 +371,9 @@ TRACE_TIME = re.compile(r"t=(\d+\.\d\d) EVENT ")
 
 
 @contextlib.contextmanager
-def without_possession_exit():
-    """Matches in this block never find possession lost for good."""
+def without_idle_exit():
+    """Matches in this block never take the idle exit: one that can only
+    idle runs every tick to its timeout."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(_Match, "_nothing_can_finish", lambda self: False)
         yield mp
@@ -456,8 +457,8 @@ def test_match_invariants(domain, corpus_plans, data, policy_name, tick, timeout
 def test_match_equals_reference_loop(domain, corpus_plans, data, policy_name, tick, timeout):
     # The every-tick loop in reference_executor.py is the reference for the
     # optimised one: every result must be equal, and every tick count too
-    # once the possession-lost exit (the reference has no early exit) is
-    # off, with the jump over walking and flight ticks and without it.
+    # once the idle exit (the reference has no early exit) is off, with the
+    # jump over walking and flight ticks and without it.
     plan = corpus_plans[data.draw(st.sampled_from(sorted(corpus_plans)), label="plan")]
     world = data.draw(full_team_worlds(list(domain.roles)), label="world")
     config = cp.SimConfig(tick=tick, timeout=timeout)
@@ -465,7 +466,7 @@ def test_match_equals_reference_loop(domain, corpus_plans, data, policy_name, ti
     reference = ReferenceMatch(fsms, world, domain, config, make_opponent_policy(policy_name))
     expected = reference.run()
     assert _Match(fsms, world, domain, config, make_opponent_policy(policy_name)).run() == expected
-    with without_possession_exit():
+    with without_idle_exit():
         match = _Match(fsms, world, domain, config, make_opponent_policy(policy_name))
         assert match.run() == expected
         with without_jump():
@@ -566,12 +567,15 @@ def test_seeded_traces_pinned(domain, corpus_plans):
     worlds = seeded_worlds(domain.roles, 50, seed=13)
     digest = hashlib.sha256()
     events = {}
+    timed_out = 0
     for name, plan in sorted(corpus_plans.items()):
         fsms = compile_fsm(plan)
         for w, world in enumerate(worlds):
             for policy_name in (STATIC, NEAREST_INTERCEPT):
-                result = run_match(fsms, world, domain, cp.SimConfig(),
-                                   make_opponent_policy(policy_name))
+                match = _Match(fsms, world, domain, cp.SimConfig(),
+                               make_opponent_policy(policy_name))
+                result = match.run()
+                timed_out += match.ticks > match.last_tick
                 digest.update(f"{name} {w} {policy_name}\n".encode())
                 digest.update(result.trace_text().encode())
                 for line in result.trace:
@@ -585,36 +589,49 @@ def test_seeded_traces_pinned(domain, corpus_plans):
     assert all(events.get(kind) for kind in ("STEAL", "PASS_COMPLETE", "GOAL",
                                              "BALL_STOPPED", "PLAN_DONE", "TIMEOUT")), events
     assert digest.hexdigest() == SEEDED_TRACE_DIGEST
+    # Every match these worlds stall ends by the idle exit: none runs every
+    # tick to its timeout.
+    assert timed_out == 0
 
 
-# --- a match that possession loss leaves idle ends at once, with the trace
-# --- it would have had; any other stalled match runs to its timeout
+# --- a match with a held ball that can only idle ends at once, with the
+# --- trace it would have had; a stalled walker runs to its timeout
 
 def run_every_tick(*args):
-    with without_possession_exit(), without_jump():
+    with without_idle_exit(), without_jump():
         return run_match(*args)
 
 
 def match_state(match):
     """The state a tick reads and writes, of a `_Match` or a `ReferenceMatch`:
-    positions, the ball, the run state, the trace length and the ticks run."""
+    positions, the ball, the run state, the trace length and the ticks run.
+    The run state is what both keep: the unfinished launcher (the
+    reference's `launched - done`, `_Match`'s `ball.launcher`) and the
+    members done at each barrier (`_Match` counts down from the totals)."""
     ball = match.ball
+    if isinstance(match, ReferenceMatch):
+        unfinished = match.launched - match.done
+        barrier_done = match.barrier_done
+    else:
+        unfinished = {ball.launcher} - {None}
+        totals = Counter(state.barrier_id for states in match.states.values()
+                         for state in states if state.barrier_id)
+        barrier_done = totals - match.barrier_left
     return (match.own, match.opponents, ball.pos, ball.mode, ball.holder, ball.receiver,
-            ball.velocity, match.cursor, match.done, match.launched,
-            {barrier: n for barrier, n in match.barrier_done.items() if n},
+            ball.velocity, match.cursor, match.done, unfinished, barrier_done,
             len(match.trace), match.ticks)
 
 
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_possession_lost_exit_changes_nothing(domain, corpus_plans, data):
+@given(data=st.data(), policy_name=st.sampled_from([STATIC, NEAREST_INTERCEPT]))
+def test_idle_exit_changes_nothing(domain, corpus_plans, data, policy_name):
     plan = corpus_plans[data.draw(st.sampled_from(sorted(corpus_plans)), label="plan")]
     world = data.draw(full_team_worlds(list(domain.roles)), label="world")
     args = (compile_fsm(plan), world, domain, cp.SimConfig(),
-            make_opponent_policy(NEAREST_INTERCEPT))
+            make_opponent_policy(policy_name))
     result = run_match(*args)
-    with without_possession_exit():
+    with without_idle_exit():
         assert run_match(*args) == result
 
 
@@ -637,7 +654,8 @@ def test_liveness_pass_stops_at_first_live_agent(domain, schemas, roles):
     # DEFENDER (waiting for a pass that never comes), so JOLLY moves on to
     # its receive only on tick 17; with the timeout on tick 16, it is still
     # done at its move when the match ends.  The match then stalls, as
-    # STRIKER keeps the ball, and runs every tick to the timeout.
+    # STRIKER keeps the ball: the idle exit ends it on tick 18, where the
+    # reference runs every tick to the timeout.
     world = cp.parse_world_file(
         "AGENT DEFENDER OWN DEFENDER -3.0 0.0 0.0\n"
         "AGENT JOLLY OWN JOLLY -0.195 0.0 0.0\n"
@@ -652,17 +670,18 @@ def test_liveness_pass_stops_at_first_live_agent(domain, schemas, roles):
     assert result.trace == ("t=0.80 EVENT ACTION_DONE JOLLY move_to",
                             "t=120.00 EVENT TIMEOUT MATCH")
     assert result == reference.run()
-    assert match.ticks == reference.ticks == 2401
+    assert (match.ticks, reference.ticks) == (18, 2401)
     short = _Match(fsms, world, domain, cp.SimConfig(timeout=0.8), make_opponent_policy(STATIC))
     assert short.run().trace == ("t=0.80 EVENT ACTION_DONE JOLLY move_to",
                                  "t=0.80 EVENT TIMEOUT MATCH")
     assert (short.cursor["JOLLY"], "JOLLY" in short.done) == (0, True)
 
 
-def test_stalled_static_match_runs_to_the_timeout(domain, schemas, roles):
+def test_stalled_static_match_ends_at_once(domain, schemas, roles):
     # DEFENDER waits for a pass that never comes while STRIKER keeps the
-    # ball and nothing moves: the match runs every tick, as the reference
-    # does, and logs the TIMEOUT at the timeout on the tick after the last.
+    # ball and nothing moves: the match ends on its second tick, with the
+    # TIMEOUT at the timeout and the state the reference reaches by running
+    # every tick up to the tick after the last.
     world = cp.parse_world_file(
         "AGENT DEFENDER OWN DEFENDER -3.0 0.0 0.0\n"
         "AGENT STRIKER OWN STRIKER -1.0 -1.0 0.0\n"
@@ -675,8 +694,34 @@ def test_stalled_static_match_runs_to_the_timeout(domain, schemas, roles):
     result = match.run()
     assert result.trace == ("t=12.50 EVENT TIMEOUT MATCH",)
     assert result == reference.run()
-    assert match.ticks == reference.ticks == match.last_tick + 1 == 417
-    assert match_state(match) == match_state(reference)
+    assert (match.ticks, reference.ticks) == (2, match.last_tick + 1) == (2, 417)
+    assert match_state(match)[:-1] == match_state(reference)[:-1]
+
+
+def test_passer_chasing_a_ball_a_finished_teammate_keeps_ends_at_once(domain, schemas,
+                                                                      roles):
+    # STRIKER keeps the ball once its one action is done on tick 1; JOLLY
+    # chases it to pass to DEFENDER, who waits, but a held ball is never
+    # taken.  The liveness pass stops at DEFENDER, so STRIKER's plan is over
+    # only on tick 2; nothing can finish then, and the match ends on tick 3.
+    world = cp.parse_world_file(
+        "AGENT DEFENDER OWN DEFENDER -3.0 0.0 0.0\n"
+        "AGENT JOLLY OWN JOLLY 1.0 1.0 0.0\n"
+        "AGENT STRIKER OWN STRIKER -1.0 -1.0 0.0\n"
+        "BALL -1.0 -1.0\n", domain)
+    fsms = compile_fsm(parse("align_to_goal STRIKER {}\n"
+                             "pass_the_ball JOLLY {SENDER: JOLLY, RECEIVER: DEFENDER}\n"
+                             "receive_ball DEFENDER {SENDER: JOLLY}", schemas, roles))
+    args = (fsms, world, domain, cp.SimConfig(), make_opponent_policy(STATIC))
+    match = _Match(*args)
+    result = match.run()
+    assert result.trace == ("t=0.05 EVENT ACTION_DONE STRIKER align_to_goal",
+                            "t=120.00 EVENT TIMEOUT MATCH")
+    assert match.ticks == 3
+    assert run_every_tick(*args) == result
+    reference = ReferenceMatch(*args)
+    assert reference.run() == result
+    assert reference.ticks == 2401
 
 
 def test_settled_intercept_match_ends_early(domain, corpus_plans, golden_dir):
@@ -693,7 +738,7 @@ def test_settled_intercept_match_ends_early(domain, corpus_plans, golden_dir):
 
 def test_stolen_kick_ends_the_match(domain, schemas, roles):
     # O1 steals STRIKER's kick at t=1.20, 5 m from both kickers: without
-    # the possession-lost exit the match would run every tick to the
+    # the idle exit the match would run every tick to the
     # timeout, though nothing is logged after the steal.
     world = cp.parse_world_file(
         "AGENT STRIKER OWN STRIKER -4.0 0.0 0.0\n"
@@ -782,14 +827,14 @@ def test_walk_jump_changes_nothing(domain, corpus_plans, data, policy_name, tick
 def run_jumped(*args):
     """(match, result, jumped) for a match that must equal the same match
     stepped tick by tick and the reference loop, in result and final state
-    (tick count included, so the possession-lost exit is off in all three,
+    (tick count included, so the idle exit is off in all three,
     and the result must be the same with it on); `jumped` is the jumped
     run's `counting_jumps` Counter."""
-    with without_possession_exit(), counting_jumps() as jumped:
+    with without_idle_exit(), counting_jumps() as jumped:
         match = _Match(*args)
         result = match.run()
     assert run_match(*args) == result
-    with without_possession_exit(), without_jump():
+    with without_idle_exit(), without_jump():
         stepped = _Match(*args)
         assert stepped.run() == result
     reference = ReferenceMatch(*args)
@@ -1041,19 +1086,7 @@ def test_a_long_kick_makes_few_ball_updates(domain, schemas, roles):
 
 # --- the field is mirror-symmetric about y = 0, and so are matches and reports ---
 
-MIRROR_TOKEN = re.compile(r"LEFT|RIGHT")
 TRACE_Y = re.compile(r"y=(-?\d+\.\d{3})")
-
-
-def mirror_plan_text(text):
-    """The plan with every LEFT waypoint token swapped for its RIGHT twin."""
-    return MIRROR_TOKEN.sub(lambda m: "RIGHT" if m.group() == "LEFT" else "LEFT", text)
-
-
-def mirror_world(world):
-    agents = {aid: (cp.Pose(pose.x, -pose.y), agent)
-              for aid, (pose, agent) in world.agents.items()}
-    return cp.WorldState(agents, (world.ball[0], -world.ball[1]))
 
 
 def mirror_trace(trace):

@@ -1,6 +1,7 @@
 import collections
 import gc
 import glob
+import math
 import os
 import random
 import weakref
@@ -9,11 +10,11 @@ from importlib import resources
 import json
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 import coachplan as cp
 from coachplan import library as planlib
-from coachplan.domain import BALL, ScenarioIndex
+from coachplan.domain import BALL, OPPONENT, OWN, ScenarioIndex
 from coachplan.errors import (
     DuplicateFrameId,
     EmptyDomain,
@@ -34,7 +35,7 @@ from coachplan.executor import (
 from coachplan.library import cluster_scenarios, evaluate
 from coachplan.pipeline import make_record, run_generate
 
-from conftest import parseable_scenarios, reference_distance
+from conftest import mirror_plan_text, mirror_world, parseable_scenarios, reference_distance
 
 
 def record(plan, scenario, frame_id, created_at="2024-01-01T00:00:00Z"):
@@ -263,6 +264,77 @@ class TestSelectPlanDifferential:
             exact += keys[0][0] == 0.0
             distance_ties += keys[1][0] == keys[0][0]
         assert exact >= 20 and distance_ties > 5
+
+
+# --- the selector respects the field's mirror in y ---
+
+def mirror_scenario(scenario):
+    return cp.Scenario(tuple((subject, mirror_plan_text(token))
+                             for subject, token in scenario.assignments))
+
+
+@st.composite
+def mirror_worlds(draw, domain):
+    """Some of the domain's roles, up to three opponents and the ball, each
+    on a waypoint, on a 0.1 m grid or anywhere on the field."""
+    points = st.one_of(
+        st.sampled_from([w.position for w in domain.waypoints.values()]),
+        st.tuples(st.integers(-45, 45), st.integers(-30, 30)).map(
+            lambda p: (p[0] / 10, p[1] / 10)),
+        st.tuples(st.floats(-4.5, 4.5), st.floats(-3.0, 3.0)))
+    agents = {}
+    for role in draw(st.lists(st.sampled_from(sorted(domain.roles)), unique=True)):
+        x, y = draw(points)
+        agents[role] = (cp.Pose(x, y), cp.Agent(role, OWN, role))
+    for i in range(draw(st.integers(0, 3))):
+        x, y = draw(points)
+        agents[f"O{i}"] = (cp.Pose(x, y), cp.Agent(f"O{i}", OPPONENT))
+    return cp.WorldState(agents, draw(points))
+
+
+def has_a_nearest_waypoint(pos, domain):
+    """True unless two waypoints tie exactly as the nearest to `pos`."""
+    first, second = sorted(math.hypot(pos[0] - x, pos[1] - y)
+                           for x, y in (w.position for w in domain.waypoints.values()))[:2]
+    return first < second
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_mirrored_world_selects_the_mirrored_record(domain, schemas, roles, corpus_texts,
+                                                    data):
+    # A world reflected in y selects, from a library whose every scenario
+    # and plan has LEFT and RIGHT swapped, the mirror of the record the
+    # world selects.  Negation changes no waypoint distance, so every
+    # record's distance and every tie is the same.  Two exceptions are left
+    # out: opponents with equal x, which opponent_markers numbers by y, and
+    # an exact tie of two nearest waypoints, which nearest_waypoint breaks
+    # by token order.
+    world = data.draw(mirror_worlds(domain), label="world")
+    opponents = [pose.x for pose, agent in world.agents.values() if agent.team == OPPONENT]
+    assume(len(set(opponents)) == len(opponents))
+    assume(all(has_a_nearest_waypoint(pos, domain) for pos in
+               [world.ball, *((pose.x, pose.y) for pose, _ in world.agents.values())]))
+    names = data.draw(st.lists(st.sampled_from(sorted(corpus_texts)), min_size=1,
+                               max_size=30), label="plans")
+    tokens = data.draw(st.lists(st.sampled_from(sorted(domain.waypoints)), min_size=1,
+                                max_size=6, unique=True), label="tokens")
+    records, images = [], []
+    for i, name in enumerate(names):
+        subjects = data.draw(st.lists(
+            st.sampled_from([*domain.roles, "OPPONENT_1", "OPPONENT_2", BALL]),
+            min_size=1, unique=True))
+        scenario = cp.Scenario(tuple((s, data.draw(st.sampled_from(tokens))) for s in subjects))
+        created_at = data.draw(st.sampled_from(["2024-01-01", "2024-01-02"]))
+        text = corpus_texts[name]
+        records.append(record(cp.parse_plan(text, schemas, roles), scenario, f"f{i:02d}",
+                              created_at))
+        images.append(record(cp.parse_plan(mirror_plan_text(text), schemas, roles),
+                             mirror_scenario(scenario), f"f{i:02d}", created_at))
+    library, mirrored = cp.Library(tuple(records)), cp.Library(tuple(images))
+    chosen = records.index(cp.select_plan(library, world, domain))
+    assert cp.select_plan(mirrored, mirror_world(world), domain) is images[chosen]
 
 
 def brute_force_select(library, world, domain):
