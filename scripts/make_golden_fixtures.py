@@ -7,8 +7,9 @@ Run from the repository root:
 
     python3 scripts/make_golden_fixtures.py
 """
+import contextlib
+import io
 import os
-import subprocess
 import sys
 import tempfile
 from importlib import resources
@@ -17,6 +18,7 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 sys.path.insert(0, SRC)
 
 import coachplan as cp
+from coachplan import cli
 from coachplan.pipeline import run_generate
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "..", "src", "coachplan", "data", "golden")
@@ -117,6 +119,13 @@ class ScriptedChat:
         return cp.ChatResponse(next(self.replies), self.provider_id)
 
 
+def run_cli(*argv):
+    """Run one `coachplan` command in this process; fail on a non-zero exit."""
+    code = cli.main(list(argv))
+    if code != 0:
+        sys.exit(f"coachplan {argv[0]} exited with {code}")
+
+
 def main():
     os.makedirs(GOLDEN, exist_ok=True)
     scen_dir = os.path.join(GOLDEN, "scenarios")
@@ -143,29 +152,21 @@ def main():
                  cp.MockEmbeddingProvider())
     chat.transcript.save(os.path.join(GOLDEN, "transcript.txt"))
 
-    # Drive the CLI end to end to produce the golden report.
-    data_dir = os.path.join(os.path.dirname(GOLDEN))
-    # The CLI children import this checkout's package, installed or not.
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    # Run the CLI commands in this process to produce the golden report.
+    data_dir = os.path.dirname(GOLDEN)
     with tempfile.TemporaryDirectory() as tmp:
         lib_path = os.path.join(tmp, "library.jsonl")
         base = [
             "--domain", os.path.join(data_dir, "domain.txt"),
             "--actions", os.path.join(data_dir, "actions.txt"),
         ]
-        subprocess.run(
-            [sys.executable, "-m", "coachplan.cli", "generate", *base,
-             "--world", os.path.join(GOLDEN, "frame_0.world"),
-             "--transcript", os.path.join(GOLDEN, "transcript.txt"),
-             "--library", lib_path, "--frame-id", "frame_0"],
-            check=True, env=env,
-        )
-        report = subprocess.run(
-            [sys.executable, "-m", "coachplan.cli", "evaluate", *base,
-             "--library", lib_path, "--scenarios", scen_dir],
-            check=True, capture_output=True, text=True, env=env,
-        ).stdout
+        run_cli("generate", *base, "--world", os.path.join(GOLDEN, "frame_0.world"),
+                "--transcript", os.path.join(GOLDEN, "transcript.txt"),
+                "--library", lib_path, "--frame-id", "frame_0")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            run_cli("evaluate", *base, "--library", lib_path, "--scenarios", scen_dir)
+    report = out.getvalue()
     with open(os.path.join(GOLDEN, "report.txt"), "w") as fh:
         fh.write(report)
     print(report, end="")

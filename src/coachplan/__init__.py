@@ -37,7 +37,6 @@ from .domain import (
     serialize_scenario,
 )
 from .executor import (
-    AgentFSM,
     AggregateMetrics,
     MatchResult,
     SimConfig,

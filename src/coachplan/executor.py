@@ -99,12 +99,6 @@ class FSMState:
 
 
 @dataclass(frozen=True)
-class AgentFSM:
-    agent_id: str
-    states: tuple  # of FSMState
-
-
-@dataclass(frozen=True)
 class MatchResult:
     success: bool
     passes: int
@@ -122,11 +116,12 @@ class AggregateMetrics(NamedTuple):
 
 
 def compile_fsm(plan: Plan, schemas=None) -> dict:
-    """One FSM per agent, actions in plan order; each JOIN contributes one
-    barrier shared by exactly its members.  Agents absent from a step simply
-    have no state for it.  Each state runs as the kind and target that
-    `refine.ground_plan` reads from the schemas (default: the packaged
-    actions); InvalidPlan on its first SELF_JOIN or UNRUNNABLE fault."""
+    """{agent_id: tuple of FSMState}, in id order: one FSM per agent, actions
+    in plan order; each JOIN contributes one barrier shared by exactly its
+    members.  Agents absent from a step simply have no state for it.  Each
+    state runs as the kind and target that `refine.ground_plan` reads from
+    the schemas (default: the packaged actions); InvalidPlan on its first
+    SELF_JOIN or UNRUNNABLE fault."""
     if schemas is None:
         schemas = packaged_schemas()
     fsms: dict[str, list] = {}
@@ -138,14 +133,14 @@ def compile_fsm(plan: Plan, schemas=None) -> dict:
             action = grounding.action
             fsms.setdefault(action.agent_id, []).append(
                 FSMState(action.action_id, grounding.kind, grounding.target, barrier))
-    return {aid: AgentFSM(aid, tuple(states)) for aid, states in sorted(fsms.items())}
+    return {aid: tuple(states) for aid, states in sorted(fsms.items())}
 
 
 def plan_agents(fsms) -> set:
     """The agents a compiled plan needs in its world: every acting agent
     and every pass receiver."""
     agents = set(fsms)
-    agents.update(state.target for fsm in fsms.values() for state in fsm.states
+    agents.update(state.target for states in fsms.values() for state in states
                   if state.kind == PASS)
     return agents
 
@@ -259,7 +254,7 @@ class _Match:
                 self.own[agent_id] = (pose.x, pose.y)
             else:
                 self.opponents[agent_id] = (pose.x, pose.y)
-        self.states = {aid: fsms[aid].states for aid in sorted(fsms)}  # in id order
+        self.states = dict(sorted(fsms.items()))  # in id order
         # The plan's agents must be own agents of the world; each MOVE
         # target's position is then resolved once (UnknownWaypoint here).
         missing = sorted(plan_agents(fsms) - self.own.keys())

@@ -131,8 +131,7 @@ def run_generate(domain, schemas, world, chat_provider, embed_provider,
 
     # Validation gate.
     initial = initial_state_from_world(world, domain)
-    schemas_by_id = {s.action_id: s for s in schemas}
-    report = validate_plan(synced, schemas_by_id, initial)
+    report = validate_plan(synced, index.schemas, initial)
     manifest.record("validation", {"report": report.serialize()})
     if not report.ok:
         raise ValidationFailed(report.serialize())

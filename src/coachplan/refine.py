@@ -10,6 +10,7 @@ state and apply a conflict-checked union of effects.
 from __future__ import annotations
 
 import functools
+import re
 from importlib import resources
 from typing import NamedTuple
 
@@ -283,36 +284,19 @@ def load_sync_examples():
 @functools.cache
 def _packaged_sync_examples():
     """Parse the POSITIVE/NEGATIVE example blocks of the packaged
-    `sync_examples.txt`: (positive, ((reason, negative), ...))."""
+    `sync_examples.txt`: (positive, ((reason, negative), ...)).  `#` lines
+    are comments; a later POSITIVE block replaces an earlier one, and with
+    none the positive is None."""
     text = resources.files("coachplan.data").joinpath("sync_examples.txt").read_text()
+    text = "\n".join(line for line in text.splitlines() if not line.startswith("#"))
+    _, *blocks = re.split(r"^(POSITIVE|NEGATIVE):(.*)$", text, flags=re.MULTILINE)
     positive = None
     negatives = []
-    current = None
-    body = []
-
-    def close():
-        nonlocal positive
-        if current is None:
-            return
-        kind, reason = current
-        chunk = "\n".join(body).strip()
+    for kind, reason, body in zip(blocks[::3], blocks[1::3], blocks[2::3]):
         if kind == "POSITIVE":
-            positive = chunk
+            positive = body.strip()
         else:
-            negatives.append((reason, chunk))
-
-    for raw in text.splitlines():
-        if raw.startswith("#"):
-            continue
-        if raw.startswith("POSITIVE:"):
-            close()
-            current, body = ("POSITIVE", ""), []
-        elif raw.startswith("NEGATIVE:"):
-            close()
-            current, body = ("NEGATIVE", raw.split(":", 1)[1].strip()), []
-        elif current is not None:
-            body.append(raw)
-    close()
+            negatives.append((reason.strip(), body.strip()))
     return positive, tuple(negatives)
 
 

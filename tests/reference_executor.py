@@ -49,7 +49,7 @@ class ReferenceMatch:
         missing = [aid for aid in fsms if aid not in world0.agents]
         if missing:
             raise ConfigInvalid(f"world is missing plan agents: {missing}")
-        self.states = {aid: fsms[aid].states for aid in sorted(fsms)}  # in id order
+        self.states = {aid: fsms[aid] for aid in sorted(fsms)}  # in id order
         # Each MOVE target's position, resolved once (UnknownWaypoint here).
         self.move_targets = {
             state.target: tuple(domain.waypoint(state.target).position)

@@ -14,12 +14,14 @@ from hypothesis import HealthCheck, assume, event, given, settings, strategies a
 
 import coachplan as cp
 from coachplan.actions import INSTANT, KICK, MOVE, PASS, RECEIVE
-from coachplan.domain import CONTROL_RADIUS, FIELD_X, FIELD_Y, OPPONENT, OWN, clamp_to_field
+from coachplan.domain import (CONTROL_RADIUS, FIELD_X, FIELD_Y, OPPONENT, OWN, ball_holder,
+                              clamp_to_field)
 from coachplan.errors import ConfigInvalid, EmptyInput, InvalidPlan, UnknownWaypoint
 from coachplan.executor import (
     MAX_TICKS,
     NEAREST_INTERCEPT,
     STATIC,
+    FSMState,
     AggregateMetrics,
     _Match,
     _step_towards,
@@ -91,8 +93,8 @@ class TestCompileFsm:
         plan = parse(PASS_KICK_PLAN, schemas, roles)
         fsms = compile_fsm(plan)
         assert sorted(fsms) == ["JOLLY", "STRIKER"]
-        assert len(fsms["STRIKER"].states) == 1
-        assert len(fsms["JOLLY"].states) == 2
+        assert len(fsms["STRIKER"]) == 1
+        assert len(fsms["JOLLY"]) == 2
 
     def test_join_becomes_shared_barrier(self, schemas, roles):
         plan = parse(
@@ -101,13 +103,13 @@ class TestCompileFsm:
             schemas, roles,
         )
         fsms = compile_fsm(plan)
-        barriers = {fsm.states[0].barrier_id for fsm in fsms.values()}
+        barriers = {states[0].barrier_id for states in fsms.values()}
         assert barriers == {"barrier_1"}
 
     def test_single_has_no_barrier(self, schemas, roles):
         plan = parse("kick_to_goal STRIKER {}", schemas, roles)
         fsms = compile_fsm(plan)
-        assert fsms["STRIKER"].states[0].barrier_id is None
+        assert fsms["STRIKER"][0].barrier_id is None
 
     def test_self_join_rejected(self, schemas, roles):
         plan = parse(SELF_JOIN_PLAN_TEXT, schemas, roles)
@@ -125,18 +127,18 @@ class TestCompileFsm:
             schemas, roles,
         )
         fsms = compile_fsm(plan, schemas)
-        assert [(st.kind, st.target) for st in fsms["STRIKER"].states] == [
+        assert [(st.kind, st.target) for st in fsms["STRIKER"]] == [
             (PASS, "JOLLY"), (MOVE, "LEFT_WING")]
-        assert [(st.kind, st.target) for st in fsms["JOLLY"].states] == [
+        assert [(st.kind, st.target) for st in fsms["JOLLY"]] == [
             (RECEIVE, None), (INSTANT, None), (KICK, None)]
         # defend_goal's waypoint comes from its effect at(AGENT,OUR_GOAL).
-        assert fsms["GOALIE"].states[0].target == "OUR_GOAL"
+        assert fsms["GOALIE"][0].target == "OUR_GOAL"
 
     def test_fsm_is_immutable(self, schemas, roles):
-        fsm = compile_fsm(parse(PASS_KICK_PLAN, schemas, roles))["JOLLY"]
-        assert [f.name for f in dataclasses.fields(fsm)] == ["agent_id", "states"]
+        fsms = compile_fsm(parse(PASS_KICK_PLAN, schemas, roles))
+        assert all(type(states) is tuple for states in fsms.values())
         with pytest.raises(dataclasses.FrozenInstanceError):
-            fsm.states = ()
+            fsms["JOLLY"][0].target = "STRIKER"
 
     def test_pass_by_another_agent_rejected(self, schemas, roles):
         # JOLLY cannot pass a ball STRIKER holds.
@@ -582,7 +584,7 @@ def test_seeded_traces_pinned(domain, corpus_plans):
                     kind = line.split()[2]
                     events[kind] = events.get(kind, 0) + 1
     barriers = sum(state.barrier_id is not None for plan in corpus_plans.values()
-                   for fsm in compile_fsm(plan).values() for state in fsm.states)
+                   for states in compile_fsm(plan).values() for state in states)
     # What the digest covers: the plans hold JOIN barriers, and every way a
     # match or a flight can end happens.
     assert barriers > 0
@@ -1170,3 +1172,101 @@ def test_a_waypoint_tie_breaks_the_mirror(domain):
     assert nearest_waypoints_tie((-3.6, 1.1), domain)
     assert cp.nearest_waypoint((-3.6, 1.1), domain) == "OUR_LEFT_DEFENSE"
     assert cp.nearest_waypoint((-3.6, -1.1), domain) == "OUR_PENALTY_MARK"
+
+
+# --- metamorphic relations: renaming the own agents, and a time shift ---
+
+def rename_own_agents(fsms, world, names):
+    """The compiled plan and the world with each own agent renamed as
+    `names` says: the plan's keys and PASS targets, and the world's ids."""
+    fsms = {names[aid]: tuple(dataclasses.replace(state, target=names[state.target])
+                              if state.kind == PASS else state for state in states)
+            for aid, states in fsms.items()}
+    agents = {}
+    for aid, (pose, agent) in world.agents.items():
+        if agent.team == OWN:
+            aid = names[aid]
+            agent = agent._replace(agent_id=aid)
+        agents[aid] = (pose, agent)
+    return fsms, cp.WorldState(agents, world.ball)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), policy_name=st.sampled_from([STATIC, NEAREST_INTERCEPT]))
+def test_renamed_agents_play_the_same_match(domain, corpus_plans, data, policy_name):
+    # Renaming the own agents in the plan and in the world, in an order-
+    # preserving way, changes nothing but the names in the trace.  The order
+    # must be kept: agent id order decides same-tick events (see
+    # test_id_order_decides_a_join_release_in_the_same_tick).
+    plan = corpus_plans[data.draw(st.sampled_from(sorted(corpus_plans)), label="plan")]
+    world = data.draw(full_team_worlds(list(domain.roles)), label="world")
+    own = sorted(aid for aid, (_, agent) in world.agents.items() if agent.team == OWN)
+    names = {aid: f"A{i}_{aid}" for i, aid in enumerate(own)}
+    fsms = compile_fsm(plan)
+    result = run_match(fsms, world, domain, cp.SimConfig(), make_opponent_policy(policy_name))
+    renamed = run_match(*rename_own_agents(fsms, world, names), domain, cp.SimConfig(),
+                        make_opponent_policy(policy_name))
+    back = {new: old for old, new in names.items()}
+    name = re.compile(r"\b(" + "|".join(back) + r")\b")
+    trace = tuple(name.sub(lambda m: back[m.group()], line) for line in renamed.trace)
+    assert dataclasses.replace(renamed, trace=trace) == result
+
+
+def test_id_order_decides_a_join_release_in_the_same_tick(domain, schemas, roles):
+    # The exception test_renamed_agents_play_the_same_match leaves out: a
+    # JOIN member that waits at the barrier moves on in the tick that
+    # releases it only if it comes after the releasing member in id order.
+    # Here STRIKER aligns at once and waits for JOLLY's walk; renamed
+    # A_STRIKER, it comes first and kicks one tick later.
+    plan = parse("JOIN {align_to_goal STRIKER {},\n"
+                 "      move_to JOLLY {TARGET: KICKING_POSITION}}\n"
+                 "kick_to_goal STRIKER {}", schemas, roles)
+    world = cp.parse_world_file("AGENT STRIKER OWN STRIKER 2.0 0.0 0.0\n"
+                                "AGENT JOLLY OWN JOLLY 2.2 1.0 0.0\n"
+                                "BALL 2.0 0.0\n", domain)
+    fsms = compile_fsm(plan)
+    result = run_match(fsms, world, domain, cp.SimConfig())
+    renamed = run_match(*rename_own_agents(fsms, world, {"STRIKER": "A_STRIKER",
+                                                          "JOLLY": "B_JOLLY"}),
+                        domain, cp.SimConfig())
+    assert result.trace == (
+        "t=0.05 EVENT ACTION_DONE STRIKER align_to_goal",
+        "t=5.70 EVENT ACTION_DONE JOLLY move_to",
+        "t=5.70 EVENT KICK STRIKER",
+        "t=6.30 EVENT GOAL BALL x=4.500 y=0.000",
+        "t=6.30 EVENT ACTION_DONE STRIKER kick_to_goal",
+    )
+    assert renamed.trace == (
+        "t=0.05 EVENT ACTION_DONE A_STRIKER align_to_goal",
+        "t=5.70 EVENT ACTION_DONE B_JOLLY move_to",
+        "t=5.75 EVENT KICK A_STRIKER",
+        "t=6.35 EVENT GOAL BALL x=4.500 y=0.000",
+        "t=6.35 EVENT ACTION_DONE A_STRIKER kick_to_goal",
+    )
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_prefixed_instant_step_delays_the_goal_one_tick(domain, corpus_plans, data):
+    # Against STATIC opponents, nothing moves until an own agent acts, so
+    # prefixing every agent's plan with one INSTANT state at one shared
+    # barrier delays the whole match by one tick: the agents finish it in
+    # the first tick and start the plan in the second.  The exception is a
+    # held ball off its holder's position: it moves onto the holder at the
+    # end of the first tick, so a pass or kick in that tick starts from the
+    # world file's ball position and one a tick later from the holder's.
+    plan = corpus_plans[data.draw(st.sampled_from(sorted(corpus_plans)), label="plan")]
+    world = data.draw(full_team_worlds(list(domain.roles)), label="world")
+    holder = ball_holder(world)
+    assume(holder is None or world.agents[holder][0] == tuple(world.ball))
+    fsms = compile_fsm(plan)
+    wait = FSMState("wait", INSTANT, None, "barrier_0")
+    config = cp.SimConfig()
+    result = run_match(fsms, world, domain, config)
+    later = run_match({aid: (wait, *states) for aid, states in fsms.items()}, world, domain,
+                      config)
+    assert (later.success, later.passes) == (result.success, result.passes)
+    if result.success:
+        assert later.scoring_time == (round(result.scoring_time / config.tick) + 1) * config.tick
