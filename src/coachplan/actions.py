@@ -240,6 +240,7 @@ def packaged_schemas():
     return MappingProxyType({s.action_id: s for s in parse_action_file(text)})
 
 
+@functools.lru_cache(maxsize=256)  # per distinct schema, rendered into every grounding prompt
 def serialize_action(schema: ActionSchema) -> str:
     lines = [
         f"ACTION_ID: {schema.action_id}",

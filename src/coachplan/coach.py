@@ -29,13 +29,20 @@ ADVICE_HEADER = "COACH ADVICE:"
 TACTICS_SENTENCE = "Your attitude is to perform the following tactics [TACTICS]"
 
 
-_SLOT_RE = re.compile(r"\[[A-Z_]+\]")
+_SLOT_RE = re.compile(r"(\[[A-Z_]+\])")
 
 
 @functools.cache
 def _template_text(name: str) -> str:
     """A packaged prompt template's text, read once per process."""
     return resources.files("coachplan.data.templates").joinpath(name).read_text()
+
+
+@functools.cache
+def _template_parts(name: str) -> tuple:
+    """A packaged template split at its `[SLOT]`s, once per process: the
+    text between slots at even positions, the slots at odd ones."""
+    return tuple(_SLOT_RE.split(_template_text(name)))
 
 
 def fill_template(name: str, slots: dict) -> str:
@@ -50,7 +57,9 @@ def fill_template(name: str, slots: dict) -> str:
     for slot in slots:
         if slot not in text:
             raise UnresolvedPlaceholder(f"template {name} has no slot {slot}")
-    return _SLOT_RE.sub(lambda m: slots.get(m.group(0), m.group(0)), text)
+    parts = list(_template_parts(name))
+    parts[1::2] = [slots.get(slot, slot) for slot in parts[1::2]]
+    return "".join(parts)
 
 
 def describe_roles(domain: Domain) -> str:
@@ -87,8 +96,9 @@ def build_coach_prompt(domain: Domain, retrieved_actions, goal, tactics) -> Chat
     user_text = fill_template("coach.txt", slots)
     # Collapse the blank lines an empty slot value leaves (a domain with no
     # ROLE line, say).  An omitted tactics sentence leaves one blank line,
-    # which stays, so the packaged prompt is unchanged here.
-    user_text = re.sub(r"\n{3,}", "\n\n", user_text)
+    # which stays, so the packaged prompt has no run to collapse.
+    if "\n\n\n" in user_text:
+        user_text = re.sub(r"\n{3,}", "\n\n", user_text)
     return ChatRequest(system_text=SYSTEM_TEXT, user_text=user_text)
 
 

@@ -6,6 +6,7 @@ a mismatched response.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -43,6 +44,13 @@ class ChatRequest:
         )
 
     def fingerprint(self) -> str:
+        return self._digest
+
+    @functools.cached_property
+    def _digest(self) -> str:
+        """The sha256 of `canonical()`, hashed once per request: the replay
+        lookup and the run manifest both read it.  It is no field, so
+        equality and repr do not see it."""
         return hashlib.sha256(self.canonical().encode()).hexdigest()
 
 

@@ -15,6 +15,7 @@ from coachplan.actions import (
     classify,
     packaged_schemas,
     parse_predicate,
+    serialize_action,
     serialize_actions,
 )
 from coachplan.errors import (
@@ -48,6 +49,19 @@ class TestParseActionFile:
         text = serialize_actions(list(schemas.values()))
         again = cp.parse_action_file(text)
         assert {s.action_id: s for s in again} == schemas
+
+    def test_schema_text_follows_the_content_not_the_id(self):
+        # serialize_action keeps each schema's text: two schemas with one
+        # action id but other descriptions or effects each get their own.
+        (schema,) = cp.parse_action_file(SAMPLE)
+        redescribed = schema._replace(description="Lob the ball to a teammate.")
+        reeffected = schema._replace(effects=schema.effects[:2])
+        texts = [serialize_action(s) for s in (schema, redescribed, reeffected, schema)]
+        assert "DESCRIPTION: Pass the ball to a teammate." in texts[0]
+        assert "DESCRIPTION: Lob the ball to a teammate." in texts[1]
+        assert texts[2].endswith("EFFECTS: !ball_held_by(SENDER), ball_at(RECEIVER)")
+        assert texts[0].endswith("has_passed(SENDER)") and texts[3] == texts[0]
+        assert len(set(texts)) == 3
 
     def test_duplicate_id(self):
         with pytest.raises(DuplicateActionId):

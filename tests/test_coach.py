@@ -1,7 +1,9 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +13,10 @@ from coachplan.actions import MockEmbeddingProvider
 from coachplan.coach import (
     ADVICE_HEADER,
     SYSTEM_TEXT,
+    TACTICS_SENTENCE,
     build_coach_prompt,
+    describe_roles,
+    describe_waypoints,
     fill_template,
     parse_advice_block,
     parse_scenario_block,
@@ -80,6 +85,89 @@ class TestBuildCoachPrompt:
                                cp.PlanningGoal("keep possession"), cp.Tactics())
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
+
+
+    def test_tactics_sentence_left_out_keeps_one_blank_line(self, domain, schemas):
+        req = build_coach_prompt(domain, retrieved(schemas), GOAL, cp.Tactics())
+        assert f"objective {GOAL.text}\n\nRespect the sequential" in req.user_text
+
+    @pytest.mark.parametrize("drop_roles, tactics", [
+        (True, ""),
+        (False, "press high\n\n\n\nthen play on the wings"),
+        (True, "\n\n\npress high"),
+    ])
+    def test_blank_line_runs_collapse(self, domain, schemas, drop_roles, tactics):
+        # A domain file with no ROLE line leaves [ROLES] empty, and tactics
+        # may carry their own blank lines: both leave runs of newlines that
+        # the builder folds to one blank line, as an unconditional sweep does.
+        if drop_roles:
+            text = resources.files("coachplan.data").joinpath("domain.txt").read_text()
+            domain = cp.parse_domain_file("\n".join(
+                line for line in text.splitlines() if not line.startswith("ROLE")))
+        req = build_coach_prompt(domain, retrieved(schemas), GOAL, cp.Tactics(tactics))
+        assert req.user_text == swept_coach_text(domain, retrieved(schemas), GOAL,
+                                                 cp.Tactics(tactics))
+        assert "\n\n\n" not in req.user_text
+
+
+def swept_coach_text(domain, retrieved_actions, goal, tactics):
+    """The coach prompt's text as filled by `oracle_fill`, then swept for
+    runs of blank lines whether or not it holds one."""
+    sentence = (TACTICS_SENTENCE.replace("[TACTICS]", tactics.text.strip())
+                if tactics.text.strip() else "")
+    text = oracle_fill("coach.txt", {
+        "[ROLES]": describe_roles(domain),
+        "[WAYPOINTS]": describe_waypoints(domain),
+        "[ACTIONS]": ", ".join(s.action_id for s in retrieved_actions),
+        "[PLANNING_GOAL]": goal.text,
+        "[TACTICS_SENTENCE]": sentence,
+    })
+    return re.sub(r"\n{3,}", "\n\n", text)
+
+
+def oracle_fill(name, slots):
+    """The oracle for fill_template: one regex substitution over the
+    template's text, a callback looking up each `[SLOT]` it meets."""
+    text = resources.files("coachplan.data.templates").joinpath(name).read_text()
+    for slot in slots:
+        if slot not in text:
+            raise UnresolvedPlaceholder(f"template {name} has no slot {slot}")
+    return re.sub(r"\[[A-Z_]+\]", lambda m: slots.get(m.group(0), m.group(0)), text)
+
+
+def template_slots(name):
+    text = resources.files("coachplan.data.templates").joinpath(name).read_text()
+    return sorted(set(re.findall(r"\[[A-Z_]+\]", text)))
+
+
+TEMPLATES = ("coach.txt", "grounding.txt", "sync.txt")
+ALL_SLOTS = sorted({slot for name in TEMPLATES for slot in template_slots(name)})
+# Slot values: other slot names, regex replacement escapes, stray brackets,
+# line breaks and the empty string.
+SLOT_VALUE_PIECES = ALL_SLOTS + ["\\1", "\\g<0>", "\\", "[", "]", "[]", "[a]",
+                                 "\n", "\n\n\n", "", "x", " ", "$1", "\u00e9"]
+# Keys that are not slots of the template at hand, besides the other
+# templates' slots: names no template has, and template text that is no slot.
+NOT_SLOTS = ["[NOT_A_SLOT]", "SCENARIO:", "[a]"]
+
+
+def fill_outcome(fill, name, slots):
+    try:
+        return fill(name, slots)
+    except UnresolvedPlaceholder as exc:
+        return ("UnresolvedPlaceholder", str(exc))
+
+
+@settings(max_examples=300)
+@given(name=st.sampled_from(TEMPLATES), data=st.data())
+def test_fill_template_matches_substitution_oracle(name, data):
+    value = st.lists(st.sampled_from(SLOT_VALUE_PIECES), max_size=6).map("".join)
+    slots = data.draw(st.dictionaries(st.sampled_from(template_slots(name)), value))
+    extra = data.draw(st.one_of(st.none(), st.none(), st.sampled_from(
+        [s for s in ALL_SLOTS if s not in template_slots(name)] + NOT_SLOTS)))
+    if extra is not None:
+        slots[extra] = data.draw(value)
+    assert fill_outcome(fill_template, name, slots) == fill_outcome(oracle_fill, name, slots)
 
 
 def test_fill_template_values_kept_verbatim():

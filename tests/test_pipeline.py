@@ -39,6 +39,21 @@ class TestChatRequest:
         assert base.fingerprint() != ChatRequest("sys", "user2").fingerprint()
 
 
+    def test_fingerprint_is_the_sha256_of_canonical(self):
+        request = ChatRequest("sys", "user\nwith two lines")
+        digest = hashlib.sha256(request.canonical().encode()).hexdigest()
+        assert request.fingerprint() == digest
+        assert request.fingerprint() == digest  # a second call reads the kept digest
+
+    def test_kept_digest_is_not_part_of_the_request(self):
+        hashed, fresh = ChatRequest("sys", "user"), ChatRequest("sys", "user")
+        hashed.fingerprint()
+        assert hashed == fresh and fresh == hashed
+        assert hash(hashed) == hash(fresh)
+        assert repr(hashed) == repr(fresh) == "ChatRequest(system_text='sys', user_text='user')"
+        assert hashed != ChatRequest("sys", "other")
+
+
 class TestTranscript:
     def test_round_trip(self, tmp_path):
         t = Transcript()

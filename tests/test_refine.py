@@ -408,6 +408,21 @@ class TestPrompts:
         assert req.user_text.count("[ROLES]") == 1
         assert advice in req.user_text
 
+    def test_grounding_prompt_reads_the_edited_schema(self, domain, schemas):
+        # A schema edited after its text went into one prompt shows its
+        # new text in the next prompt.
+        scenario = cp.Scenario((("STRIKER", "CENTER_FIELD"),))
+        packaged = list(schemas.values())
+        before = build_grounding_prompt(domain, packaged, scenario, "1. STRIKER kicks.")
+        edited = [s._replace(description="Shoot hard at the far post.")
+                  if s.action_id == "kick_to_goal" else s for s in packaged]
+        after = build_grounding_prompt(domain, edited, scenario, "1. STRIKER kicks.")
+        old = f"DESCRIPTION: {schemas['kick_to_goal'].description}\n"
+        assert old in before.user_text and old not in after.user_text
+        assert "DESCRIPTION: Shoot hard at the far post.\n" in after.user_text
+        assert after.user_text.replace("Shoot hard at the far post.",
+                                       schemas["kick_to_goal"].description) == before.user_text
+
     def test_grounding_requires_advice(self, domain, schemas):
         scenario = cp.Scenario((("STRIKER", "CENTER_FIELD"),))
         with pytest.raises(UnresolvedPlaceholder):
