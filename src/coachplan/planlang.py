@@ -49,173 +49,155 @@ class Plan(NamedTuple):
 
 # --- tokenizer -------------------------------------------------------------
 
-class _Token(NamedTuple):
-    kind: str  # IDENT | PUNCT
-    value: str
-    line: int
-    column: int
-
-
-# One alternative per token class; ERROR takes any character no other
-# alternative starts with, so the matches tile the line.
-_SCANNER = re.compile(r"""
-    (?P<SPACE>\s+)
-  | (?P<PUNCT>[{}:,])
+# Each match is the whitespace before a token, then one token class; ERROR
+# takes any other non-space character, so the matches tile a line without
+# trailing whitespace.  (Trailing whitespace would fail a search at each of
+# its positions: quadratic in its length.)
+_SCANNER = re.compile(r"""\s*(?:
+    (?P<PUNCT>[{}:,])
   | (?P<QUOTED>'[^']*'|"[^"]*")
   | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<ERROR>.)
-""", re.VERBOSE | re.DOTALL)
+  | (?P<ERROR>\S))""", re.VERBOSE)
 
 
 def _tokenize(text: str):
+    """A list of plain (kind, value, line, column) tuples, kind IDENT or
+    PUNCT; a quoted word is an IDENT without its quotes."""
     tokens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        for m in _SCANNER.finditer(raw.split("#", 1)[0]):
+        for m in _SCANNER.finditer(raw.split("#", 1)[0].rstrip()):
             kind = m.lastgroup
-            if kind == "SPACE":
-                continue
-            value = m.group()
+            value = m[kind]
             if kind == "QUOTED":
-                tokens.append(_Token("IDENT", value[1:-1], lineno, m.start() + 1))
+                tokens.append(("IDENT", value[1:-1], lineno, m.start(kind) + 1))
             elif kind == "ERROR":
                 message = ("unterminated quote" if value in "'\""
                            else f"unexpected character {value!r}")
-                raise PlanSyntaxError(message, lineno, m.start() + 1)
+                raise PlanSyntaxError(message, lineno, m.start(kind) + 1)
             else:
-                tokens.append(_Token(kind, value, lineno, m.start() + 1))
+                tokens.append((kind, value, lineno, m.start(kind) + 1))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens, schemas, roles, waypoints):
-        self.tokens = tokens
-        self.pos = 0
-        self.schemas = schemas
-        self.roles = roles
-        self.waypoints = waypoints
+# --- parser ----------------------------------------------------------------
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+def _unexpected(kind, message):
+    """What a PlanSyntaxError at a token of `kind` says: `message`, or at the
+    end marker (kind None) that the input ended early."""
+    return message if kind else "unexpected end of input"
 
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            raise PlanSyntaxError(
-                "unexpected end of input",
-                last.line if last else 1,
-                last.column if last else 1,
-            )
-        self.pos += 1
-        return tok
 
-    def expect_punct(self, value):
-        tok = self.next()
-        if tok.kind != "PUNCT" or tok.value != value:
-            raise PlanSyntaxError(f"expected {value!r}", tok.line, tok.column)
-        return tok
-
-    def parse_plan(self):
-        steps = []
-        while self.peek() is not None:
-            tok = self.peek()
-            if tok.kind == "IDENT" and tok.value == "JOIN":
-                steps.append(self.parse_join())
-            else:
-                steps.append(PlanStep(SINGLE, (self.parse_action(),)))
-        return Plan(tuple(steps))
-
-    def parse_join(self):
-        self.next()  # JOIN keyword
-        self.expect_punct("{")
-        actions = [self.parse_action(in_join=True)]
-        while True:
-            tok = self.next()
-            if tok.kind == "PUNCT" and tok.value == ",":
-                actions.append(self.parse_action(in_join=True))
-            elif tok.kind == "PUNCT" and tok.value == "}":
-                break
-            else:
-                raise PlanSyntaxError("expected ',' or '}' in JOIN", tok.line, tok.column)
-        if len(actions) < 2:
-            raise PlanSyntaxError(
-                "JOIN needs at least two actions",
-                self.tokens[self.pos - 1].line,
-                self.tokens[self.pos - 1].column,
-            )
-        return PlanStep(JOIN, tuple(actions))
-
-    def parse_action(self, in_join=False):
-        tok = self.next()
-        if tok.kind != "IDENT":
-            raise PlanSyntaxError("expected an action id", tok.line, tok.column)
-        if tok.value == "JOIN":
-            raise PlanSyntaxError("nested JOIN blocks are not allowed", tok.line, tok.column)
-        action_id = tok.value
-        if action_id not in self.schemas:
+def _parse(tokens, schemas, roles, waypoints):
+    """The Plan of `tokens`: a non-empty `_tokenize` list, then an end marker
+    `(None, None, line, column)` at the last token's position."""
+    steps = []
+    join = None  # the actions of the open JOIN block
+    end = len(tokens) - 1
+    i = 0
+    while join is not None or i < end:
+        kind, action_id, line, column = tokens[i]
+        if join is None and kind == "IDENT" and action_id == JOIN:
+            kind, value, line, column = tokens[i + 1]
+            if kind != "PUNCT" or value != "{":
+                raise PlanSyntaxError(_unexpected(kind, "expected '{'"), line, column)
+            join = []
+            i += 2
+            kind, action_id, line, column = tokens[i]
+        # One action: ACTION_ID AGENT_ID {KEY: VALUE, ...}
+        if kind != "IDENT":
+            raise PlanSyntaxError(_unexpected(kind, "expected an action id"), line, column)
+        if action_id == JOIN:
+            raise PlanSyntaxError("nested JOIN blocks are not allowed", line, column)
+        schema = schemas.get(action_id)
+        if schema is None:
             raise UnknownAction(action_id)
-        schema = self.schemas[action_id]
-        agent_tok = self.next()
-        if agent_tok.kind != "IDENT":
-            raise PlanSyntaxError("expected an agent id", agent_tok.line, agent_tok.column)
-        agent_id = agent_tok.value
-        if agent_id not in self.roles:
+        kind, agent_id, line, column = tokens[i + 1]
+        if kind != "IDENT":
+            raise PlanSyntaxError(_unexpected(kind, "expected an agent id"), line, column)
+        role = roles.get(agent_id)
+        if role is None:
             raise UnknownAgent(agent_id)
-        if action_id not in self.roles[agent_id].allowed_actions:
+        if action_id not in role.allowed_actions:
             raise DisallowedAction(f"role {agent_id} may not perform {action_id}")
-        self.expect_punct("{")
+        kind, value, line, column = tokens[i + 2]
+        if kind != "PUNCT" or value != "{":
+            raise PlanSyntaxError(_unexpected(kind, "expected '{'"), line, column)
+        kind, key, line, column = tokens[i + 3]
+        i += 4
         given = {}
-        tok = self.peek()
-        if tok is not None and tok.kind == "PUNCT" and tok.value == "}":
-            self.next()
-        else:
+        if kind != "PUNCT" or key != "}":
             while True:
-                key_tok = self.next()
-                if key_tok.kind != "IDENT":
-                    raise PlanSyntaxError("expected an argument key", key_tok.line, key_tok.column)
-                self.expect_punct(":")
-                val_tok = self.next()
-                if val_tok.kind != "IDENT":
-                    raise PlanSyntaxError("expected an argument value", val_tok.line, val_tok.column)
-                key = key_tok.value.upper()
+                if kind != "IDENT":
+                    raise PlanSyntaxError(_unexpected(kind, "expected an argument key"),
+                                          line, column)
+                kind, value, line, column = tokens[i]
+                if kind != "PUNCT" or value != ":":
+                    raise PlanSyntaxError(_unexpected(kind, "expected ':'"), line, column)
+                kind, value, line, column = tokens[i + 1]
+                if kind != "IDENT":
+                    raise PlanSyntaxError(_unexpected(kind, "expected an argument value"),
+                                          line, column)
+                key = key.upper()
                 if key in given:
                     raise ArgMismatch(f"duplicate argument {key} for {action_id}")
-                given[key] = val_tok.value
-                tok = self.next()
-                if tok.kind == "PUNCT" and tok.value == "}":
+                given[key] = value
+                kind, value, line, column = tokens[i + 2]
+                i += 3
+                if kind == "PUNCT" and value == "}":
                     break
-                if not (tok.kind == "PUNCT" and tok.value == ","):
-                    raise PlanSyntaxError("expected ',' or '}'", tok.line, tok.column)
-        args = self._check_args(schema, agent_id, given)
-        return GroundedAction(action_id, agent_id, args)
+                if kind != "PUNCT" or value != ",":
+                    raise PlanSyntaxError(_unexpected(kind, "expected ',' or '}'"),
+                                          line, column)
+                kind, key, line, column = tokens[i]
+                i += 1
+        action = GroundedAction(action_id, agent_id,
+                                _check_args(schema, given, roles, waypoints))
+        if join is None:
+            steps.append(PlanStep(SINGLE, (action,)))
+            continue
+        join.append(action)
+        kind, value, line, column = tokens[i]
+        i += 1
+        if kind == "PUNCT" and value == "}":
+            if len(join) < 2:
+                raise PlanSyntaxError("JOIN needs at least two actions", line, column)
+            steps.append(PlanStep(JOIN, tuple(join)))
+            join = None
+        elif kind != "PUNCT" or value != ",":
+            raise PlanSyntaxError(_unexpected(kind, "expected ',' or '}' in JOIN"),
+                                  line, column)
+    return Plan(tuple(steps))
 
-    def _check_args(self, schema, agent_id, given):
-        declared = schema.arg_names()
-        missing = [n for n in declared if n not in given]
-        extra = [k for k in given if k not in declared]
-        if missing or extra:
-            raise ArgMismatch(
-                f"{schema.action_id}: missing args {missing}, unexpected args {extra}"
-            )
-        args = []
-        for name, value_domain in schema.args:
-            value = given[name]
-            if value_domain in ("ROLE", "AGENT"):
-                if value not in self.roles:
-                    raise ArgMismatch(
-                        f"{schema.action_id}: {name}={value!r} is not a known role"
-                    )
-            elif value_domain == "WAYPOINT":
-                if not TOKEN_RE.match(value):
-                    raise ArgMismatch(
-                        f"{schema.action_id}: {name}={value!r} is not a waypoint token"
-                    )
-                if self.waypoints is not None and value not in self.waypoints:
-                    raise UnknownWaypoint(
-                        f"{schema.action_id}: {name}={value!r} is not a waypoint of the domain"
-                    )
-            args.append((name, value))
-        return tuple(args)
+
+def _check_args(schema, given, roles, waypoints):
+    """The (name, value) pairs of `given` in schema order, each value checked
+    against its value domain."""
+    declared = schema.arg_names()
+    missing = [n for n in declared if n not in given]
+    extra = [k for k in given if k not in declared]
+    if missing or extra:
+        raise ArgMismatch(
+            f"{schema.action_id}: missing args {missing}, unexpected args {extra}"
+        )
+    args = []
+    for name, value_domain in schema.args:
+        value = given[name]
+        if value_domain in ("ROLE", "AGENT"):
+            if value not in roles:
+                raise ArgMismatch(
+                    f"{schema.action_id}: {name}={value!r} is not a known role"
+                )
+        elif value_domain == "WAYPOINT":
+            if not TOKEN_RE.match(value):
+                raise ArgMismatch(
+                    f"{schema.action_id}: {name}={value!r} is not a waypoint token"
+                )
+            if waypoints is not None and value not in waypoints:
+                raise UnknownWaypoint(
+                    f"{schema.action_id}: {name}={value!r} is not a waypoint of the domain"
+                )
+        args.append((name, value))
+    return tuple(args)
 
 
 def parse_plan(text: str, schemas: dict, roles: dict, waypoints=None) -> Plan:
@@ -224,7 +206,9 @@ def parse_plan(text: str, schemas: dict, roles: dict, waypoints=None) -> Plan:
     tokens = _tokenize(text)
     if not tokens:
         raise EmptyPlan("plan text contains no steps")
-    return _Parser(tokens, schemas, roles, waypoints).parse_plan()
+    _, _, line, column = tokens[-1]
+    tokens.append((None, None, line, column))
+    return _parse(tokens, schemas, roles, waypoints)
 
 
 def serialize_action(action: GroundedAction) -> str:

@@ -56,8 +56,8 @@ class ActionGrounding(NamedTuple):
     action: GroundedAction
     kind: str | None  # from `actions.classify`; None without a schema or a kind
     preconditions: tuple  # of grounded Predicate; a negated one must not hold
-    adds: set  # of grounded Predicate
-    deletes: set  # of grounded Predicate, stored without the negation
+    adds: frozenset  # of grounded Predicate
+    deletes: frozenset  # of grounded Predicate, stored without the negation
     target: str | None  # the MOVE waypoint or the PASS receiver
 
 
@@ -74,16 +74,18 @@ def _ground(pred: Predicate, env, negated=False) -> Predicate:
                                        else env.get(t, t) for t in pred.args]), negated)
 
 
+@functools.lru_cache(maxsize=1024)  # per distinct (action, schema), shared by plans and matches
 def _ground_action(action: GroundedAction, schema):
-    """(ActionGrounding, the reason no match can run the action, or None)."""
+    """(ActionGrounding, the reason no match can run the action, or None).
+    Keyed by the whole action and schema, not by ids, so an edited schema
+    gets its own grounding."""
     if schema is None:
-        return (ActionGrounding(action, None, (), set(), set(), None),
+        return (ActionGrounding(action, None, (), frozenset(), frozenset(), None),
                 "no schema whose effects fit one action kind")
     env = dict(action.args)
     env[ACTING_AGENT] = action.agent_id
-    adds, deletes = set(), set()
-    for pred in schema.effects:
-        (deletes if pred.negated else adds).add(_ground(pred, env))
+    adds = frozenset(_ground(p, env) for p in schema.effects if not p.negated)
+    deletes = frozenset(_ground(p, env) for p in schema.effects if p.negated)
     kind = classify(schema)
     target = fault = None
     if kind is None:
@@ -131,12 +133,11 @@ def _slot(pred: Predicate):
 
 
 def apply_effects(state: frozenset, adds, deletes) -> frozenset:
-    facts = set(state) - set(deletes)
-    for fact in sorted(adds, key=str):
-        slot = _slot(fact)
-        facts = {f for f in facts if _slot(f) != slot}
-        facts.add(fact)
-    return frozenset(facts)
+    """`state` less `deletes`, each add displacing what its slot held; of two
+    adds to one slot, the later in `str` order stays."""
+    written = {_slot(fact): fact for fact in sorted(adds, key=str)}
+    return frozenset([f for f in state if f not in deletes and _slot(f) not in written]
+                     + list(written.values()))
 
 
 def validate_plan(plan: Plan, schemas: dict, initial: frozenset) -> ValidationReport:

@@ -43,12 +43,7 @@ def roles(domain):
 
 @pytest.fixture(scope="session")
 def corpus_texts():
-    texts = {}
-    for name in sorted(os.listdir(CORPUS_DIR)):
-        if name.endswith(".plan"):
-            with open(os.path.join(CORPUS_DIR, name)) as fh:
-                texts[name] = fh.read()
-    return texts
+    return read_corpus_texts()
 
 
 @pytest.fixture(scope="session")
@@ -141,3 +136,50 @@ def mirror_world(world):
     agents = {aid: (cp.Pose(pose.x, -pose.y), agent)
               for aid, (pose, agent) in world.agents.items()}
     return cp.WorldState(agents, (world.ball[0], -world.ball[1]))
+
+
+def read_corpus_texts():
+    """{file name: text} of the corpus plans, in name order."""
+    texts = {}
+    for name in sorted(os.listdir(CORPUS_DIR)):
+        if name.endswith(".plan"):
+            with open(os.path.join(CORPUS_DIR, name)) as fh:
+                texts[name] = fh.read()
+    return texts
+
+
+CORPUS_PLAN_TEXTS = tuple(read_corpus_texts().values())
+
+# The lexical pieces of plan text, whitespace and comments included, so that
+# joining them gives the text back.
+PLAN_PIECE = re.compile(r"""\s+|[{}:,]|'[^'\n]*'|"[^"\n]*"|[A-Za-z_][A-Za-z0-9_]*|.""",
+                        re.DOTALL)
+PLAN_INSERTS = (" JOIN ", "{", "}", ",", ":", "'", '"', "#", " ", "\n")
+
+
+@st.composite
+def mutated_corpus_texts(draw):
+    """A corpus plan's text after one to four token-level mutations: a token
+    dropped, duplicated or swapped with another; JOIN, a brace, a comma, a
+    colon, a quote, `#` or whitespace inserted; an argument key lower-cased."""
+    pieces = PLAN_PIECE.findall(draw(st.sampled_from(CORPUS_PLAN_TEXTS)))
+    for _ in range(draw(st.integers(1, 4))):
+        tokens = [i for i, piece in enumerate(pieces) if not piece.isspace()]
+        op = draw(st.sampled_from(("drop", "duplicate", "swap", "insert", "lower")))
+        if op == "insert" or not tokens:
+            pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from(PLAN_INSERTS)))
+            continue
+        i = draw(st.sampled_from(tokens))
+        if op == "drop":
+            del pieces[i]
+        elif op == "duplicate":
+            pieces[i + 1:i + 1] = [" ", pieces[i]]
+        elif op == "swap":
+            j = draw(st.sampled_from(tokens))
+            pieces[i], pieces[j] = pieces[j], pieces[i]
+        else:
+            keys = [k for k, after in zip(tokens, tokens[1:]) if pieces[after] == ":"]
+            if keys:
+                k = draw(st.sampled_from(keys))
+                pieces[k] = pieces[k].lower()
+    return "".join(pieces)

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import contextlib
 import glob
 import io
 import json
@@ -10,11 +11,14 @@ import sys
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
 
 import coachplan as cp
 from coachplan import errors
 from coachplan.cli import build_parser, main
 from coachplan.providers import ChatRequest, Transcript
+
+from conftest import mutated_corpus_texts
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -850,6 +854,27 @@ def test_malformed_file_exit_two(tmp_path, ok, capsys, flag, text, message):
     assert main(UNDECODABLE[flag](bad, ok)) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not os.path.exists(ok["library"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=mutated_corpus_texts())
+def test_validate_malformed_plan_exit_code(tmp_path_factory, data_dir, text):
+    """`validate` on a mutated corpus plan exits 0, 1 or 2, and at 2 says
+    why in one `error:` line on stderr and prints nothing else; main lets
+    no other exception out, so no traceback follows."""
+    plan = write(tmp_path_factory.mktemp("plan") / "p.plan", text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["validate", "--plan", plan,
+                     "--domain", os.path.join(data_dir, "domain.txt"),
+                     "--actions", os.path.join(data_dir, "actions.txt")])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")
+    else:
+        assert err.getvalue() == ""
 
 
 # Every option string each subcommand accepts, and the required ones: a

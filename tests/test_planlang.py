@@ -1,4 +1,6 @@
 import re
+import time
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import coachplan as cp
 from coachplan.errors import (
     ArgMismatch,
+    CoachPlanError,
     DisallowedAction,
     EmptyPlan,
     PlanSyntaxError,
@@ -13,9 +16,10 @@ from coachplan.errors import (
     UnknownAgent,
     UnknownWaypoint,
 )
+from coachplan.domain import TOKEN_RE
 from coachplan.planlang import JOIN, SINGLE, _tokenize
 
-from conftest import SELF_JOIN_PLAN_TEXT
+from conftest import SELF_JOIN_PLAN_TEXT, mutated_corpus_texts
 
 
 class TestParsePlan:
@@ -221,3 +225,246 @@ def test_tokenizer_matches_char_by_char_oracle(text):
 ])
 def test_tokenizer_errors(text, error):
     assert outcome(_tokenize, text) == error
+
+
+# --- the parser against an earlier one -------------------------------------
+
+class ReferenceToken(NamedTuple):
+    kind: str  # IDENT | PUNCT
+    value: str
+    line: int
+    column: int
+
+
+REFERENCE_SCANNER = re.compile(r"""
+    (?P<SPACE>\s+)
+  | (?P<PUNCT>[{}:,])
+  | (?P<QUOTED>'[^']*'|"[^"]*")
+  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<ERROR>.)
+""", re.VERBOSE | re.DOTALL)
+
+
+def reference_tokenize(text):
+    """The oracle for _tokenize as an earlier parser had it: one token object
+    per token, whitespace runs matched and skipped."""
+    tokens = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        for m in REFERENCE_SCANNER.finditer(raw.split("#", 1)[0]):
+            kind = m.lastgroup
+            if kind == "SPACE":
+                continue
+            value = m.group()
+            if kind == "QUOTED":
+                tokens.append(ReferenceToken("IDENT", value[1:-1], lineno, m.start() + 1))
+            elif kind == "ERROR":
+                message = ("unterminated quote" if value in "'\""
+                           else f"unexpected character {value!r}")
+                raise PlanSyntaxError(message, lineno, m.start() + 1)
+            else:
+                tokens.append(ReferenceToken(kind, value, lineno, m.start() + 1))
+    return tokens
+
+
+class ReferenceParser:
+    """The oracle for planlang._parse: a recursive-descent parser with a
+    method call per token read."""
+
+    def __init__(self, tokens, schemas, roles, waypoints):
+        self.tokens = tokens
+        self.pos = 0
+        self.schemas = schemas
+        self.roles = roles
+        self.waypoints = waypoints
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self):
+        tok = self.peek()
+        if tok is None:
+            last = self.tokens[-1] if self.tokens else None
+            raise PlanSyntaxError(
+                "unexpected end of input",
+                last.line if last else 1,
+                last.column if last else 1,
+            )
+        self.pos += 1
+        return tok
+
+    def expect_punct(self, value):
+        tok = self.next()
+        if tok.kind != "PUNCT" or tok.value != value:
+            raise PlanSyntaxError(f"expected {value!r}", tok.line, tok.column)
+        return tok
+
+    def parse_plan(self):
+        steps = []
+        while self.peek() is not None:
+            tok = self.peek()
+            if tok.kind == "IDENT" and tok.value == "JOIN":
+                steps.append(self.parse_join())
+            else:
+                steps.append(cp.PlanStep(SINGLE, (self.parse_action(),)))
+        return cp.Plan(tuple(steps))
+
+    def parse_join(self):
+        self.next()  # JOIN keyword
+        self.expect_punct("{")
+        actions = [self.parse_action()]
+        while True:
+            tok = self.next()
+            if tok.kind == "PUNCT" and tok.value == ",":
+                actions.append(self.parse_action())
+            elif tok.kind == "PUNCT" and tok.value == "}":
+                break
+            else:
+                raise PlanSyntaxError("expected ',' or '}' in JOIN", tok.line, tok.column)
+        if len(actions) < 2:
+            raise PlanSyntaxError(
+                "JOIN needs at least two actions",
+                self.tokens[self.pos - 1].line,
+                self.tokens[self.pos - 1].column,
+            )
+        return cp.PlanStep(JOIN, tuple(actions))
+
+    def parse_action(self):
+        tok = self.next()
+        if tok.kind != "IDENT":
+            raise PlanSyntaxError("expected an action id", tok.line, tok.column)
+        if tok.value == "JOIN":
+            raise PlanSyntaxError("nested JOIN blocks are not allowed", tok.line, tok.column)
+        action_id = tok.value
+        if action_id not in self.schemas:
+            raise UnknownAction(action_id)
+        schema = self.schemas[action_id]
+        agent_tok = self.next()
+        if agent_tok.kind != "IDENT":
+            raise PlanSyntaxError("expected an agent id", agent_tok.line, agent_tok.column)
+        agent_id = agent_tok.value
+        if agent_id not in self.roles:
+            raise UnknownAgent(agent_id)
+        if action_id not in self.roles[agent_id].allowed_actions:
+            raise DisallowedAction(f"role {agent_id} may not perform {action_id}")
+        self.expect_punct("{")
+        given = {}
+        tok = self.peek()
+        if tok is not None and tok.kind == "PUNCT" and tok.value == "}":
+            self.next()
+        else:
+            while True:
+                key_tok = self.next()
+                if key_tok.kind != "IDENT":
+                    raise PlanSyntaxError("expected an argument key", key_tok.line, key_tok.column)
+                self.expect_punct(":")
+                val_tok = self.next()
+                if val_tok.kind != "IDENT":
+                    raise PlanSyntaxError("expected an argument value", val_tok.line, val_tok.column)
+                key = key_tok.value.upper()
+                if key in given:
+                    raise ArgMismatch(f"duplicate argument {key} for {action_id}")
+                given[key] = val_tok.value
+                tok = self.next()
+                if tok.kind == "PUNCT" and tok.value == "}":
+                    break
+                if not (tok.kind == "PUNCT" and tok.value == ","):
+                    raise PlanSyntaxError("expected ',' or '}'", tok.line, tok.column)
+        return cp.GroundedAction(action_id, agent_id, self.check_args(schema, given))
+
+    def check_args(self, schema, given):
+        declared = schema.arg_names()
+        missing = [n for n in declared if n not in given]
+        extra = [k for k in given if k not in declared]
+        if missing or extra:
+            raise ArgMismatch(
+                f"{schema.action_id}: missing args {missing}, unexpected args {extra}"
+            )
+        args = []
+        for name, value_domain in schema.args:
+            value = given[name]
+            if value_domain in ("ROLE", "AGENT"):
+                if value not in self.roles:
+                    raise ArgMismatch(
+                        f"{schema.action_id}: {name}={value!r} is not a known role"
+                    )
+            elif value_domain == "WAYPOINT":
+                if not TOKEN_RE.match(value):
+                    raise ArgMismatch(
+                        f"{schema.action_id}: {name}={value!r} is not a waypoint token"
+                    )
+                if self.waypoints is not None and value not in self.waypoints:
+                    raise UnknownWaypoint(
+                        f"{schema.action_id}: {name}={value!r} is not a waypoint of the domain"
+                    )
+            args.append((name, value))
+        return tuple(args)
+
+
+def reference_parse_plan(text, schemas, roles, waypoints=None):
+    tokens = reference_tokenize(text)
+    if not tokens:
+        raise EmptyPlan("plan text contains no steps")
+    return ReferenceParser(tokens, schemas, roles, waypoints).parse_plan()
+
+
+def parse_outcome(parse, text, schemas, roles, waypoints):
+    """The plan, or the error's type, message, line and column.  Any error
+    that is no CoachPlanError escapes, which fails the test."""
+    try:
+        return parse(text, schemas, roles, waypoints)
+    except CoachPlanError as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None))
+
+
+def test_corpus_parses_as_the_reference_parser_has_it(corpus_texts, domain, schemas, roles):
+    for name, text in corpus_texts.items():
+        for waypoints in (None, domain.waypoints):
+            assert (parse_outcome(cp.parse_plan, text, schemas, roles, waypoints)
+                    == parse_outcome(reference_parse_plan, text, schemas, roles, waypoints)), name
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=mutated_corpus_texts(), with_waypoints=st.booleans())
+def test_mutated_plans_parse_as_the_reference_parser_has_it(domain, schemas, roles, text,
+                                                            with_waypoints):
+    """The same Plan, or the same error type, message, line and column, as
+    the reference, with and without the domain's waypoints; and nothing but
+    a CoachPlanError is raised."""
+    waypoints = domain.waypoints if with_waypoints else None
+    assert (parse_outcome(cp.parse_plan, text, schemas, roles, waypoints)
+            == parse_outcome(reference_parse_plan, text, schemas, roles, waypoints))
+
+
+@pytest.mark.parametrize("text, error", [
+    ("kick_to_goal", "line 1, col 1: unexpected end of input"),
+    ("pass_the_ball STRIKER {SENDER", "line 1, col 24: unexpected end of input"),
+    ("pass_the_ball STRIKER {SENDER: STRIKER,", "line 1, col 39: unexpected end of input"),
+    ("JOIN {kick_to_goal STRIKER {},\n", "line 1, col 30: unexpected end of input"),
+    ("JOIN {kick_to_goal STRIKER {} kick_to_goal JOLLY {}}",
+     "line 1, col 31: expected ',' or '}' in JOIN"),
+    ("JOIN {kick_to_goal STRIKER {}}", "line 1, col 30: JOIN needs at least two actions"),
+    ("JOIN kick_to_goal STRIKER {}", "line 1, col 6: expected '{'"),
+    ("kick_to_goal STRIKER }", "line 1, col 22: expected '{'"),
+    ("move_to JOLLY {TARGET CENTER_FIELD}", "line 1, col 23: expected ':'"),
+    ("move_to JOLLY {TARGET: }", "line 1, col 24: expected an argument value"),
+    ("move_to JOLLY {, TARGET: X}", "line 1, col 16: expected an argument key"),
+    ("move_to JOLLY {TARGET: X; }", "line 1, col 25: unexpected character ';'"),
+    ("move_to JOLLY {TARGET: X Y}", "line 1, col 26: expected ',' or '}'"),
+    ("{ kick_to_goal STRIKER {}", "line 1, col 1: expected an action id"),
+    ("kick_to_goal { }", "line 1, col 14: expected an agent id"),
+])
+def test_syntax_error_positions(schemas, roles, text, error):
+    with pytest.raises(PlanSyntaxError) as exc:
+        cp.parse_plan(text, schemas, roles)
+    assert str(exc.value) == error
+    assert parse_outcome(reference_parse_plan, text, schemas, roles, None)[1] == error
+
+
+def test_trailing_whitespace_is_scanned_once(schemas, roles):
+    # A scanner that searched on from each position of a trailing run of
+    # whitespace would take more than 10 s here; one pass takes well under 1 ms.
+    text = "kick_to_goal STRIKER {}" + " \t" * 10_000 + "\n"
+    start = time.perf_counter()
+    plan = cp.parse_plan(text, schemas, roles)
+    assert time.perf_counter() - start < 1.0
+    assert plan == cp.parse_plan("kick_to_goal STRIKER {}", schemas, roles)

@@ -13,6 +13,7 @@ from coachplan.errors import InvalidInputPlan, InvalidPlan, ParseError, Unresolv
 from coachplan.planlang import JOIN, SINGLE
 from coachplan.refine import (
     EFFECT_CONFLICT,
+    _slot,
     PASS_CONSTRAINT,
     PRECONDITION,
     SELF_JOIN,
@@ -241,6 +242,61 @@ class TestFunctionalSlots:
             assert len(ball_facts) <= 1
 
 
+def reference_apply_effects(state, adds, deletes):
+    """The oracle for apply_effects: the state less the deletes, then each
+    add in `str` order, clearing its slot first."""
+    facts = set(state) - set(deletes)
+    for fact in sorted(adds, key=str):
+        slot = _slot(fact)
+        facts = {f for f in facts if _slot(f) != slot}
+        facts.add(fact)
+    return frozenset(facts)
+
+
+# Few names and arguments, so that facts share slots: two `at` facts of one
+# agent, two ball facts, and "A,B", whose fact prints as a two-argument one.
+FACTS = st.builds(Predicate, st.sampled_from(("at", "ball_at", "ball_held_by", "has_passed")),
+                  st.lists(st.sampled_from(("JOLLY", "STRIKER", "LEFT_WING", "A,B", "A", "B")),
+                           min_size=1, max_size=2).map(tuple))
+
+
+@st.composite
+def effect_cases(draw):
+    """(state, adds, deletes); the deletes are drawn partly from the state
+    and the adds."""
+    state = draw(st.frozensets(FACTS, max_size=6))
+    adds = draw(st.sets(FACTS, max_size=4))
+    pool = sorted(state | adds, key=repr)
+    deletes = draw(st.sets(st.sampled_from(pool) | FACTS if pool else FACTS, max_size=4))
+    return state, adds, deletes
+
+
+AT_JOLLY_WING = Predicate("at", ("JOLLY", "LEFT_WING"))
+AT_JOLLY_CENTER = Predicate("at", ("JOLLY", "CENTER_FIELD"))
+AT_STRIKER_WING = Predicate("at", ("STRIKER", "LEFT_WING"))
+
+
+@pytest.mark.parametrize("state, adds, deletes", [
+    # Two facts in one slot of the state, which no add touches: both stay.
+    (frozenset({AT_JOLLY_WING, AT_JOLLY_CENTER}), {AT_STRIKER_WING}, set()),
+    # Two adds to one slot: the later in str order stays.
+    (frozenset({AT_STRIKER_WING}), {AT_JOLLY_WING, AT_JOLLY_CENTER}, set()),
+    # A delete that is also an add: the add stays.
+    (frozenset({AT_JOLLY_CENTER}), {AT_JOLLY_WING}, {AT_JOLLY_WING, AT_STRIKER_WING}),
+])
+def test_apply_effects_named_cases(state, adds, deletes):
+    assert apply_effects(state, adds, deletes) == reference_apply_effects(state, adds, deletes)
+
+
+@settings(max_examples=500)
+@given(effect_cases())
+def test_apply_effects_matches_reference(case):
+    state, adds, deletes = case
+    out = apply_effects(state, adds, deletes)
+    assert isinstance(out, frozenset)
+    assert out == reference_apply_effects(state, adds, deletes)
+
+
 class TestInitialState:
     def test_holder_within_radius(self, domain):
         world = cp.parse_world_file(
@@ -388,6 +444,59 @@ class TestAutoParallelize:
         for name, plan in corpus_plans.items():
             once = auto_parallelize(plan, schemas)
             assert auto_parallelize(once, schemas) == once, name
+
+
+class TestGroundingMemo:
+    """`_ground_action` is memoized by the value of the whole action and
+    schema, so an edited schema never reads another's grounding."""
+
+    def test_equal_action_and_schema_share_one_grounding(self, schemas):
+        action = cp.GroundedAction("move_to", "JOLLY", (("TARGET", "LEFT_WING"),))
+        target = "_".join(["LEFT", "WING"])  # equal to the action's, not the same object
+        copy = cp.GroundedAction("move_to", "JOLLY", tuple([("TARGET", target)]))
+        schema = schemas["move_to"]
+        assert refine._ground_action(action, schema) is refine._ground_action(
+            copy, schema._replace())
+
+    def test_adds_and_deletes_are_frozensets(self, corpus_plans, schemas):
+        for plan in corpus_plans.values():
+            for step in refine.ground_plan(plan, schemas):
+                for grounding in step.actions:
+                    assert type(grounding.adds) is frozenset
+                    assert type(grounding.deletes) is frozenset
+        grounding, _ = refine._ground_action(cp.GroundedAction("fly", "JOLLY", ()), None)
+        assert type(grounding.adds) is type(grounding.deletes) is frozenset
+
+    def test_a_schema_with_the_same_id_gets_its_own_grounding(self, schemas, roles):
+        plan = cp.parse_plan("kick_to_goal STRIKER {}", schemas, roles)
+        packaged = schemas["kick_to_goal"]
+        edited = cp.parse_action_file(
+            "ACTION_ID: kick_to_goal\nARGS:\n"
+            "PRECONDITIONS: ball_held_by(AGENT), at(AGENT,KICKING_POSITION)\n"
+            "EFFECTS: !ball_held_by(AGENT), !has_passed(AGENT), ball_at(OPPONENT_GOAL)\n")[0]
+        by_preconditions = {**schemas, "kick_to_goal": packaged._replace(
+            preconditions=edited.preconditions)}
+        by_effects = {**schemas, "kick_to_goal": packaged._replace(effects=edited.effects)}
+
+        def grounding(schemas):
+            step, = refine.ground_plan(plan, schemas)
+            return step.actions[0]
+
+        for _ in range(2):  # each schema after the others, twice over
+            assert grounding(schemas).preconditions == (
+                Predicate("ball_held_by", ("STRIKER",)),
+                Predicate("has_passed", ("STRIKER",), True))
+            assert grounding(schemas).deletes == {Predicate("ball_held_by", ("STRIKER",))}
+            assert grounding(by_preconditions).preconditions == (
+                Predicate("ball_held_by", ("STRIKER",)),
+                Predicate("at", ("STRIKER", "KICKING_POSITION")))
+            assert grounding(by_effects).deletes == {Predicate("ball_held_by", ("STRIKER",)),
+                                                     Predicate("has_passed", ("STRIKER",))}
+            assert cp.validate_plan(plan, schemas, HELD).ok
+            report = cp.validate_plan(plan, by_preconditions, HELD)
+            assert report.serialize() == (
+                "STEP 1: [PRECONDITION] kick_to_goal STRIKER: "
+                "requires at(STRIKER,KICKING_POSITION)\n")
 
 
 class TestPrompts:
