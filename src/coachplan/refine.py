@@ -14,7 +14,7 @@ import re
 from importlib import resources
 from typing import NamedTuple
 
-from .actions import (ACTING_AGENT, KICK, MOVE, PASS, Predicate, classify, parse_predicate,
+from .actions import (ACTING_AGENT, MOVE, PASS, Predicate, classify, parse_predicate,
                       serialize_actions)
 from .coach import SYSTEM_TEXT, describe_roles, describe_waypoints, fill_template
 from .domain import OWN, Domain, WorldState, ball_holder, nearest_waypoint, serialize_scenario
@@ -26,7 +26,6 @@ from .providers import ChatRequest
 PRECONDITION = "PRECONDITION"
 SELF_JOIN = "SELF_JOIN"
 EFFECT_CONFLICT = "EFFECT_CONFLICT"
-PASS_CONSTRAINT = "PASS_CONSTRAINT"
 UNRUNNABLE = "UNRUNNABLE"
 
 class Violation(NamedTuple):
@@ -143,7 +142,7 @@ def apply_effects(state: frozenset, adds, deletes) -> frozenset:
 def validate_plan(plan: Plan, schemas: dict, initial: frozenset) -> ValidationReport:
     """Simulate the plan from `initial`, collecting every violation (not
     fail-fast): per step, its `ground_plan` faults, its actions' unmet
-    preconditions and PASS_CONSTRAINTs, then a JOIN's EFFECT_CONFLICT.
+    preconditions, then a JOIN's EFFECT_CONFLICT.
     Effects are applied even after violations, so later steps are checked."""
     return _validate_grounded(ground_plan(plan, schemas), initial)
 
@@ -162,12 +161,6 @@ def _validate_grounded(grounded, initial: frozenset) -> ValidationReport:
                     violations.append(Violation(
                         step.index, PRECONDITION,
                         f"{action.action_id} {action.agent_id}: requires {pred}"))
-            if (grounding.kind in (PASS, KICK)
-                    and Predicate("has_passed", (action.agent_id,)) in state):
-                violations.append(Violation(
-                    step.index, PASS_CONSTRAINT,
-                    f"{action.agent_id} cannot {action.action_id}: it has passed "
-                    "the ball and has not received it back"))
             all_adds |= grounding.adds
             all_deletes |= grounding.deletes
         conflicts = sorted(all_adds & all_deletes, key=str)

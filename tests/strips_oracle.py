@@ -8,7 +8,6 @@ validator: same semantics, different code.  Violations are reported as
 PRECONDITION = "PRECONDITION"
 SELF_JOIN = "SELF_JOIN"
 EFFECT_CONFLICT = "EFFECT_CONFLICT"
-PASS_CONSTRAINT = "PASS_CONSTRAINT"
 UNRUNNABLE = "UNRUNNABLE"
 
 
@@ -42,12 +41,6 @@ def _apply(facts, adds, deletes):
     return facts
 
 
-def _restricted(action_id):
-    if "receive" in action_id:
-        return False
-    return "pass" in action_id or "kick" in action_id
-
-
 def _passed_by_another(action):
     # The robot that runs a pass kicks the ball it holds, so the pass must
     # be its own: SENDER is the acting agent.
@@ -63,9 +56,6 @@ def _check_action(action, schema, facts, index, found):
         present = fact in facts
         if pred.negated == present:
             found.append((index, PRECONDITION))
-    if _restricted(action.action_id):
-        if ("has_passed", (action.agent_id,)) in facts:
-            found.append((index, PASS_CONSTRAINT))
 
 
 def _effects_of(action, schema):

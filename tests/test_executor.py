@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import glob
 import hashlib
+import itertools
 import math
 import os
 import random
@@ -33,6 +34,7 @@ from coachplan.executor import (
     make_opponent_policy,
     run_match,
 )
+from coachplan.planlang import JOIN, SINGLE
 
 from conftest import SELF_JOIN_PLAN_TEXT, mirror_plan_text, mirror_world
 from reference_executor import ReferenceMatch
@@ -475,6 +477,61 @@ def test_match_equals_reference_loop(domain, corpus_plans, data, policy_name, ti
             stepped = _Match(fsms, world, domain, config, make_opponent_policy(policy_name))
             assert stepped.run() == expected
     assert match.ticks == stepped.ticks == reference.ticks
+
+
+def one_step(actions):
+    return cp.PlanStep(JOIN if len(actions) > 1 else SINGLE, actions)
+
+
+@st.composite
+def valid_plans(draw, schemas, roles, tokens, initial):
+    """One to five steps that validate from `initial`, built one action at a
+    time: each step holds one to three actions by distinct agents, and each
+    action is drawn, by id, then agent and arguments, from those that keep
+    the step valid in the state the steps before it leave."""
+    state, steps = initial, []
+    for _ in range(draw(st.integers(1, 5))):
+        actions = ()
+        for _ in range(draw(st.integers(1, 3))):
+            options = {}
+            for action_id, schema in sorted(schemas.items()):
+                names = [name for name, _ in schema.args]
+                domains = [tokens if value_domain == "WAYPOINT" else roles
+                           for _, value_domain in schema.args]
+                for agent in roles:
+                    for values in itertools.product(*domains):
+                        step = actions + (cp.GroundedAction(action_id, agent,
+                                                            tuple(zip(names, values))),)
+                        if cp.validate_plan(cp.Plan((one_step(step),)), schemas, state).ok:
+                            options.setdefault(action_id, []).append(step[-1])
+            actions += (draw(st.sampled_from(options[draw(st.sampled_from(sorted(options)))])),)
+        steps.append(one_step(actions))
+        state = cp.validate_plan(cp.Plan(steps[-1:]), schemas, state).final_state
+    return cp.Plan(tuple(steps))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_valid_plan_runs_to_its_end(domain, schemas, data):
+    # The replay differential, after VAL (Howey, Long & Fox, ICTAI 2004): a
+    # plan that validates from a world's own facts runs every action of
+    # every agent against STATIC, unless a goal ends the match first. The
+    # timeout is long enough that walking time cannot end such a plan.
+    roles = sorted(domain.roles)
+    world = data.draw(full_team_worlds(roles), label="world")
+    initial = cp.initial_state_from_world(world, domain)
+    plan = data.draw(valid_plans(schemas, roles, sorted(domain.waypoints), initial), label="plan")
+    assert cp.validate_plan(plan, schemas, initial).ok
+    fsms = compile_fsm(plan, schemas)
+    result = run_match(fsms, world, domain, cp.SimConfig(timeout=1000.0))
+    for state in (state for states in fsms.values() for state in states):
+        event(state.kind)
+    if any(" EVENT GOAL " in line for line in result.trace):
+        event("scored")
+        return
+    done = Counter(line.split()[3] for line in result.trace if " EVENT ACTION_DONE " in line)
+    assert done == {aid: len(states) for aid, states in fsms.items()}
 
 
 @settings(max_examples=20, deadline=None,

@@ -8,13 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 import coachplan as cp
 from coachplan import refine
-from coachplan.actions import Predicate
+from coachplan.actions import KICK, PASS, Predicate
 from coachplan.errors import InvalidInputPlan, InvalidPlan, ParseError, UnresolvedPlaceholder
 from coachplan.planlang import JOIN, SINGLE
 from coachplan.refine import (
     EFFECT_CONFLICT,
     _slot,
-    PASS_CONSTRAINT,
     PRECONDITION,
     SELF_JOIN,
     UNRUNNABLE,
@@ -55,29 +54,35 @@ class TestValidatePlan:
         assert kinds(report) == [(1, PRECONDITION)]
         assert "STEP 1: [PRECONDITION]" in report.serialize()
 
-    def test_pass_constraint(self, schemas, roles):
-        # A striker that already passed may not pass or kick again.
+    def test_kick_after_pass_breaks_its_preconditions(self, schemas, roles):
+        # A striker that already passed may not kick: the schema's
+        # preconditions say so, one line per broken fact.
         plan = cp.parse_plan(
             "pass_the_ball STRIKER {SENDER: STRIKER, RECEIVER: JOLLY}\n"
             "receive_ball JOLLY {SENDER: STRIKER}\n"
             "kick_to_goal STRIKER {}",
             schemas, roles,
         )
-        report = cp.validate_plan(plan, schemas, HELD)
-        # Step 3 breaks both the symbolic preconditions and the constraint.
-        assert (3, PASS_CONSTRAINT) in kinds(report)
-        assert (3, PRECONDITION) in kinds(report)
+        assert cp.validate_plan(plan, schemas, HELD).serialize() == (
+            "STEP 3: [PRECONDITION] kick_to_goal STRIKER: requires ball_held_by(STRIKER)\n"
+            "STEP 3: [PRECONDITION] kick_to_goal STRIKER: requires !has_passed(STRIKER)\n")
 
-    def test_pass_constraint_follows_the_kind(self, schemas, domain):
-        # `shoot` is a KICK by its effect, whatever its id says.
+    def test_custom_kick_after_a_pass_validates_and_scores(self, schemas, domain):
+        # `shoot` is a KICK with no preconditions, so the pass rule is the
+        # action file's to state: the validator accepts the plan the
+        # simulator scores with.
         custom = dict(schemas, **{s.action_id: s for s in cp.parse_action_file(
             "ACTION_ID: shoot\nEFFECTS: ball_at(OPPONENT_GOAL)\n")})
         roles = {"STRIKER": cp.Role("STRIKER", "", frozenset({"pass_the_ball", "shoot"}))}
         plan = cp.parse_plan(
             "pass_the_ball STRIKER {SENDER: STRIKER, RECEIVER: STRIKER}\n"
             "shoot STRIKER {}", custom, roles)
-        report = cp.validate_plan(plan, custom, HELD)
-        assert kinds(report) == [(2, PASS_CONSTRAINT)]
+        world = cp.parse_world_file("AGENT STRIKER OWN STRIKER 2.0 0.0 0.0\nBALL 2.1 0.0\n",
+                                    domain)
+        report = cp.validate_plan(plan, custom, initial_state_from_world(world, domain))
+        assert report.serialize() == "OK\n"
+        result = cp.run_match(cp.compile_fsm(plan, custom), world, domain, cp.SimConfig())
+        assert result.success and round(result.scoring_time, 2) == 0.70
 
     def test_receive_clears_has_passed(self, schemas, roles):
         plan = cp.parse_plan(
@@ -145,6 +150,13 @@ class TestValidatePlan:
         assert report.ok and report.final_state == HELD
 
 
+def role_facts(roles):
+    """Any set of `ball_held_by`, `ball_at` and `has_passed` facts over `roles`."""
+    return st.frozensets(st.sampled_from(
+        [Predicate(name, (role,)) for role in roles
+         for name in ("ball_held_by", "ball_at", "has_passed")]))
+
+
 # An action whose effects fit no kind: it moves the agent and the ball.
 TELEPORT = ("ACTION_ID: teleport\nARGS: TARGET : WAYPOINT\n"
             "EFFECTS: at(AGENT,TARGET), ball_at(TARGET)\n")
@@ -182,9 +194,7 @@ def test_validator_reports_what_compile_fsm_refuses(domain, schemas, data):
     custom = {**schemas, "teleport": cp.parse_action_file(TELEPORT)[0]}
     roles = sorted(domain.roles)
     plan = data.draw(any_plans(custom, roles, sorted(domain.waypoints)), label="plan")
-    initial = data.draw(st.frozensets(st.sampled_from(
-        [Predicate(name, (role,)) for role in roles
-         for name in ("ball_held_by", "ball_at", "has_passed")])), label="initial")
+    initial = data.draw(role_facts(roles), label="initial")
     report = cp.validate_plan(plan, custom, initial)
     faults = [v for v in report.violations if v.kind in (SELF_JOIN, UNRUNNABLE)]
     if not faults:
@@ -194,6 +204,28 @@ def test_validator_reports_what_compile_fsm_refuses(domain, schemas, data):
     reason = f"step {first.step_index}: {first.message}"
     with pytest.raises(InvalidPlan, match=f"^{re.escape(reason)}$"):
         cp.compile_fsm(plan, custom)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_pass_or_kick_after_a_pass_is_refused_by_its_own_action(domain, schemas, data):
+    """Over the packaged schemas, from any initial facts: an agent that
+    holds `has_passed` before a step and passes or kicks in it gets a
+    violation naming that action at that step, a `!has_passed`
+    precondition or an UNRUNNABLE pass by another sender. So the pass rule
+    needs no check of its own."""
+    roles = sorted(domain.roles)
+    plan = data.draw(any_plans(schemas, roles, sorted(domain.waypoints)), label="plan")
+    initial = data.draw(role_facts(roles), label="initial")
+    named = {(v.step_index, v.message.partition(":")[0])
+             for v in cp.validate_plan(plan, schemas, initial).violations}
+    for step in refine.ground_plan(plan, schemas):
+        before = cp.validate_plan(cp.Plan(plan.steps[:step.index - 1]), schemas, initial)
+        for grounding in step.actions:
+            action = grounding.action
+            if (grounding.kind in (PASS, KICK)
+                    and Predicate("has_passed", (action.agent_id,)) in before.final_state):
+                assert (step.index, f"{action.action_id} {action.agent_id}") in named
 
 
 def violation_kinds(module):
@@ -209,7 +241,7 @@ def violation_kinds(module):
 
 def test_readme_and_oracle_name_every_violation_kind():
     kinds = violation_kinds(refine)
-    assert kinds == {PRECONDITION, SELF_JOIN, EFFECT_CONFLICT, PASS_CONSTRAINT, UNRUNNABLE}
+    assert kinds == {PRECONDITION, SELF_JOIN, EFFECT_CONFLICT, UNRUNNABLE}
     assert violation_kinds(strips_oracle) == kinds
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
         readme = fh.read()
