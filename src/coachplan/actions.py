@@ -9,7 +9,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import operator
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -86,8 +85,12 @@ class Embedding:
 
     @functools.cached_property
     def norm(self) -> float:
-        """The Euclidean norm of `scaled`."""
-        return math.sqrt(sum(x * x for x in self.scaled))
+        """The Euclidean norm of `scaled`: its squares added left to right,
+        as cosine_similarity adds its products."""
+        total = 0.0
+        for x in self.scaled:
+            total += x * x
+        return math.sqrt(total)
 
 
 class VectorIndex(NamedTuple):
@@ -291,13 +294,18 @@ class MockEmbeddingProvider:
 
 def cosine_similarity(a: Embedding, b: Embedding) -> float:
     """The cosine of the two power-of-two-scaled vectors; each embedding
-    scales itself and takes its norm once, on first use."""
+    scales itself and takes its norm once, on first use.  The products are
+    added left to right on every Python version: sum() compensates from
+    Python 3.12, which moves the last bit of some cosines."""
     if a.dim != b.dim:
         raise DimMismatch(f"{a.dim} != {b.dim}")
     na, nb = a.norm, b.norm
     if na == 0.0 or nb == 0.0:
         raise ZeroVector("cosine similarity undefined for a zero vector")
-    return sum(map(operator.mul, a.scaled, b.scaled)) / (na * nb)
+    dot = 0.0
+    for x, y in zip(a.scaled, b.scaled):
+        dot += x * y
+    return dot / (na * nb)
 
 
 def build_index(schemas, provider) -> VectorIndex:

@@ -104,13 +104,17 @@ class Domain:
             raise UnknownWaypoint(token) from None
 
     @cached_property
-    def _distance_table(self) -> dict:
-        """token -> {token: metres}: table[b][a] is hypot(ax - bx, ay - by)."""
-        positions = {t: w.position for t, w in self.waypoints.items()}
-        return {
-            b: {a: math.hypot(ax - bx, ay - by) for a, (ax, ay) in positions.items()}
-            for b, (bx, by) in positions.items()
-        }
+    def _token_ids(self) -> dict:
+        """token -> its id: its place in domain order."""
+        return {t: i for i, t in enumerate(self.waypoints)}
+
+    @cached_property
+    def _distance_table(self) -> list:
+        """Waypoint distances by token id: table[j][i] is
+        hypot(ax - bx, ay - by) for a the waypoint of id i, b that of id j."""
+        positions = [w.position for w in self.waypoints.values()]
+        return [[math.hypot(ax - bx, ay - by) for ax, ay in positions]
+                for bx, by in positions]
 
     @cached_property
     def _ranked_waypoints(self) -> list:
@@ -118,12 +122,12 @@ class Domain:
         return [(t, *self.waypoints[t].position) for t in sorted(self.waypoints)]
 
     def distance_rows(self, b: Scenario) -> dict:
-        """subject -> its row of the waypoint-distance table, for scoring
-        many scenarios against `b` with distances_to or
-        ScenarioIndex.nearest."""
-        table = self._distance_table
+        """subject -> its row of the waypoint-distance table, a list indexed
+        by token id, for scoring many scenarios against `b` with
+        distances_to or a ScenarioIndex built under this domain."""
+        table, ids = self._distance_table, self._token_ids
         try:
-            return {subject: table[token] for subject, token in b.assignments}
+            return {subject: table[ids[token]] for subject, token in b.assignments}
         except KeyError as exc:
             raise UnknownWaypoint(exc.args[0]) from None
 
@@ -131,10 +135,9 @@ class Domain:
         """[scenario_distance(a, b) for a in scenarios] for rows =
         distance_rows(b).  Each sum is added term by term in one fixed
         order: a's subjects, then one UNMATCHED_PENALTY per unmatched
-        subject of b.  A caller that wants only the least distance and
-        where it stands, over a batch it queries more than once, builds a
-        ScenarioIndex, which skips work this cannot."""
-        waypoints = self.waypoints
+        subject of b.  The plain reference for ScenarioIndex, which scores
+        a batch it queries more than once and skips work this cannot."""
+        ids = self._token_ids
         row_of = rows.get
         n_rows = len(rows)
         distances = []
@@ -142,16 +145,14 @@ class Domain:
             total = 0.0
             matched = 0
             for subject, token in a.assignments:
+                t = ids.get(token)
+                if t is None:
+                    raise UnknownWaypoint(token)
                 row = row_of(subject)
                 if row is None:
-                    if token not in waypoints:
-                        raise UnknownWaypoint(token)
                     total += UNMATCHED_PENALTY
                 else:
-                    try:
-                        total += row[token]
-                    except KeyError:
-                        raise UnknownWaypoint(token) from None
+                    total += row[t]
                     matched += 1
             for _ in range(n_rows - matched):
                 total += UNMATCHED_PENALTY
@@ -160,41 +161,83 @@ class Domain:
 
 
 class ScenarioIndex:
-    """A batch of scenarios grouped by ordered subject tuple, built once to
-    find the nearest of them to many queries.
+    """A batch of scenarios coded once as integers, to score them against
+    many queries: the nearest of them (select_plan) or the full distances
+    of some of them (cluster_scenarios).
 
-    The build looks up every waypoint token once, in batch order, so an
-    unknown waypoint anywhere raises UnknownWaypoint as distances_to does.
-    Each group keeps its members' positions in the batch and a copy of their
-    tokens, so the index holds neither the scenarios nor the domain."""
+    Each subject gets a small id in first-seen batch order and each
+    waypoint token its id in domain order.  A scenario becomes a tuple of
+    (subject id, token id) pairs in assignment order, equal pairs shared,
+    and the bitmask of its subject ids; scenarios are grouped by bitmask.
+    The build codes every token in batch order, so an unknown waypoint
+    anywhere raises UnknownWaypoint as distances_to does.  The index holds
+    neither the scenarios nor the domain.
+
+    A query is rows = domain.distance_rows(b) under the index's domain.
+    Every sum adds distances_to's terms in its order, so each equals
+    distances_to(rows, [a]) exactly."""
 
     def __init__(self, scenarios, domain: Domain):
-        waypoints = domain.waypoints
-        groups = {}  # subject tuple -> ([positions], [token tuples])
+        token_ids = domain._token_ids
+        subject_ids = {}
+        coded = {}  # (subject, token) -> ((subject id, token id), subject bit)
+        records = []
+        masks = []
+        groups = {}  # bitmask -> [positions]
         for i, a in enumerate(scenarios):
-            subjects, tokens = zip(*a.assignments) if a.assignments else ((), ())
-            for token in tokens:
-                if token not in waypoints:
-                    raise UnknownWaypoint(token)
-            group = groups.get(subjects)
-            if group is None:
-                group = groups[subjects] = ([], [])
-            group[0].append(i)
-            group[1].append(tokens)
+            pairs = []
+            mask = 0
+            for assignment in a.assignments:
+                code = coded.get(assignment)
+                if code is None:
+                    subject, token = assignment
+                    t = token_ids.get(token)
+                    if t is None:
+                        raise UnknownWaypoint(token)
+                    s = subject_ids.setdefault(subject, len(subject_ids))
+                    code = coded[assignment] = ((s, t), 1 << s)
+                pair, bit = code
+                pairs.append(pair)
+                mask |= bit
+            records.append(tuple(pairs))
+            masks.append(mask)
+            groups.setdefault(mask, []).append(i)
+        self._subject_ids = subject_ids
+        self._records = records
+        self._masks = masks
         self._groups = list(groups.items())
-        # The row of an unmatched subject: UNMATCHED_PENALTY at every token.
-        self._penalty_row = dict.fromkeys(waypoints, UNMATCHED_PENALTY)
+        # The row of a subject the query leaves unmatched.
+        self._penalty_row = [UNMATCHED_PENALTY] * len(token_ids)
+
+    def _query(self, rows: dict) -> tuple:
+        """(by_id, mask, never) for a query's rows: by_id[s] is the row of
+        subject id s, the penalty row where the query does not name it;
+        mask holds the ids of the query's subjects; never counts the
+        query's subjects that the batch never names."""
+        penalty_row = self._penalty_row
+        by_id = [penalty_row] * len(self._subject_ids)
+        mask = 0
+        never = 0
+        ids = self._subject_ids
+        for subject, row in rows.items():
+            s = ids.get(subject)
+            if s is None:
+                never += 1
+            else:
+                by_id[s] = row
+                mask |= 1 << s
+        return by_id, mask, never
 
     def nearest(self, rows: dict) -> tuple:
-        """(least distance, [positions at it, ascending]) over the batch for
-        rows = distance_rows(b): the minimum of distances_to(rows, batch)
-        and every position where it stands, compared exactly; an empty
-        batch gives (math.inf, []).
+        """(least distance, [positions at it, ascending]) over the batch:
+        the minimum of distances_to(rows, batch) and every position where
+        it stands, compared exactly; an empty batch gives (math.inf, []).
 
-        Every scenario of a group leaves the same subjects unmatched, k of
-        them on either side, and its computed sum is at least
-        UNMATCHED_PENALTY * k: each term is >= 0 (a hypot or
-        UNMATCHED_PENALTY), rounded addition is monotone, and a sum of a
+        Every scenario of a group leaves the same subjects unmatched:
+        popcount(mask ^ query mask) of the subjects both name, plus the
+        query's subjects the batch never names.  Its computed sum is at
+        least UNMATCHED_PENALTY times that count: each term is >= 0 (a hypot
+        or UNMATCHED_PENALTY), rounded addition is monotone, and a sum of a
         few 3.0s is exact.  Groups are visited in ascending bound order and
         the scan stops at the first bound strictly above the best so far.
 
@@ -202,27 +245,22 @@ class ScenarioIndex:
         abandoned once its partial sum is strictly above the best: the
         partial sums never fall, so it could only have ended above it.  A
         partial sum equal to the best goes on, so ties stay ties."""
-        n_rows = len(rows)
-        query_subjects = rows.keys()
-        groups = self._groups
+        by_id, query_mask, never = self._query(rows)
         bounds = []
-        for g, (subjects, _) in enumerate(groups):
-            matched = len(query_subjects & subjects)
-            unmatched = len(subjects) + n_rows - 2 * matched
-            bounds.append((UNMATCHED_PENALTY * unmatched, g, n_rows - matched))
+        for g, (mask, _) in enumerate(self._groups):
+            bounds.append((UNMATCHED_PENALTY * ((mask ^ query_mask).bit_count() + never),
+                           g, (query_mask & ~mask).bit_count() + never))
         bounds.sort()
-        penalty_row = self._penalty_row
+        groups, records = self._groups, self._records
         best = math.inf
         at = []
         for bound, g, trailing in bounds:
             if bound > best:
                 break
-            subjects, (positions, token_lists) = groups[g]
-            cols = [rows.get(subject, penalty_row) for subject in subjects]
-            for i, tokens in zip(positions, token_lists):
+            for i in groups[g][1]:
                 total = 0.0
-                for row, token in zip(cols, tokens):
-                    total += row[token]
+                for s, t in records[i]:
+                    total += by_id[s][t]
                     if total > best:
                         break
                 else:
@@ -238,6 +276,21 @@ class ScenarioIndex:
                             at.append(i)
         at.sort()
         return best, at
+
+    def distances(self, rows: dict, positions) -> list:
+        """[distances_to(rows, batch)[i] for i in positions]: full sums,
+        never abandoned."""
+        by_id, query_mask, never = self._query(rows)
+        records, masks = self._records, self._masks
+        out = []
+        for i in positions:
+            total = 0.0
+            for s, t in records[i]:
+                total += by_id[s][t]
+            for _ in range((query_mask & ~masks[i]).bit_count() + never):
+                total += UNMATCHED_PENALTY
+            out.append(total)
+        return out
 
 
 def clamp_to_field(pos):
@@ -316,8 +369,8 @@ def scenario_distance(a: Scenario, b: Scenario, domain: Domain) -> float:
     """Sum of waypoint distances over shared subjects plus a fixed penalty
     per unmatched subject.  Symmetric; not a metric (no triangle inequality).
     Scoring many scenarios against one `b`: build domain.distance_rows(b)
-    once and pass them all to domain.distances_to, or build a ScenarioIndex
-    of them when only the nearest of them is wanted."""
+    once and pass them all to domain.distances_to, or to a ScenarioIndex of
+    them when the same batch meets many queries."""
     return domain.distances_to(domain.distance_rows(b), (a,))[0]
 
 

@@ -616,11 +616,13 @@ def aggregate(results) -> AggregateMetrics:
     if not results:
         raise EmptyInput("no match results to aggregate")
     successes = [r for r in results if r.success]
-    avg_time = (
-        sum(r.scoring_time for r in successes) / len(successes)
-        if successes
-        else None
-    )
+    avg_time = None
+    if successes:
+        # A left fold in result order: sum() compensates from Python 3.12.
+        total = 0.0
+        for r in successes:
+            total += r.scoring_time
+        avg_time = total / len(successes)
     return AggregateMetrics(
         success_rate=len(successes) / len(results),
         avg_passes=sum(r.passes for r in results) / len(results),

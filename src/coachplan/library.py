@@ -46,9 +46,10 @@ class Library:
         return [r.frame_id for r in self.records]
 
     def scenario_index(self, domain: Domain) -> ScenarioIndex:
-        """The index of the records' scenarios under `domain`: built on the
-        first call with that Domain object, kept only once the build
-        succeeds, and rebuilt for another Domain object."""
+        """The index of the records' scenarios under `domain`, which
+        select_plan and cluster_scenarios share: built on the first call
+        with that Domain object, kept only once the build succeeds, and
+        rebuilt for another Domain object."""
         built = self._index
         if not built or built[0] is not domain:
             built[:] = [domain, ScenarioIndex([r.scenario for r in self.records], domain)]
@@ -121,9 +122,11 @@ def cluster_scenarios(library: Library, k: int, domain: Domain):
     record against each medoid (seeding and assignment) and the members of
     each cluster against each other (medoid updates).  That is about
     n*k + n*n/k pairs in place of all n*n, so the saving grows with k; at
-    k=1 every pair is still scored.  The first medoid's column scores every
-    record, so an unknown waypoint anywhere raises UnknownWaypoint before
-    any answer.
+    k=1 every pair is still scored.  They are scored through the library's
+    own ScenarioIndex (Library.scenario_index), the one select_plan uses.
+    An unknown waypoint in the first medoid raises UnknownWaypoint naming
+    its own token; anywhere else, the first in record order, before any
+    answer.
     """
     records = library.records
     if k < 1 or k > len(records):
@@ -131,6 +134,11 @@ def cluster_scenarios(library: Library, k: int, domain: Domain):
     ids = [r.frame_id for r in records]
     scenarios = [r.scenario for r in records]
     everyone = range(len(records))
+    medoids = [min(everyone, key=ids.__getitem__)]
+    # The first medoid's rows come before the index, which codes every
+    # record: its own unknown waypoint is named before any other's.
+    domain.distance_rows(scenarios[medoids[0]])
+    index = library.scenario_index(domain)
     # columns[o][c] = scenario_distance(scenarios[c], scenarios[o]), scored
     # against scenarios[o]'s rows when first read; both directions are
     # kept, as they may round apart.
@@ -140,11 +148,10 @@ def cluster_scenarios(library: Library, k: int, domain: Domain):
         col = columns[o]
         missing = [c for c in wanted if c not in col]
         if missing:
-            col.update(zip(missing, domain.distances_to(
-                domain.distance_rows(scenarios[o]), [scenarios[c] for c in missing])))
+            col.update(zip(missing, index.distances(domain.distance_rows(scenarios[o]),
+                                                    missing)))
         return col
 
-    medoids = [min(everyone, key=ids.__getitem__)]
     first = column(medoids[0], everyone)
     # Each record's distance to its nearest medoid so far.
     nearest = [first[i] for i in everyone]

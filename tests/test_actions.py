@@ -26,6 +26,7 @@ from coachplan.errors import (
     UndeclaredVariable,
     ZeroVector,
 )
+from coachplan.pipeline import DEFAULT_GOAL, retrieval_query
 
 SAMPLE = """\
 ACTION_ID: pass_the_ball
@@ -180,18 +181,49 @@ class TestCosine:
             b = cp.Embedding(tuple(rng.uniform(-1, 1) for _ in range(8)), 8)
             assert -1.0 - 1e-9 <= cp.cosine_similarity(a, b) <= 1.0 + 1e-9
 
+    def test_sums_left_to_right_on_every_python(self):
+        # Added left to right, the products 0.1, 0.2 and 0.3 round to
+        # 0.6000000000000001; a compensated sum gives 0.6.
+        a = cp.Embedding((0.1, 0.2, 0.3), 3)
+        b = cp.Embedding((1.0, 1.0, 1.0), 3)
+        assert cp.cosine_similarity(a, b) == 0.9258200997725515
+        assert a.norm == 0.7483314773547883
+
+    def test_golden_retrieval_scores(self, domain):
+        # The golden query's cosine with each packaged action, bit for bit.
+        provider = MockEmbeddingProvider()
+        query = provider.embed(retrieval_query(DEFAULT_GOAL, domain))
+        scores = {s.action_id: cp.cosine_similarity(query, provider.embed(s.description)).hex()
+                  for s in packaged_schemas().values()}
+        assert scores == {
+            "move_to": "0x1.5d952d4321e46p-2",
+            "pass_the_ball": "-0x1.261d455feafd5p-5",
+            "receive_ball": "-0x1.d5b6b729a0ecap-3",
+            "kick_to_goal": "0x1.76f24d37f7786p-3",
+            "align_to_goal": "0x1.12bfb703de386p-2",
+            "dribble_to": "0x1.883ba955d14adp-2",
+            "defend_goal": "0x1.8c88ebe799ec4p-2",
+            "mark_opponent": "-0x1.2f603270c341ep-2",
+        }
+
 
 def _reference_cosine(u, v):
     """The cosine from the raw vectors: each one times the power of two that
     brings its largest component into [0.5, 1), then the dot product and
-    the two norms as sums of products in component order."""
+    the two norms as sums of products added left to right in component
+    order."""
     def scaled(w):
         shift = -math.frexp(max(abs(x) for x in w))[1]
         return [math.ldexp(x, shift) for x in w]
 
+    def dot(p, q):
+        total = 0.0
+        for x, y in zip(p, q):
+            total += x * y
+        return total
+
     su, sv = scaled(u), scaled(v)
-    norms = math.sqrt(sum([x * x for x in su])) * math.sqrt(sum([y * y for y in sv]))
-    return sum([x * y for x, y in zip(su, sv)]) / norms
+    return dot(su, sv) / (math.sqrt(dot(su, su)) * math.sqrt(dot(sv, sv)))
 
 
 # Components from tiny (squares underflow) to huge (squares overflow): a

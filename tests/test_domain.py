@@ -193,10 +193,10 @@ SUBJECTS = ["STRIKER", "JOLLY", "SUPPORTER", "DEFENDER", "GOALIE",
             "OPPONENT_1", "OPPONENT_2", "OPPONENT_3", BALL]
 
 
-def scenarios(tokens, min_size=0):
+def scenarios(tokens, min_size=0, max_size=None, subjects=SUBJECTS):
     return st.lists(
-        st.tuples(st.sampled_from(SUBJECTS), st.sampled_from(tokens)),
-        min_size=min_size, unique_by=lambda pair: pair[0],
+        st.tuples(st.sampled_from(subjects), st.sampled_from(tokens)),
+        min_size=min_size, max_size=max_size, unique_by=lambda pair: pair[0],
     ).map(lambda pairs: cp.Scenario(tuple(pairs)))
 
 
@@ -265,6 +265,27 @@ class TestDistanceKernel:
         least = min(ds, default=math.inf)
         assert ScenarioIndex(batch, domain).nearest(rows) == (
             least, [i for i, d in enumerate(ds) if d == least])
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_index_distances_equal_distances_to(self, domain, data):
+        tokens = sorted(domain.waypoints)
+        # OPPONENT_4 only the query may name and OPPONENT_5 only the batch.
+        b = data.draw(scenarios(tokens, subjects=SUBJECTS + ["OPPONENT_4"]))
+        own = {subject for subject, _ in b.assignments}
+        batch = data.draw(st.lists(st.one_of(
+            scenarios(tokens, subjects=SUBJECTS + ["OPPONENT_5"]),
+            scenarios(tokens, 1, 1),
+            # Every subject on both sides unmatched.
+            scenarios(tokens, subjects=[s for s in SUBJECTS + ["OPPONENT_5"] if s not in own]),
+        ), max_size=8))
+        positions = data.draw(st.lists(st.integers(0, len(batch) - 1), max_size=12)
+                              if batch else st.just([]))
+        rows = domain.distance_rows(b)
+        ds = domain.distances_to(rows, batch)
+        assert ScenarioIndex(batch, domain).distances(rows, positions) == [
+            ds[i] for i in positions
+        ]
 
     def test_ties_across_groups_at_their_bound(self, domain):
         b = cp.Scenario((("STRIKER", "CENTER_FIELD"), (BALL, "CENTER_FIELD")))

@@ -336,6 +336,12 @@ class TestMetrics:
         assert metrics.avg_passes == 1.5
         assert metrics.avg_scoring_time == 10.0
 
+    def test_aggregate_adds_scoring_times_left_to_right(self):
+        # 0.1 + 0.2 + 0.3 left to right; a compensated sum gives 0.6 and a
+        # mean of 0.19999999999999998.
+        results = [self.make(True, 0, t) for t in (0.1, 0.2, 0.3)]
+        assert aggregate(results).avg_scoring_time == 0.20000000000000004
+
     def test_aggregate_no_success(self):
         metrics = aggregate([self.make(False, 0, None)])
         assert metrics.avg_scoring_time is None

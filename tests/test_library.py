@@ -347,7 +347,7 @@ def brute_force_select(library, world, domain):
 
 
 def count_index_builds(monkeypatch):
-    """The batch size of each ScenarioIndex select_plan builds."""
+    """The batch size of each ScenarioIndex a library builds."""
     built = []
 
     def counting(scenarios, domain):
@@ -613,21 +613,21 @@ class TestCluster:
         position = {id(r.scenario): i for i, r in enumerate(lib.records)}
         owners = {}  # id(rows) -> (position of their scenario, rows), kept alive
         scored = collections.Counter()  # (c, o): scenario c scored against o's rows
-        real_rows, real_to = cp.Domain.distance_rows, cp.Domain.distances_to
+        real_rows, real_distances = cp.Domain.distance_rows, ScenarioIndex.distances
 
         def distance_rows(self, b):
             rows = real_rows(self, b)
             owners[id(rows)] = (position[id(b)], rows)
             return rows
 
-        def distances_to(self, rows, scenarios):
-            scenarios = list(scenarios)
+        def distances(self, rows, positions):
+            positions = list(positions)
             o = owners[id(rows)][0]
-            scored.update((position[id(a)], o) for a in scenarios)
-            return real_to(self, rows, scenarios)
+            scored.update((c, o) for c in positions)
+            return real_distances(self, rows, positions)
 
         monkeypatch.setattr(cp.Domain, "distance_rows", distance_rows)
-        monkeypatch.setattr(cp.Domain, "distances_to", distances_to)
+        monkeypatch.setattr(ScenarioIndex, "distances", distances)
         clusters = cluster_scenarios(lib, 8, domain)
         assert len(clusters) == 8
         assert max(scored.values()) == 1
@@ -645,6 +645,31 @@ class TestCluster:
         ))
         with pytest.raises(UnknownWaypoint):
             cluster_scenarios(lib, k, domain)
+
+    def test_the_first_medoid_names_its_own_unknown_waypoint_first(self, domain, kick_plan):
+        # f0 is the first medoid; f9, before it in record order, is bad too.
+        def lib(first_medoid_token):
+            return cp.Library((
+                record(kick_plan, scenario_at("ELSEWHERE"), "f9"),
+                record(kick_plan, scenario_at("CENTER_FIELD"), "f5"),
+                record(kick_plan, scenario_at(first_medoid_token), "f0"),
+            ))
+
+        with pytest.raises(UnknownWaypoint, match="NOWHERE"):
+            cluster_scenarios(lib("NOWHERE"), 2, domain)
+        with pytest.raises(UnknownWaypoint, match="ELSEWHERE"):
+            cluster_scenarios(lib("OUR_GOAL"), 2, domain)
+
+    def test_shares_the_library_index_with_select(self, domain, kick_plan, monkeypatch):
+        # One index per library: select builds it and clustering reuses it;
+        # a copy of the records clustered alone builds its own, once.
+        lib = varied_library(random.Random(7), kick_plan, domain, 40)
+        copy = cp.Library(lib.records)
+        built = count_index_builds(monkeypatch)
+        cp.select_plan(lib, world_at(domain, 0.0, 0.0), domain)
+        clusters = [cluster_scenarios(x, 3, domain) for x in (lib, lib, copy, copy)]
+        assert all(c == clusters[0] for c in clusters)
+        assert built == [40, 40]
 
     def test_k_bounds(self, domain, kick_plan):
         lib = cp.add(cp.new_library(), record(kick_plan, scenario_at("CENTER_FIELD"), "f1"))
