@@ -123,41 +123,13 @@ class Domain:
 
     def distance_rows(self, b: Scenario) -> dict:
         """subject -> its row of the waypoint-distance table, a list indexed
-        by token id, for scoring many scenarios against `b` with
-        distances_to or a ScenarioIndex built under this domain."""
+        by token id: the query that scores the scenarios of a ScenarioIndex
+        built under this domain against `b`."""
         table, ids = self._distance_table, self._token_ids
         try:
             return {subject: table[ids[token]] for subject, token in b.assignments}
         except KeyError as exc:
             raise UnknownWaypoint(exc.args[0]) from None
-
-    def distances_to(self, rows: dict, scenarios) -> list:
-        """[scenario_distance(a, b) for a in scenarios] for rows =
-        distance_rows(b).  Each sum is added term by term in one fixed
-        order: a's subjects, then one UNMATCHED_PENALTY per unmatched
-        subject of b.  The plain reference for ScenarioIndex, which scores
-        a batch it queries more than once and skips work this cannot."""
-        ids = self._token_ids
-        row_of = rows.get
-        n_rows = len(rows)
-        distances = []
-        for a in scenarios:
-            total = 0.0
-            matched = 0
-            for subject, token in a.assignments:
-                t = ids.get(token)
-                if t is None:
-                    raise UnknownWaypoint(token)
-                row = row_of(subject)
-                if row is None:
-                    total += UNMATCHED_PENALTY
-                else:
-                    total += row[t]
-                    matched += 1
-            for _ in range(n_rows - matched):
-                total += UNMATCHED_PENALTY
-            distances.append(total)
-        return distances
 
 
 class ScenarioIndex:
@@ -170,12 +142,13 @@ class ScenarioIndex:
     (subject id, token id) pairs in assignment order, equal pairs shared,
     and the bitmask of its subject ids; scenarios are grouped by bitmask.
     The build codes every token in batch order, so an unknown waypoint
-    anywhere raises UnknownWaypoint as distances_to does.  The index holds
-    neither the scenarios nor the domain.
+    anywhere raises UnknownWaypoint naming the first in batch order.  The
+    index holds neither the scenarios nor the domain.
 
     A query is rows = domain.distance_rows(b) under the index's domain.
-    Every sum adds distances_to's terms in its order, so each equals
-    distances_to(rows, [a]) exactly."""
+    Each sum, scenario_distance(a, b) for a scenario a of the batch, adds
+    a's terms in assignment order (UNMATCHED_PENALTY where b lacks the
+    subject), then one UNMATCHED_PENALTY per subject of b that a lacks."""
 
     def __init__(self, scenarios, domain: Domain):
         token_ids = domain._token_ids
@@ -230,8 +203,8 @@ class ScenarioIndex:
 
     def nearest(self, rows: dict) -> tuple:
         """(least distance, [positions at it, ascending]) over the batch:
-        the minimum of distances_to(rows, batch) and every position where
-        it stands, compared exactly; an empty batch gives (math.inf, []).
+        the least scenario_distance(a, b) of the batch and every position
+        where it stands, compared exactly; an empty batch gives (math.inf, []).
 
         Every scenario of a group leaves the same subjects unmatched:
         popcount(mask ^ query mask) of the subjects both name, plus the
@@ -241,7 +214,7 @@ class ScenarioIndex:
         few 3.0s is exact.  Groups are visited in ascending bound order and
         the scan stops at the first bound strictly above the best so far.
 
-        A visited scenario adds its terms in distances_to's order and is
+        A visited scenario adds its terms in the fixed order and is
         abandoned once its partial sum is strictly above the best: the
         partial sums never fall, so it could only have ended above it.  A
         partial sum equal to the best goes on, so ties stay ties."""
@@ -278,7 +251,7 @@ class ScenarioIndex:
         return best, at
 
     def distances(self, rows: dict, positions) -> list:
-        """[distances_to(rows, batch)[i] for i in positions]: full sums,
+        """[scenario_distance(batch[i], b) for i in positions]: full sums,
         never abandoned."""
         by_id, query_mask, never = self._query(rows)
         records, masks = self._records, self._masks
@@ -367,11 +340,12 @@ def scenario_from_world(world: WorldState, domain: Domain) -> Scenario:
 
 def scenario_distance(a: Scenario, b: Scenario, domain: Domain) -> float:
     """Sum of waypoint distances over shared subjects plus a fixed penalty
-    per unmatched subject.  Symmetric; not a metric (no triangle inequality).
-    Scoring many scenarios against one `b`: build domain.distance_rows(b)
-    once and pass them all to domain.distances_to, or to a ScenarioIndex of
-    them when the same batch meets many queries."""
-    return domain.distances_to(domain.distance_rows(b), (a,))[0]
+    per unmatched subject, added in ScenarioIndex's order; b's unknown
+    waypoint is named before a's.  Symmetric up to rounding (the two
+    directions add in different orders); cluster_scenarios keeps both
+    directions.  Not a metric (no triangle inequality)."""
+    rows = domain.distance_rows(b)
+    return ScenarioIndex((a,), domain).distances(rows, (0,))[0]
 
 
 def serialize_scenario(scenario: Scenario) -> str:

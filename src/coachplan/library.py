@@ -123,10 +123,9 @@ def cluster_scenarios(library: Library, k: int, domain: Domain):
     each cluster against each other (medoid updates).  That is about
     n*k + n*n/k pairs in place of all n*n, so the saving grows with k; at
     k=1 every pair is still scored.  They are scored through the library's
-    own ScenarioIndex (Library.scenario_index), the one select_plan uses.
-    An unknown waypoint in the first medoid raises UnknownWaypoint naming
-    its own token; anywhere else, the first in record order, before any
-    answer.
+    own ScenarioIndex (Library.scenario_index), the one select_plan uses:
+    an unknown waypoint raises UnknownWaypoint naming the first in record
+    order, as select_plan does.
     """
     records = library.records
     if k < 1 or k > len(records):
@@ -135,9 +134,6 @@ def cluster_scenarios(library: Library, k: int, domain: Domain):
     scenarios = [r.scenario for r in records]
     everyone = range(len(records))
     medoids = [min(everyone, key=ids.__getitem__)]
-    # The first medoid's rows come before the index, which codes every
-    # record: its own unknown waypoint is named before any other's.
-    domain.distance_rows(scenarios[medoids[0]])
     index = library.scenario_index(domain)
     # columns[o][c] = scenario_distance(scenarios[c], scenarios[o]), scored
     # against scenarios[o]'s rows when first read; both directions are

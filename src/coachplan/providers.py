@@ -78,10 +78,9 @@ class Transcript:
 
     @classmethod
     def load(cls, path) -> "Transcript":
-        transcript = cls()
-        for r in jsonl.read_records(path, ["fingerprint", "response"], "fingerprint"):
-            transcript.add(r["fingerprint"], r["response"])
-        return transcript
+        # read_records refuses a repeated fingerprint, as add does.
+        records = jsonl.read_records(path, ["fingerprint", "response"], "fingerprint")
+        return cls({r["fingerprint"]: r["response"] for r in records})
 
     def save(self, path):
         """One {"fingerprint", "response"} JSON object per line, in order."""

@@ -2,13 +2,16 @@ import argparse
 import ast
 import contextlib
 import glob
+import importlib
 import io
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 import urllib.request
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -940,6 +943,37 @@ def test_readme_names_only_real_commands_and_flags():
         r"(?:`|coachplan )" + r" (?:[a-z-]+\|)*".join(map(re.escape, name.split())) + r"\b",
         readme)]
     assert unnamed == []
+
+
+def test_readme_names_only_real_attributes():
+    # A backticked name such as `library.evaluate`, `Domain.distance_rows`
+    # or `refine.load_sync_examples()` whose head is `coachplan`, one of its
+    # modules or a class of one names an attribute; `actions.txt` names a
+    # file of the package data.
+    package = os.path.dirname(os.path.abspath(cp.__file__))
+    heads = {"coachplan": cp}
+    for module in pkgutil.iter_modules([package]):
+        heads[module.name] = importlib.import_module(f"coachplan.{module.name}")
+    heads.update((name, value) for module in list(heads.values()) for name, value in
+                  vars(module).items()
+                  if isinstance(value, type) and value.__module__.startswith("coachplan"))
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        spans = re.findall(r"`([^`\n]+)`", fh.read())
+    data = resources.files("coachplan.data")
+    names = {m.group(0) for m in (re.match(r"(\w+)(?:\.\w+)+", span) for span in spans)
+             if m and m.group(1) in heads and not data.joinpath(m.group(0)).is_file()}
+
+    def resolves(name):
+        head, *parts = name.split(".")
+        value = heads[head]
+        for part in parts:
+            if not hasattr(value, part):
+                return False
+            value = getattr(value, part)
+        return True
+
+    assert {"library.evaluate", "Domain.distance_rows"} <= names
+    assert sorted(name for name in names if not resolves(name)) == []
 
 
 def test_package_raises_only_coachplan_errors():

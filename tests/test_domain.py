@@ -153,6 +153,16 @@ class TestScenarioDistance:
         with pytest.raises(UnknownWaypoint):
             cp.scenario_distance(a, a, domain)
 
+    def test_symmetric_only_up_to_rounding(self, domain):
+        # The two directions add the same terms in different orders.
+        a = cp.Scenario((("STRIKER", "OPPONENT_PENALTY_MARK"), ("OPPONENT_1", "OUR_LEFT_DEFENSE"),
+                         (BALL, "CENTER_FIELD")))
+        b = cp.Scenario((("STRIKER", "OUR_LEFT_DEFENSE"), (BALL, "KICKING_POSITION")))
+        ab, ba = cp.scenario_distance(a, b, domain), cp.scenario_distance(b, a, domain)
+        assert (ab, ba) == (reference_distance(a, b, domain), reference_distance(b, a, domain))
+        assert ab != ba
+        assert ab == pytest.approx(ba)
+
     def test_symmetry_and_recomputation(self, domain):
         rng = random.Random(5)
         tokens = sorted(domain.waypoints)
@@ -229,9 +239,9 @@ def reordered(scenario):
 
 
 class TestDistanceKernel:
-    """scenario_distance and the batched distances_to against a reference
-    computed from the waypoint coordinates in the same addition order, and
-    ScenarioIndex.nearest against distances_to, compared exactly."""
+    """scenario_distance and ScenarioIndex.nearest and .distances against
+    reference_distance, computed from the waypoint coordinates in the same
+    addition order, compared exactly."""
 
     @settings(max_examples=200)
     @given(data=st.data())
@@ -241,13 +251,14 @@ class TestDistanceKernel:
         batch = data.draw(st.lists(scenarios(tokens), max_size=6))
         assert cp.scenario_distance(a, b, domain) == reference_distance(a, b, domain)
         assert cp.scenario_distance(b, a, domain) == reference_distance(b, a, domain)
-        assert domain.distances_to(domain.distance_rows(b), batch) == [
+        assert ScenarioIndex(batch, domain).distances(domain.distance_rows(b),
+                                                      range(len(batch))) == [
             reference_distance(s, b, domain) for s in batch
         ]
 
     @settings(max_examples=200)
     @given(data=st.data())
-    def test_nearest_is_the_argmin_of_distances_to(self, domain, data):
+    def test_nearest_is_the_argmin_of_reference_distance(self, domain, data):
         tokens = sorted(domain.waypoints)
         b = data.draw(scenarios(tokens))
         # Scenarios that share some of b's own assignments (0.0 terms, so
@@ -261,14 +272,14 @@ class TestDistanceKernel:
         pool += [data.draw(reordered(a)) for a in pool]
         batch = data.draw(st.lists(st.sampled_from(pool), max_size=12))
         rows = domain.distance_rows(b)
-        ds = domain.distances_to(rows, batch)
+        ds = [reference_distance(a, b, domain) for a in batch]
         least = min(ds, default=math.inf)
         assert ScenarioIndex(batch, domain).nearest(rows) == (
             least, [i for i, d in enumerate(ds) if d == least])
 
     @settings(max_examples=200)
     @given(data=st.data())
-    def test_index_distances_equal_distances_to(self, domain, data):
+    def test_index_distances_equal_reference_distance(self, domain, data):
         tokens = sorted(domain.waypoints)
         # OPPONENT_4 only the query may name and OPPONENT_5 only the batch.
         b = data.draw(scenarios(tokens, subjects=SUBJECTS + ["OPPONENT_4"]))
@@ -282,7 +293,7 @@ class TestDistanceKernel:
         positions = data.draw(st.lists(st.integers(0, len(batch) - 1), max_size=12)
                               if batch else st.just([]))
         rows = domain.distance_rows(b)
-        ds = domain.distances_to(rows, batch)
+        ds = [reference_distance(a, b, domain) for a in batch]
         assert ScenarioIndex(batch, domain).distances(rows, positions) == [
             ds[i] for i in positions
         ]
@@ -303,7 +314,7 @@ class TestDistanceKernel:
             cp.Scenario((("STRIKER", "CENTER_FIELD"),)),
         ]
         rows = domain.distance_rows(b)
-        assert domain.distances_to(rows, batch)[:3] == [UNMATCHED_PENALTY] * 3
+        assert [reference_distance(a, b, domain) for a in batch[:3]] == [UNMATCHED_PENALTY] * 3
         assert ScenarioIndex(batch, domain).nearest(rows) == (UNMATCHED_PENALTY, [0, 1, 2, 4])
 
     def test_rows_serve_many_scenarios(self, domain):
@@ -316,7 +327,8 @@ class TestDistanceKernel:
 
         b = random_scenario()
         batch = [random_scenario() for _ in range(200)]
-        assert domain.distances_to(domain.distance_rows(b), batch) == [
+        assert ScenarioIndex(batch, domain).distances(domain.distance_rows(b),
+                                                      range(200)) == [
             reference_distance(a, b, domain) for a in batch
         ]
 
@@ -356,7 +368,7 @@ class TestDistanceKernel:
         batch = data.draw(st.lists(scenarios(tokens), max_size=4))
         batch.insert(data.draw(st.integers(0, len(batch))), a)
         with pytest.raises(UnknownWaypoint, match="NOWHERE"):
-            domain.distances_to(domain.distance_rows(b), batch)
+            ScenarioIndex(batch, domain).distances(domain.distance_rows(b), range(len(batch)))
         with pytest.raises(UnknownWaypoint, match="NOWHERE"):
             ScenarioIndex(batch, domain).nearest(domain.distance_rows(b))
 
@@ -366,9 +378,9 @@ class TestDistanceKernel:
             cp.Scenario((("STRIKER", "CENTER_FIELD"), (BALL, "NOWHERE_B"))),
             cp.Scenario((("STRIKER", "NOWHERE_A"),)),
         ]
-        rows = domain.distance_rows(cp.Scenario((("STRIKER", "CENTER_FIELD"),)))
+        b = cp.Scenario((("STRIKER", "CENTER_FIELD"),))
         with pytest.raises(UnknownWaypoint, match="NOWHERE_B"):
-            domain.distances_to(rows, batch)
+            [reference_distance(a, b, domain) for a in batch]
         with pytest.raises(UnknownWaypoint, match="NOWHERE_B"):
             ScenarioIndex(batch, domain)
 

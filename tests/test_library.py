@@ -338,10 +338,10 @@ def test_mirrored_world_selects_the_mirrored_record(domain, schemas, roles, corp
 
 
 def brute_force_select(library, world, domain):
-    """A fresh argmin over distances_to: the least distance, then the
+    """A fresh argmin over reference_distance: the least distance, then the
     earliest created_at, then frame_id."""
-    rows = domain.distance_rows(cp.scenario_from_world(world, domain))
-    ds = domain.distances_to(rows, [r.scenario for r in library.records])
+    current = cp.scenario_from_world(world, domain)
+    ds = [reference_distance(r.scenario, current, domain) for r in library.records]
     return min(zip(ds, library.records),
                key=lambda dr: (dr[0], dr[1].created_at, dr[1].frame_id))[1]
 
@@ -636,8 +636,7 @@ class TestCluster:
     @pytest.mark.parametrize("bad", [0, 5, 11])
     @pytest.mark.parametrize("k", [1, 3])
     def test_unknown_waypoint_raises_anywhere(self, domain, kick_plan, bad, k):
-        # f00 is the first medoid: a bad token there fails its own rows,
-        # anywhere else the scoring of its column.
+        # f00 is the first medoid; a bad token anywhere fails the index build.
         tokens = sorted(domain.waypoints)
         lib = cp.Library(tuple(
             record(kick_plan, scenario_at("NOWHERE" if i == bad else tokens[i]), f"f{i:02d}")
@@ -646,19 +645,39 @@ class TestCluster:
         with pytest.raises(UnknownWaypoint):
             cluster_scenarios(lib, k, domain)
 
-    def test_the_first_medoid_names_its_own_unknown_waypoint_first(self, domain, kick_plan):
-        # f0 is the first medoid; f9, before it in record order, is bad too.
-        def lib(first_medoid_token):
-            return cp.Library((
-                record(kick_plan, scenario_at("ELSEWHERE"), "f9"),
-                record(kick_plan, scenario_at("CENTER_FIELD"), "f5"),
-                record(kick_plan, scenario_at(first_medoid_token), "f0"),
-            ))
-
-        with pytest.raises(UnknownWaypoint, match="NOWHERE"):
-            cluster_scenarios(lib("NOWHERE"), 2, domain)
+    @pytest.mark.parametrize("first_medoid_token", ["NOWHERE", "OUR_GOAL"])
+    def test_names_the_first_unknown_waypoint_in_record_order_as_select_does(
+            self, domain, kick_plan, first_medoid_token):
+        # f0 is the first medoid; f9, before it in record order, is bad.
+        lib = cp.Library((
+            record(kick_plan, scenario_at("CENTER_FIELD"), "f5"),
+            record(kick_plan, cp.Scenario((("STRIKER", "OUR_GOAL"), (BALL, "ELSEWHERE"))),
+                   "f9"),
+            record(kick_plan, scenario_at(first_medoid_token), "f0"),
+        ))
         with pytest.raises(UnknownWaypoint, match="ELSEWHERE"):
-            cluster_scenarios(lib("OUR_GOAL"), 2, domain)
+            cp.select_plan(lib, world_at(domain, 0, 0), domain)
+        with pytest.raises(UnknownWaypoint, match="ELSEWHERE"):
+            cluster_scenarios(lib, 2, domain)
+
+    def test_random_unknown_waypoints_named_as_select_names_them(self, domain, kick_plan):
+        rng = random.Random(17)
+        tokens = sorted(domain.waypoints) + ["NOWHERE_1", "NOWHERE_2", "NOWHERE_3"]
+        for _ in range(60):
+            scenarios = [cp.Scenario(tuple((s, rng.choice(tokens)) for s in
+                                           rng.sample(TIE_SUBJECTS, rng.randint(1, 4))))
+                         for _ in range(rng.randint(1, 12))]
+            bad = [t for s in scenarios for _, t in s.assignments if t not in domain.waypoints]
+            if not bad:
+                continue
+            ids = [f"f{i:02d}" for i in range(len(scenarios))]
+            rng.shuffle(ids)
+            lib = cp.Library(tuple(record(kick_plan, s, fid) for s, fid in zip(scenarios, ids)))
+            with pytest.raises(UnknownWaypoint) as selected:
+                cp.select_plan(lib, world_at(domain, 0, 0), domain)
+            with pytest.raises(UnknownWaypoint) as clustered:
+                cluster_scenarios(lib, 1, domain)
+            assert str(selected.value) == str(clustered.value) == str(UnknownWaypoint(bad[0]))
 
     def test_shares_the_library_index_with_select(self, domain, kick_plan, monkeypatch):
         # One index per library: select builds it and clustering reuses it;
