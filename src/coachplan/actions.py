@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
+import os
 import re
 from dataclasses import dataclass
-from importlib import resources
 from types import MappingProxyType
 from typing import NamedTuple
 
+from .domain import DATA_DIR, read_text
 from .errors import (
     ConfigInvalid,
     DimMismatch,
@@ -104,6 +106,8 @@ _PRED_TEXT = r"(!?)(\w+)\(([^)]*)\)"
 _PRED_RE = re.compile(_PRED_TEXT)
 # A PRECONDITIONS or EFFECTS field: predicates separated by commas.
 _PRED_LIST_RE = re.compile(rf"{_PRED_TEXT}(?:\s*,\s*{_PRED_TEXT})*")
+# The first line of a field of an action block.
+_FIELD_RE = re.compile(r"(ACTION_ID|DESCRIPTION|ARGS|PRECONDITIONS|EFFECTS):(.*)$")
 
 
 def parse_predicate(text: str, lineno: int) -> Predicate:
@@ -141,20 +145,22 @@ def _parse_predicates(value, lineno, declared):
 
 
 def parse_action_file(text: str) -> list:
-    """Parse blank-line-separated action blocks into schemas (file order)."""
+    """Parse blank-line-separated action blocks into schemas (file order).
+    `#` lines are comments; a block of comments only is skipped."""
     schemas = []
     seen = set()
-    block = []
-    start_line = 1
-
-    def flush(block_lines, lineno):
-        block_lines = [(ln, line) for ln, line in block_lines if not line.startswith("#")]
-        if not block_lines:
-            return
+    numbered = enumerate(text.splitlines(), start=1)
+    for blank, block in itertools.groupby(numbered, key=lambda item: not item[1].strip()):
+        if blank:
+            continue
+        block = [(ln, raw.strip()) for ln, raw in block]
+        start_line = block[0][0]
         fields = {}
         current = None
-        for ln, line in block_lines:
-            m = re.match(r"(ACTION_ID|DESCRIPTION|ARGS|PRECONDITIONS|EFFECTS):(.*)$", line)
+        for ln, line in block:
+            if line.startswith("#"):
+                continue
+            m = _FIELD_RE.match(line)
             if m:
                 current = m.group(1)
                 if current in fields:
@@ -162,20 +168,21 @@ def parse_action_file(text: str) -> list:
                 fields[current] = (ln, m.group(2).strip())
             elif current is not None:
                 prev_ln, prev = fields[current]
-                fields[current] = (prev_ln, (prev + " " + line.strip()).strip())
+                fields[current] = (prev_ln, (prev + " " + line).strip())
             else:
                 raise ParseError(f"text outside a field: {line!r}", line=ln)
+        if not fields:
+            continue
         if "ACTION_ID" not in fields:
-            raise ParseError("action block missing ACTION_ID", line=lineno)
-        action_id = fields["ACTION_ID"][1]
+            raise ParseError("action block missing ACTION_ID", line=start_line)
+        id_ln, action_id = fields["ACTION_ID"]
         if not re.fullmatch(r"[a-z][a-z0-9_]*", action_id):
-            raise ParseError(f"bad action id {action_id!r}", line=fields["ACTION_ID"][0])
+            raise ParseError(f"bad action id {action_id!r}", line=id_ln)
         if action_id in seen:
-            raise DuplicateActionId(action_id, line=fields["ACTION_ID"][0])
+            raise DuplicateActionId(action_id, line=id_ln)
         seen.add(action_id)
-        description = fields.get("DESCRIPTION", (lineno, ""))[1]
         args = []
-        args_ln, args_text = fields.get("ARGS", (lineno, ""))
+        args_ln, args_text = fields.get("ARGS", (start_line, ""))
         if args_text:
             for pair in args_text.split(","):
                 if ":" not in pair:
@@ -187,30 +194,17 @@ def parse_action_file(text: str) -> list:
                     raise ParseError(f"duplicate arg {name}", line=args_ln)
                 args.append((name, dom))
         declared = {name for name, _ in args} | {ACTING_AGENT}
-        pre_ln, pre_text = fields.get("PRECONDITIONS", (lineno, ""))
-        eff_ln, eff_text = fields.get("EFFECTS", (lineno, ""))
+        pre_ln, pre_text = fields.get("PRECONDITIONS", (start_line, ""))
+        eff_ln, eff_text = fields.get("EFFECTS", (start_line, ""))
         schemas.append(
             ActionSchema(
                 action_id=action_id,
-                description=description,
+                description=fields.get("DESCRIPTION", (start_line, ""))[1],
                 args=tuple(args),
                 preconditions=_parse_predicates(pre_text, pre_ln, declared),
                 effects=_parse_predicates(eff_text, eff_ln, declared),
             )
         )
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip()
-        if not line.strip():
-            if block:
-                flush(block, start_line)
-                block = []
-        else:
-            if not block:
-                start_line = lineno
-            block.append((lineno, line.strip()))
-    if block:
-        flush(block, start_line)
     return schemas
 
 
@@ -238,7 +232,7 @@ def classify(schema: ActionSchema) -> str | None:
 @functools.cache
 def packaged_schemas():
     """The packaged `actions.txt`, parsed once: action_id -> ActionSchema."""
-    text = resources.files("coachplan.data").joinpath("actions.txt").read_text()
+    text = read_text(os.path.join(DATA_DIR, "actions.txt"))
     return MappingProxyType({s.action_id: s for s in parse_action_file(text)})
 
 

@@ -56,9 +56,19 @@ EXIT_PROVIDER = 3
 EXIT_BROKEN_PIPE = 141
 
 
+def _parse_file(path, parse, *args):
+    """parse(the text of the file `path`, *args); a CoachPlanError that
+    parse raises is raised again as `<path>: <message>`."""
+    text = read_text(path)
+    try:
+        return parse(text, *args)
+    except CoachPlanError as exc:
+        raise CoachPlanError(f"{path}: {exc}") from exc
+
+
 def _load_domain_actions(args):
-    domain = parse_domain_file(read_text(args.domain))
-    schemas = parse_action_file(read_text(args.actions))
+    domain = _parse_file(args.domain, parse_domain_file)
+    schemas = _parse_file(args.actions, parse_action_file)
     return domain, {s.action_id: s for s in schemas}
 
 
@@ -114,7 +124,7 @@ def _config_hash(args, keys, **values):
 
 def cmd_generate(args):
     domain, schemas = _load_domain_actions(args)
-    world = parse_world_file(read_text(args.world), domain)
+    world = _parse_file(args.world, parse_world_file, domain)
     chat = _chat_provider(args)
     goal = DEFAULT_GOAL if args.goal is None else PlanningGoal(args.goal)
     # An absent --goal hashes as "", as it always has.
@@ -149,8 +159,8 @@ def cmd_generate(args):
 
 def cmd_validate(args):
     domain, schemas = _load_domain_actions(args)
-    plan = parse_plan(read_text(args.plan), schemas, domain.roles, domain.waypoints)
-    initial = parse_facts_file(read_text(args.initial)) if args.initial else frozenset()
+    plan = _parse_file(args.plan, parse_plan, schemas, domain.roles, domain.waypoints)
+    initial = _parse_file(args.initial, parse_facts_file) if args.initial else frozenset()
     report = validate_plan(plan, schemas, initial)
     if args.format == "lines":
         sys.stdout.write(report.serialize())
@@ -165,8 +175,8 @@ def cmd_validate(args):
 
 def cmd_simulate(args):
     domain, schemas = _load_domain_actions(args)
-    world = parse_world_file(read_text(args.world), domain)
-    plan = parse_plan(read_text(args.plan), schemas, domain.roles, domain.waypoints)
+    world = _parse_file(args.world, parse_world_file, domain)
+    plan = _parse_file(args.plan, parse_plan, schemas, domain.roles, domain.waypoints)
     fsms = compile_fsm(plan, schemas)
     config = _sim_config(args)
     policy = make_opponent_policy(args.opponents, seed=args.seed)
@@ -192,9 +202,8 @@ def cmd_evaluate(args):
     # One world per call, so that a world's error names its file; the
     # library keeps its scenario index from one call to the next.
     for path in world_files:
-        text = read_text(path)
+        world = _parse_file(path, parse_world_file, domain)
         try:
-            world = parse_world_file(text, domain)
             results.append(planlib.evaluate(lib, world, domain, config, policy, schemas))
         except EmptyLibrary:
             raise  # no world's fault
@@ -218,8 +227,8 @@ def cmd_library_ls(args):
 
 def cmd_library_add(args):
     domain, schemas, lib = _open_library(args)
-    plan = parse_plan(read_text(args.plan), schemas, domain.roles, domain.waypoints)
-    scenario = parse_scenario_block(read_text(args.scenario), domain)
+    plan = _parse_file(args.plan, parse_plan, schemas, domain.roles, domain.waypoints)
+    scenario = _parse_file(args.scenario, parse_scenario_block, domain)
     record = planlib.PlanRecord(plan, scenario, args.frame_id, args.created_at)
     planlib.save_library(planlib.add(lib, record), args.library)
     print(f"added {args.frame_id}")
@@ -228,7 +237,7 @@ def cmd_library_add(args):
 
 def cmd_library_select(args):
     domain, _, lib = _open_library(args)
-    world = parse_world_file(read_text(args.world), domain)
+    world = _parse_file(args.world, parse_world_file, domain)
     record = planlib.select_plan(lib, world, domain)
     print(record.frame_id)
     print(serialize_scenario(scenario_from_world(world, domain)))

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import re
-from importlib import resources
 
-from .domain import BALL, OWN, Domain, Scenario, WorldState
+from .domain import BALL, DATA_DIR, OWN, Domain, Scenario, WorldState, read_text
 from .errors import (
     CardinalityMismatch,
     MissingAdviceBlock,
@@ -33,16 +33,11 @@ _SLOT_RE = re.compile(r"(\[[A-Z_]+\])")
 
 
 @functools.cache
-def _template_text(name: str) -> str:
-    """A packaged prompt template's text, read once per process."""
-    return resources.files("coachplan.data.templates").joinpath(name).read_text()
-
-
-@functools.cache
 def _template_parts(name: str) -> tuple:
-    """A packaged template split at its `[SLOT]`s, once per process: the
-    text between slots at even positions, the slots at odd ones."""
-    return tuple(_SLOT_RE.split(_template_text(name)))
+    """A packaged template, read and split at its `[SLOT]`s once per
+    process: the text between slots at even positions, the slots at odd
+    ones."""
+    return tuple(_SLOT_RE.split(read_text(os.path.join(DATA_DIR, "templates", name))))
 
 
 def fill_template(name: str, slots: dict) -> str:
@@ -50,15 +45,16 @@ def fill_template(name: str, slots: dict) -> str:
 
     Only the template's own text is searched, so a value is inserted
     verbatim even if it names a slot (advice that mentions [ROLES], say).
-    Brackets that are not slots (the coach skeleton's [ROLE_OWN_TEAM]) are
-    shown to the model verbatim; a slot the template lacks raises
+    A slot given no value (the coach skeleton's [ROLE_OWN_TEAM]) is shown
+    to the model verbatim.  Each key must be one of the template's slots;
+    any other key, even one that is other text of the template, raises
     UnresolvedPlaceholder."""
-    text = _template_text(name)
-    for slot in slots:
-        if slot not in text:
-            raise UnresolvedPlaceholder(f"template {name} has no slot {slot}")
     parts = list(_template_parts(name))
-    parts[1::2] = [slots.get(slot, slot) for slot in parts[1::2]]
+    names = parts[1::2]
+    for slot in slots:
+        if slot not in names:
+            raise UnresolvedPlaceholder(f"template {name} has no slot {slot}")
+    parts[1::2] = [slots.get(slot, slot) for slot in names]
     return "".join(parts)
 
 

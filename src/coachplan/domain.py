@@ -6,6 +6,7 @@ the ball to waypoints.  All types are immutable values, all operations pure.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,6 +29,10 @@ CONTROL_RADIUS = 0.3
 # Cost added per subject present in only one of two scenarios (half the
 # field width, so role mismatches dominate small positional drifts).
 UNMATCHED_PENALTY = 3.0
+
+# The package's data files: the demo domain, actions.txt, sync_examples.txt
+# and the prompt templates, read with read_text like any other input.
+DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 TOKEN_RE = re.compile(r"[A-Z][A-Z0-9_]*$")
 
@@ -365,14 +370,20 @@ _ROLE_RE = re.compile(
 )
 
 
+def content_lines(text: str):
+    """(line number, line, stripped line) for each line of a line-oriented
+    input file that is neither blank nor a `#` comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, raw, line
+
+
 def parse_domain_file(text: str) -> Domain:
     """Line-oriented domain file: WAYPOINT and ROLE records, # comments."""
     waypoints = {}
     roles = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, raw, line in content_lines(text):
         if line.startswith("WAYPOINT"):
             m = _WAYPOINT_RE.match(line)
             if not m:
@@ -397,7 +408,8 @@ def parse_domain_file(text: str) -> Domain:
 
 def read_text(path) -> str:
     """The text of the file `path`, which must be UTF-8; ParseError, naming
-    the file, if it is not."""
+    the file, if it is not.  Packaged data is read the same way, from
+    DATA_DIR."""
     with open(path, encoding="utf-8") as fh:
         try:
             return fh.read()
@@ -427,10 +439,7 @@ def parse_world_file(text: str, domain: Domain) -> WorldState:
     agents = {}
     own_roles = set()
     ball = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, raw, line in content_lines(text):
         parts = line.split()
         if parts[0] == "AGENT":
             if len(parts) != 7:

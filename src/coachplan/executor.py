@@ -450,7 +450,9 @@ class _Match:
             self._update_ball()
             if self.success:
                 break
-            if not self._plan_live() and ball.mode not in ("PASS", "KICK"):
+            # A flying ball's launcher is not done until its flight ends,
+            # so a plan is live while the ball flies.
+            if not self._plan_live():
                 self._event("PLAN_DONE", "MATCH")
                 break
             # A match with a held ball in which no action can finish any

@@ -10,14 +10,15 @@ state and apply a conflict-checked union of effects.
 from __future__ import annotations
 
 import functools
+import os
 import re
-from importlib import resources
 from typing import NamedTuple
 
 from .actions import (ACTING_AGENT, MOVE, PASS, Predicate, classify, parse_predicate,
                       serialize_actions)
 from .coach import SYSTEM_TEXT, describe_roles, describe_waypoints, fill_template
-from .domain import OWN, Domain, WorldState, ball_holder, nearest_waypoint, serialize_scenario
+from .domain import (DATA_DIR, OWN, Domain, WorldState, ball_holder, content_lines,
+                     nearest_waypoint, read_text, serialize_scenario)
 from .errors import InvalidInputPlan, ParseError, UnresolvedPlaceholder
 from .planlang import JOIN, SINGLE, GroundedAction, Plan, PlanStep
 from .providers import ChatRequest
@@ -191,10 +192,7 @@ def initial_state_from_world(world: WorldState, domain: Domain) -> frozenset:
 def parse_facts_file(text: str) -> frozenset:
     """One ground predicate per line, `#` comments."""
     facts = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, _, line in content_lines(text):
         pred = parse_predicate(line, lineno)
         if pred.negated:
             raise ParseError("initial facts must be positive", line=lineno)
@@ -281,7 +279,7 @@ def _packaged_sync_examples():
     `sync_examples.txt`: (positive, ((reason, negative), ...)).  `#` lines
     are comments; a later POSITIVE block replaces an earlier one, and with
     none the positive is None."""
-    text = resources.files("coachplan.data").joinpath("sync_examples.txt").read_text()
+    text = read_text(os.path.join(DATA_DIR, "sync_examples.txt"))
     text = "\n".join(line for line in text.splitlines() if not line.startswith("#"))
     _, *blocks = re.split(r"^(POSITIVE|NEGATIVE):(.*)$", text, flags=re.MULTILINE)
     positive = None

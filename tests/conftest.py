@@ -183,3 +183,67 @@ def mutated_corpus_texts(draw):
                 k = draw(st.sampled_from(keys))
                 pieces[k] = pieces[k].lower()
     return "".join(pieces)
+
+
+# Lines to insert into the line-oriented input files: blank, whitespace-only,
+# comment and junk lines, then per format the records, fields or facts that
+# its parser refuses (or accepts) in each of the ways it names.
+COMMON_LINE_INSERTS = ("", " ", "\t ", "#", "# note", "  # indented note", "junk")
+ACTION_LINE_INSERTS = COMMON_LINE_INSERTS + (
+    "  continued text", "ACTION_ID: shoot", "ACTION_ID: Shoot", "ACTION_ID:",
+    "ACTION_ID: move_to", "DESCRIPTION: x", "DESCRIPTION:", "ARGS: T : ROLE", "ARGS: T",
+    "ARGS: T : PLACE", "ARGS: T : ROLE, T : WAYPOINT", "PRECONDITIONS: ball_held_by(AGENT)",
+    "PRECONDITIONS: ball_held_by(?X)", "EFFECTS: at(AGENT,T)", "EFFECTS: at(AGENT)",
+    "EFFECTS: fly(AGENT)", "EFFECTS: at(",
+)
+DOMAIN_LINE_INSERTS = COMMON_LINE_INSERTS + (
+    'WAYPOINT A 0 0 "a"', 'WAYPOINT CENTER_FIELD 1 1 "again"', 'WAYPOINT A nan 0 "a"',
+    'WAYPOINT A 1e308 -1e308 "far"', 'WAYPOINT a 0 0 "a"', "WAYPOINT A 0 0",
+    'ROLE STRIKER "again" ACTIONS=move_to', 'ROLE KEEPER "k" ACTIONS=defend_goal,move_to',
+    'ROLE K "k" ACTIONS=', "GOAL 4.5 0",
+)
+WORLD_LINE_INSERTS = COMMON_LINE_INSERTS + (
+    "BALL 0 0", "BALL 1e308 -1e308", "BALL nan 0", "BALL 0", "AGENT O9 OPPONENT - 1 1 0",
+    "AGENT O9 OPPONENT - 1e308 -inf 0", "AGENT STRIKER OWN STRIKER 0 0 0",
+    "AGENT K OWN KEEPER 0 0 0", "AGENT J OWN JOLLY 0 0", "AGENT R REFEREE - 0 0 0",
+    "GOAL 4.5 0",
+)
+FACT_LINE_INSERTS = COMMON_LINE_INSERTS + (
+    "ball_held_by(JOLLY)", "ball_at(CENTER_FIELD)", "at(STRIKER,CENTER_FIELD)",
+    "has_passed(STRIKER)", "!ball_at(CENTER_FIELD)", "at(STRIKER)", "fly(STRIKER)",
+    "ball_at(",
+)
+# Words to put in place of a word of a line: numbers out of range or not
+# numbers, and the keywords and names of the formats.
+LINE_WORDS = ("nan", "inf", "-inf", "1e308", "-1e308", "1.2.3", "x", "-", "OWN", "OPPONENT",
+              "STRIKER", "KEEPER", "AGENT", "BALL", "WAYPOINT", "ROLE", "ACTION_ID:", "ARGS:")
+
+
+@st.composite
+def mutated_lines(draw, text, inserts, words=()):
+    """`text` after one to six line-level mutations: a line dropped,
+    duplicated or swapped with another, one of `inserts` inserted, or, with
+    `words`, one word of a line replaced by one of them.  The last line
+    break is kept or dropped."""
+    lines = text.splitlines()
+    ops = ("drop", "duplicate", "swap", "insert") + (("word",) if words else ())
+    for _ in range(draw(st.integers(1, 6))):
+        op = draw(st.sampled_from(ops))
+        if op == "insert" or not lines:
+            lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(inserts)))
+            continue
+        i = draw(st.integers(0, len(lines) - 1))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        else:
+            pieces = re.split(r"(\s+)", lines[i])
+            spots = [k for k, piece in enumerate(pieces) if piece and not piece.isspace()]
+            if spots:
+                pieces[draw(st.sampled_from(spots))] = draw(st.sampled_from(words))
+                lines[i] = "".join(pieces)
+    return "\n".join(lines) + draw(st.sampled_from(("\n", "")))

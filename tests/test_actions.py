@@ -1,17 +1,23 @@
 import math
+import os
 import random
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import coachplan as cp
 from coachplan.actions import (
+    ACTING_AGENT,
     INSTANT,
     KICK,
     MOVE,
     PASS,
     RECEIVE,
+    VALUE_DOMAINS,
+    ActionSchema,
     MockEmbeddingProvider,
+    _parse_predicates,
     classify,
     packaged_schemas,
     parse_predicate,
@@ -26,7 +32,10 @@ from coachplan.errors import (
     UndeclaredVariable,
     ZeroVector,
 )
+from coachplan.domain import DATA_DIR, read_text
 from coachplan.pipeline import DEFAULT_GOAL, retrieval_query
+
+from conftest import ACTION_LINE_INSERTS, mutated_lines
 
 SAMPLE = """\
 ACTION_ID: pass_the_ball
@@ -375,3 +384,107 @@ def test_packaged_schemas_parsed_once(schemas):
     assert dict(packaged_schemas()) == schemas
     with pytest.raises(TypeError):
         packaged_schemas()["shoot"] = None
+
+
+# --- parse_action_file against the block walker it replaced ----------------
+
+def oracle_parse_action_file(text):
+    """The oracle for parse_action_file, as an earlier version had it: the
+    lines of each block gathered in a list by hand, and each block parsed
+    by a nested `flush`, called at each blank line and at the end."""
+    schemas = []
+    seen = set()
+    block = []
+    start_line = 1
+
+    def flush(block_lines, lineno):
+        block_lines = [(ln, line) for ln, line in block_lines if not line.startswith("#")]
+        if not block_lines:
+            return
+        fields = {}
+        current = None
+        for ln, line in block_lines:
+            m = re.match(r"(ACTION_ID|DESCRIPTION|ARGS|PRECONDITIONS|EFFECTS):(.*)$", line)
+            if m:
+                current = m.group(1)
+                if current in fields:
+                    raise ParseError(f"duplicate field {current}", line=ln)
+                fields[current] = (ln, m.group(2).strip())
+            elif current is not None:
+                prev_ln, prev = fields[current]
+                fields[current] = (prev_ln, (prev + " " + line.strip()).strip())
+            else:
+                raise ParseError(f"text outside a field: {line!r}", line=ln)
+        if "ACTION_ID" not in fields:
+            raise ParseError("action block missing ACTION_ID", line=lineno)
+        action_id = fields["ACTION_ID"][1]
+        if not re.fullmatch(r"[a-z][a-z0-9_]*", action_id):
+            raise ParseError(f"bad action id {action_id!r}", line=fields["ACTION_ID"][0])
+        if action_id in seen:
+            raise DuplicateActionId(action_id, line=fields["ACTION_ID"][0])
+        seen.add(action_id)
+        description = fields.get("DESCRIPTION", (lineno, ""))[1]
+        args = []
+        args_ln, args_text = fields.get("ARGS", (lineno, ""))
+        if args_text:
+            for pair in args_text.split(","):
+                if ":" not in pair:
+                    raise ParseError(f"bad ARGS entry {pair!r}", line=args_ln)
+                name, dom = (p.strip() for p in pair.split(":", 1))
+                if dom not in VALUE_DOMAINS:
+                    raise ParseError(f"bad value domain {dom!r}", line=args_ln)
+                if name in (n for n, _ in args):
+                    raise ParseError(f"duplicate arg {name}", line=args_ln)
+                args.append((name, dom))
+        declared = {name for name, _ in args} | {ACTING_AGENT}
+        pre_ln, pre_text = fields.get("PRECONDITIONS", (lineno, ""))
+        eff_ln, eff_text = fields.get("EFFECTS", (lineno, ""))
+        schemas.append(
+            ActionSchema(
+                action_id=action_id,
+                description=description,
+                args=tuple(args),
+                preconditions=_parse_predicates(pre_text, pre_ln, declared),
+                effects=_parse_predicates(eff_text, eff_ln, declared),
+            )
+        )
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.rstrip()
+        if not line.strip():
+            if block:
+                flush(block, start_line)
+                block = []
+        else:
+            if not block:
+                start_line = lineno
+            block.append((lineno, line.strip()))
+    if block:
+        flush(block, start_line)
+    return schemas
+
+
+PACKAGED_ACTIONS_TEXT = read_text(os.path.join(DATA_DIR, "actions.txt"))
+
+
+def parse_outcome(parse, text):
+    """The schemas parse gives for text, or its error's type, message and line."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line
+
+
+def test_packaged_actions_match_the_oracle():
+    assert cp.parse_action_file(PACKAGED_ACTIONS_TEXT) == oracle_parse_action_file(
+        PACKAGED_ACTIONS_TEXT)
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=mutated_lines(PACKAGED_ACTIONS_TEXT, ACTION_LINE_INSERTS))
+def test_parse_action_file_matches_the_oracle(text):
+    """Lines of the packaged actions.txt dropped, duplicated or swapped, and
+    blank, whitespace-only, comment, junk and field lines inserted: the same
+    schemas, or the same error type, message and line."""
+    assert parse_outcome(cp.parse_action_file, text) == parse_outcome(
+        oracle_parse_action_file, text)

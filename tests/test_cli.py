@@ -14,14 +14,17 @@ import urllib.request
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings, strategies as st
 
 import coachplan as cp
 from coachplan import errors
 from coachplan.cli import build_parser, main
+from coachplan.domain import DATA_DIR, read_text
 from coachplan.providers import ChatRequest, Transcript
+from coachplan.refine import parse_facts_file
 
-from conftest import mutated_corpus_texts
+from conftest import (ACTION_LINE_INSERTS, DOMAIN_LINE_INSERTS, FACT_LINE_INSERTS, LINE_WORDS,
+                      WORLD_LINE_INSERTS, mutated_corpus_texts, mutated_lines)
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -86,7 +89,7 @@ class TestValidate:
         plan = write(tmp_path / "p.plan", "move_to STRIKER {TARGET: NOWHERE}\n")
         assert main(["validate", "--plan", plan, *base]) == 2
         assert capsys.readouterr().err == (
-            "error: move_to: TARGET='NOWHERE' is not a waypoint of the domain\n")
+            f"error: {plan}: move_to: TARGET='NOWHERE' is not a waypoint of the domain\n")
         world = write(tmp_path / "w.world", "AGENT STRIKER OWN STRIKER 0.0 0.0 0.0\nBALL 1 0\n")
         assert main(["simulate", "--plan", plan, "--world", world, *base]) == 2
         assert "NOWHERE" in capsys.readouterr().err
@@ -236,7 +239,7 @@ class TestMalformedInput:
     def test_bad_world_number(self, tmp_path, base, plan, capsys, world_text, line):
         assert self.simulate(tmp_path, base, plan, world_text) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: line {line}: ")
+        assert err.startswith(f"error: {tmp_path / 'w.world'}: line {line}: ")
         assert "Traceback" not in err
 
     def test_bad_waypoint_number(self, tmp_path, data_dir, plan, capsys):
@@ -244,14 +247,15 @@ class TestMalformedInput:
         code = main(["validate", "--plan", plan, "--domain", domain,
                      "--actions", os.path.join(data_dir, "actions.txt")])
         assert code == 2
-        assert capsys.readouterr().err == "error: line 1: bad number '1.2.3'\n"
+        assert capsys.readouterr().err == f"error: {domain}: line 1: bad number '1.2.3'\n"
 
     def test_repeated_own_role(self, tmp_path, base, plan, capsys):
         world_text = ("AGENT a OWN STRIKER 0.0 0.0 0.0\n"
                       "AGENT b OWN STRIKER 3.0 1.0 0.0\n"
                       "BALL 0.0 0.0\n")
         assert self.simulate(tmp_path, base, plan, world_text) == 2
-        assert capsys.readouterr().err == "error: line 2: duplicate own role STRIKER\n"
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'w.world'}: line 2: duplicate own role STRIKER\n")
 
     @pytest.mark.parametrize("payload", [
         {"tick_rate": 1},
@@ -791,7 +795,8 @@ def test_undecodable_file_exit_two(tmp_path, ok, capsys, flag):
 
 
 # (flag, file text, message): one parse error of each kind in the file read
-# through `flag` (with UNDECODABLE's argv), and main's whole stderr for it.
+# through `flag` (with UNDECODABLE's argv), and the message after the file's
+# path on main's one stderr line.
 MALFORMED = [
     pytest.param("--domain", 'WAYPOINT A 0 0 "a"\nWAYPOINT A 1 0 "b"\n',
                  "line 2: duplicate waypoint A", id="domain-duplicate-waypoint"),
@@ -855,7 +860,7 @@ MALFORMED = [
 def test_malformed_file_exit_two(tmp_path, ok, capsys, flag, text, message):
     bad = write(tmp_path / "bad.txt", text)
     assert main(UNDECODABLE[flag](bad, ok)) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
     assert not os.path.exists(ok["library"])
 
 
@@ -871,6 +876,82 @@ def test_validate_malformed_plan_exit_code(tmp_path_factory, data_dir, text):
         code = main(["validate", "--plan", plan,
                      "--domain", os.path.join(data_dir, "domain.txt"),
                      "--actions", os.path.join(data_dir, "actions.txt")])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")
+    else:
+        assert err.getvalue() == ""
+
+
+FULL_TEAM_WORLD = """\
+# every role of the packaged domain, and two opponents
+AGENT STRIKER OWN STRIKER 0.1 0.1 0.0
+AGENT JOLLY OWN JOLLY 2.0 1.4 0.0
+AGENT SUPPORTER OWN SUPPORTER -1.0 -1.0 0.0
+AGENT DEFENDER OWN DEFENDER -2.5 1.5 0.0
+AGENT GOALIE OWN GOALIE -4.2 0.0 0.0
+AGENT O1 OPPONENT - 3.0 1.0 3.1
+AGENT O2 OPPONENT - 4.2 0.0 3.1
+BALL 0.2 0.1
+"""
+KICKOFF_FACTS = "# kickoff\nball_held_by(STRIKER)\nat(STRIKER,CENTER_FIELD)\n"
+
+
+PACKAGED_DOMAIN_TEXT = read_text(os.path.join(DATA_DIR, "domain.txt"))
+PACKAGED_ACTIONS_TEXT = read_text(os.path.join(DATA_DIR, "actions.txt"))
+
+# flag -> (the mutated texts of the file read through it, the parse of that
+# text alone, given the packaged domain and schemas).  `simulate` reads the
+# first four flags' files, `validate` the last.
+FUZZED_FILES = {
+    "--domain": (mutated_lines(PACKAGED_DOMAIN_TEXT, DOMAIN_LINE_INSERTS, LINE_WORDS),
+                 lambda text, domain, schemas: cp.parse_domain_file(text)),
+    "--actions": (mutated_lines(PACKAGED_ACTIONS_TEXT, ACTION_LINE_INSERTS, LINE_WORDS),
+                  lambda text, domain, schemas: cp.parse_action_file(text)),
+    "--world": (mutated_lines(FULL_TEAM_WORLD, WORLD_LINE_INSERTS, LINE_WORDS),
+                lambda text, domain, schemas: cp.parse_world_file(text, domain)),
+    "--plan": (mutated_corpus_texts(),
+               lambda text, domain, schemas: cp.parse_plan(text, schemas, domain.roles,
+                                                           domain.waypoints)),
+    "--initial": (mutated_lines(KICKOFF_FACTS, FACT_LINE_INSERTS, LINE_WORDS),
+                  lambda text, domain, schemas: parse_facts_file(text)),
+}
+
+
+@pytest.mark.parametrize("flag", FUZZED_FILES)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_mutated_input_file_exit_code(tmp_path_factory, data_dir, domain, schemas, flag,
+                                      data):
+    """One mutated input file, every other valid: exit 0, 1 or 2, never a
+    traceback.  When the file does not parse on its own, main exits 2 with
+    one line, `error: <that file>: <the parser's message>`, and prints
+    nothing else; at any other exit 2 it prints one `error:` line only."""
+    strategy, parse = FUZZED_FILES[flag]
+    text = data.draw(strategy, label="text")
+    tmp = tmp_path_factory.mktemp("fuzz")
+    files = {"--domain": os.path.join(data_dir, "domain.txt"),
+             "--actions": os.path.join(data_dir, "actions.txt"),
+             "--world": write(tmp / "w.world", FULL_TEAM_WORLD),
+             "--plan": os.path.join(CORPUS_DIR, "p20_full_team.plan"),
+             "--initial": write(tmp / "kickoff.facts", KICKOFF_FACTS)}
+    path = files[flag] = write(tmp / "mutated.txt", text)
+    command = ["validate", "--initial"] if flag == "--initial" else ["simulate", "--world"]
+    argv = [command[0], *(arg for key in ("--domain", "--actions", command[1], "--plan")
+                          for arg in (key, files[key]))]
+    try:
+        parse(text, domain, schemas)
+        expected = None
+    except errors.CoachPlanError as exc:
+        expected = f"error: {path}: {exc}\n"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    event(f"exit {code}" + (", the file does not parse" if expected else ""))
+    if expected is not None:
+        assert (code, out.getvalue(), err.getvalue()) == (2, "", expected)
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == ""
@@ -1003,17 +1084,22 @@ def test_package_raises_only_coachplan_errors():
 
 
 def test_cli_import_loads_no_third_party_modules():
-    # A fresh interpreter: this test process may have imported them already.
+    # A fresh interpreter without `site` (-S), so that nothing the
+    # environment imports at startup hides what the package loads: every
+    # module `import coachplan.cli` loads is the package's or the standard
+    # library's, and packaged data is read without importlib.resources.
     src = os.path.dirname(os.path.dirname(os.path.abspath(cp.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     probe = (
-        "import sys, coachplan.cli; "
-        "print(sorted(m for m in ('numpy', 'scipy', 'requests') if m in sys.modules))"
+        "import sys; before = set(sys.modules); import coachplan.cli; "
+        "new = {name.split('.')[0] for name in set(sys.modules) - before}; "
+        "print(sorted(new - set(sys.stdlib_module_names) - {'coachplan'}), "
+        "'importlib.resources' in sys.modules, 'coachplan' in new)"
     )
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out == "[]\n"
+    assert out == "[] False True\n"
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])

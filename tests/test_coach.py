@@ -127,10 +127,11 @@ def swept_coach_text(domain, retrieved_actions, goal, tactics):
 
 def oracle_fill(name, slots):
     """The oracle for fill_template: one regex substitution over the
-    template's text, a callback looking up each `[SLOT]` it meets."""
+    template's text, a callback looking up each `[SLOT]` it meets.  Every
+    key must be one of the template's slots."""
     text = resources.files("coachplan.data.templates").joinpath(name).read_text()
     for slot in slots:
-        if slot not in text:
+        if slot not in template_slots(name):
             raise UnresolvedPlaceholder(f"template {name} has no slot {slot}")
     return re.sub(r"\[[A-Z_]+\]", lambda m: slots.get(m.group(0), m.group(0)), text)
 
@@ -180,6 +181,14 @@ def test_fill_template_values_kept_verbatim():
     assert text.count("[PLAN]") == 1
     assert "kick [NEGATIVE_EXAMPLES]" in text
     assert "\nn\n" in text
+
+
+def test_fill_template_key_that_is_template_text_but_no_slot():
+    # `SCENARIO:` is text of the coach template, but no `[SLOT]` of it.
+    assert "SCENARIO:" in resources.files("coachplan.data.templates").joinpath(
+        "coach.txt").read_text()
+    with pytest.raises(UnresolvedPlaceholder, match="template coach.txt has no slot SCENARIO:"):
+        fill_template("coach.txt", {"SCENARIO:": "x"})
 
 
 def test_fill_template_slot_missing_from_template():

@@ -659,6 +659,40 @@ def test_seeded_traces_pinned(domain, corpus_plans):
     assert timed_out == 0
 
 
+def test_a_flying_ball_keeps_the_plan_live(domain, corpus_plans):
+    # The match loop logs PLAN_DONE on the liveness pass alone, with no test
+    # of the ball: a launcher is not done until its flight ends, so while
+    # the ball flies the plan is live.  The liveness pass is checked right
+    # where the loop runs it, after the ball's update; running it once more
+    # there moves no agent, so the traces stay SEEDED_TRACE_DIGEST's.
+    update_ball = _Match._update_ball
+    flights = 0
+
+    def checked(match):
+        nonlocal flights
+        update_ball(match)
+        if match.ball.mode in (PASS, KICK):
+            flights += 1
+            assert match.ball.launcher is not None
+            assert match.ball.launcher not in match.done
+            assert match._plan_live()
+
+    worlds = seeded_worlds(domain.roles, 50, seed=13)
+    digest = hashlib.sha256()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Match, "_update_ball", checked)
+        for name, plan in sorted(corpus_plans.items()):
+            fsms = compile_fsm(plan)
+            for w, world in enumerate(worlds):
+                for policy_name in (STATIC, NEAREST_INTERCEPT):
+                    result = run_match(fsms, world, domain, cp.SimConfig(),
+                                       make_opponent_policy(policy_name))
+                    digest.update(f"{name} {w} {policy_name}\n".encode())
+                    digest.update(result.trace_text().encode())
+    assert flights > 0
+    assert digest.hexdigest() == SEEDED_TRACE_DIGEST
+
+
 # --- a match with a held ball that can only idle ends at once, with the
 # --- trace it would have had; a stalled walker runs to its timeout
 
