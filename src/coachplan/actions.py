@@ -149,7 +149,7 @@ def parse_action_file(text: str) -> list:
     `#` lines are comments; a block of comments only is skipped."""
     schemas = []
     seen = set()
-    numbered = enumerate(text.splitlines(), start=1)
+    numbered = enumerate(text.split("\n"), start=1)
     for blank, block in itertools.groupby(numbered, key=lambda item: not item[1].strip()):
         if blank:
             continue

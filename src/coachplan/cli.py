@@ -31,6 +31,7 @@ from .errors import (
     ConfigInvalid,
     DuplicateFrameId,
     EmptyLibrary,
+    ParseError,
     ProviderError,
     StageError,
     ValidationFailed,
@@ -56,14 +57,17 @@ EXIT_PROVIDER = 3
 EXIT_BROKEN_PIPE = 141
 
 
-def _parse_file(path, parse, *args):
-    """parse(the text of the file `path`, *args); a CoachPlanError that
-    parse raises is raised again as `<path>: <message>`."""
-    text = read_text(path)
+def _parse_file(path, parse, *args, loader=False):
+    """parse(the text of the file `path`, *args), or parse(path, *args) for a
+    loader that opens the file itself.  This names every input file in its
+    errors: a CoachPlanError is raised again as `<path>: <message>`, and an
+    OSError as `<path>: <its strerror>`."""
     try:
-        return parse(text, *args)
+        return parse(path if loader else read_text(path), *args)
     except CoachPlanError as exc:
         raise CoachPlanError(f"{path}: {exc}") from exc
+    except OSError as exc:
+        raise CoachPlanError(f"{path}: {exc.strerror}") from exc
 
 
 def _load_domain_actions(args):
@@ -74,7 +78,8 @@ def _load_domain_actions(args):
 
 def _open_library(args):
     domain, schemas = _load_domain_actions(args)
-    return domain, schemas, planlib.load_library(args.library, schemas, domain.roles, domain)
+    return domain, schemas, _parse_file(args.library, planlib.load_library, schemas,
+                                        domain.roles, domain, loader=True)
 
 
 def _chat_provider(args):
@@ -88,22 +93,23 @@ def _chat_provider(args):
         return RecordingChatProvider(OpenAIChatProvider(model=args.provider))
     if args.transcript:
         # Replay mode: never touches the network, never reads credentials.
-        return ReplayChatProvider(Transcript.load(args.transcript))
+        return ReplayChatProvider(_parse_file(args.transcript, Transcript.load, loader=True))
     raise CoachPlanError("either --transcript or --provider is required")
 
 
 def _sim_config(args) -> SimConfig:
-    if not args.sim_config:
-        return SimConfig()
+    return _parse_file(args.sim_config, _parse_sim_config) if args.sim_config else SimConfig()
+
+
+def _parse_sim_config(text) -> SimConfig:
     try:
-        payload = json.loads(read_text(args.sim_config))
+        payload = json.loads(text)
     except RecursionError:  # json.loads recurses once per nesting level
-        raise ConfigInvalid(f"sim config {args.sim_config} is nested too deeply") from None
+        raise ConfigInvalid("nested too deeply") from None
     except json.JSONDecodeError as exc:
-        raise ConfigInvalid(f"sim config {args.sim_config} is not JSON: {exc}") from None
+        raise ParseError(f"not JSON: {exc.msg} at column {exc.colno}", exc.lineno) from None
     except ValueError:  # an integer longer than int() may convert
-        raise ConfigInvalid(f"sim config {args.sim_config} has a number "
-                            "with too many digits") from None
+        raise ConfigInvalid("a number with too many digits") from None
     if not isinstance(payload, dict):
         raise ConfigInvalid("sim config must be a JSON object")
     known = {f.name for f in dataclasses.fields(SimConfig)}
@@ -111,6 +117,14 @@ def _sim_config(args) -> SimConfig:
     if unknown:
         raise ConfigInvalid(f"unknown sim config key(s): {', '.join(unknown)}")
     return SimConfig(**payload)
+
+
+def _world_files(directory):
+    """The *.world files in `directory`, in name order."""
+    paths = sorted(glob.glob(os.path.join(glob.escape(directory), "*.world")))
+    if not paths:
+        raise CoachPlanError("no *.world files")
+    return paths
 
 
 def _config_hash(args, keys, **values):
@@ -134,7 +148,8 @@ def cmd_generate(args):
     )
     if args.library:
         # Read before the first model call, so an unusable library costs none.
-        lib = planlib.load_library(args.library, schemas, domain.roles, domain)
+        lib = _parse_file(args.library, planlib.load_library, schemas, domain.roles, domain,
+                          loader=True)
         if args.frame_id in lib.frame_ids():
             raise DuplicateFrameId(args.frame_id)
     try:
@@ -193,9 +208,7 @@ def cmd_simulate(args):
 
 def cmd_evaluate(args):
     domain, schemas, lib = _open_library(args)
-    world_files = sorted(glob.glob(os.path.join(args.scenarios, "*.world")))
-    if not world_files:
-        raise CoachPlanError(f"no *.world files in {args.scenarios}")
+    world_files = _parse_file(args.scenarios, _world_files, loader=True)
     policy = make_opponent_policy(args.opponents, seed=args.seed)
     config = _sim_config(args)
     results = []

@@ -125,7 +125,7 @@ def parse_scenario_block(response_text: str, domain: Domain) -> Scenario:
     """Extract the SCENARIO block: lines between a `SCENARIO:` header line
     and the next blank line or section header, each `<SUBJECT> is at
     <WAYPOINT>`.  Text after `SCENARIO:` on the header line is refused."""
-    lines = response_text.splitlines()
+    lines = response_text.split("\n")
     try:
         start = next(
             i for i, ln in enumerate(lines) if ln.strip().startswith("SCENARIO:")

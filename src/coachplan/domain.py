@@ -372,8 +372,9 @@ _ROLE_RE = re.compile(
 
 def content_lines(text: str):
     """(line number, line, stripped line) for each line of a line-oriented
-    input file that is neither blank nor a `#` comment."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    input file that is neither blank nor a `#` comment.  A line ends only
+    at a line feed, so line N is the one an editor shows."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, raw, line
@@ -407,14 +408,14 @@ def parse_domain_file(text: str) -> Domain:
 
 
 def read_text(path) -> str:
-    """The text of the file `path`, which must be UTF-8; ParseError, naming
-    the file, if it is not.  Packaged data is read the same way, from
-    DATA_DIR."""
+    """The text of the file `path`, which must be UTF-8 (ParseError if it is
+    not), with each CR LF or lone CR read as a line feed.  Packaged data is
+    read the same way, from DATA_DIR."""
     with open(path, encoding="utf-8") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from None
+            raise ParseError(f"not UTF-8 text: {exc.reason}") from None
 
 
 def parse_finite(text: str, lineno: int) -> float:

@@ -25,11 +25,10 @@ def read_records(path, fields, key):
                 record = None
             if not (isinstance(record, dict) and sorted(record) == fields
                     and all(isinstance(v, str) for v in record.values())):
-                raise MalformedRecord(
-                    f"expected a JSON object with the string fields "
-                    f"{', '.join(fields)} in {path}", lineno)
+                raise MalformedRecord("expected a JSON object with the string fields "
+                                      + ", ".join(fields), lineno)
             if record[key] in seen:
-                raise MalformedRecord(f"repeated {key} {record[key]!r} in {path}", lineno)
+                raise MalformedRecord(f"repeated {key} {record[key]!r}", lineno)
             seen.add(record[key])
             yield record
 

@@ -239,7 +239,7 @@ def load_library(path, schemas: dict, roles: dict, domain: Domain) -> Library:
             scenario = parse_scenario_block(r["scenario"], domain)
         except CoachPlanError as exc:
             raise MalformedRecord(
-                f"bad {field} text of frame_id {r['frame_id']!r} in {path}: "
+                f"bad {field} text of frame_id {r['frame_id']!r}: "
                 f"{type(exc).__name__}: {exc}", lineno) from exc
         records.append(PlanRecord(plan, scenario, r["frame_id"], r["created_at"]))
     return Library(tuple(records))

@@ -64,7 +64,7 @@ def _tokenize(text: str):
     """A list of plain (kind, value, line, column) tuples, kind IDENT or
     PUNCT; a quoted word is an IDENT without its quotes."""
     tokens = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         for m in _SCANNER.finditer(raw.split("#", 1)[0].rstrip()):
             kind = m.lastgroup
             value = m[kind]

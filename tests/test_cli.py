@@ -23,8 +23,9 @@ from coachplan.domain import DATA_DIR, read_text
 from coachplan.providers import ChatRequest, Transcript
 from coachplan.refine import parse_facts_file
 
-from conftest import (ACTION_LINE_INSERTS, DOMAIN_LINE_INSERTS, FACT_LINE_INSERTS, LINE_WORDS,
-                      WORLD_LINE_INSERTS, mutated_corpus_texts, mutated_lines)
+from conftest import (ACTION_LINE_INSERTS, COMMON_LINE_INSERTS, CORPUS_PLAN_TEXTS,
+                      DOMAIN_LINE_INSERTS, FACT_LINE_INSERTS, LINE_WORDS, WORLD_LINE_INSERTS,
+                      mutated_corpus_texts, mutated_lines)
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 
@@ -273,28 +274,39 @@ class TestMalformedInput:
         cfg = write(tmp_path / "sim.json", json.dumps(payload))
         world_text = "AGENT STRIKER OWN STRIKER 3.2 0.0 0.0\nBALL 3.3 0.0\n"
         assert self.simulate(tmp_path, base, plan, world_text, "--sim-config", cfg) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"tick": "x"}, "tick must be a finite number, got 'x'"),
+        ({"tick": 0.05, "ticks": 1}, "unknown sim config key(s): ticks"),
+        ([0.05], "sim config must be a JSON object"),
+    ])
+    def test_sim_config_error_names_its_file(self, tmp_path, base, plan, capsys, payload,
+                                             message):
+        cfg = write(tmp_path / "sim.json", json.dumps(payload))
+        world_text = "AGENT STRIKER OWN STRIKER 3.2 0.0 0.0\nBALL 3.3 0.0\n"
+        assert self.simulate(tmp_path, base, plan, world_text, "--sim-config", cfg) == 2
+        assert capsys.readouterr() == ("", f"error: {cfg}: {message}\n")
 
     def test_deeply_nested_sim_config(self, tmp_path, base, plan, capsys):
         cfg = write(tmp_path / "sim.json", "[" * 100_000 + "]" * 100_000)
         world_text = "AGENT STRIKER OWN STRIKER 3.2 0.0 0.0\nBALL 3.3 0.0\n"
         assert self.simulate(tmp_path, base, plan, world_text, "--sim-config", cfg) == 2
-        assert capsys.readouterr().err == f"error: sim config {cfg} is nested too deeply\n"
+        assert capsys.readouterr().err == f"error: {cfg}: nested too deeply\n"
 
     def test_sim_config_that_is_not_json(self, tmp_path, base, plan, capsys):
         cfg = write(tmp_path / "sim.json", "[1,")
         world_text = "AGENT STRIKER OWN STRIKER 3.2 0.0 0.0\nBALL 3.3 0.0\n"
         assert self.simulate(tmp_path, base, plan, world_text, "--sim-config", cfg) == 2
         assert capsys.readouterr().err == (
-            f"error: sim config {cfg} is not JSON: Expecting value: line 1 column 4 (char 3)\n")
+            f"error: {cfg}: line 1: not JSON: Expecting value at column 4\n")
 
     def test_overlong_integer_sim_config(self, tmp_path, base, plan, capsys):
         # Longer than int() converts by default (4300 digits).
         cfg = write(tmp_path / "sim.json", '{"tick": ' + "1" * 5000 + "}")
         world_text = "AGENT STRIKER OWN STRIKER 3.2 0.0 0.0\nBALL 3.3 0.0\n"
         assert self.simulate(tmp_path, base, plan, world_text, "--sim-config", cfg) == 2
-        assert capsys.readouterr().err == (
-            f"error: sim config {cfg} has a number with too many digits\n")
+        assert capsys.readouterr().err == f"error: {cfg}: a number with too many digits\n"
 
     def test_sim_config_opponents_key(self, tmp_path, base, golden_dir, capsys):
         # The policy is chosen by --opponents only; the key is not dropped quietly.
@@ -304,7 +316,7 @@ class TestMalformedInput:
         assert capsys.readouterr().out.startswith("success=False ")
         cfg = write(tmp_path / "sim.json", json.dumps({"opponents": "NEAREST_INTERCEPT"}))
         assert main([*argv, "--sim-config", cfg]) == 2
-        assert capsys.readouterr().err == "error: unknown sim config key(s): opponents\n"
+        assert capsys.readouterr().err == f"error: {cfg}: unknown sim config key(s): opponents\n"
 
     def test_bad_evaluate_world(self, tmp_path, base, golden_dir):
         scenarios = tmp_path / "scenarios"
@@ -593,12 +605,27 @@ class TestEvaluateAndLibrary:
         ]) == 2
         assert capsys.readouterr().err == "error: library is empty\n"
 
-    def test_evaluate_empty_dir_exit_two(self, tmp_path, base, lib_path):
+    def test_evaluate_empty_dir_exit_two(self, tmp_path, base, lib_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
+        capsys.readouterr()
         assert main([
             "evaluate", *base, "--library", lib_path, "--scenarios", str(empty),
         ]) == 2
+        assert capsys.readouterr() == ("", f"error: {empty}: no *.world files\n")
+
+    def test_evaluate_dir_name_is_not_a_pattern(self, tmp_path, base, golden_dir, lib_path,
+                                                capsys):
+        # `[1]` in a directory name is no glob character class.
+        scenarios = tmp_path / "set[1]"
+        scenarios.mkdir()
+        for name in os.listdir(os.path.join(golden_dir, "scenarios")):
+            write(scenarios / name, read_text(os.path.join(golden_dir, "scenarios", name)))
+        capsys.readouterr()
+        assert main(["evaluate", *base, "--library", lib_path,
+                     "--scenarios", str(scenarios)]) == 0
+        with open(os.path.join(golden_dir, "report.txt")) as fh:
+            assert capsys.readouterr() == (fh.read(), "")
 
     TWO_ROLES = "SCENARIO:\nSTRIKER is at CENTER_FIELD\nJOLLY is at FORWARD_LEFT\n"
 
@@ -709,13 +736,13 @@ class TestEvaluateAndLibrary:
         capsys.readouterr()
         assert main([*argv, *base]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
         if bad == "directory":
-            assert "Is a directory" in err
+            assert err == f"error: {lib}: Is a directory\n"
         else:
-            assert err.startswith("error: line 2: ")
+            assert err.startswith(f"error: {lib}: line 2: ")
         if bad == "bad plan":
-            assert f"frame_id 'f2' in {lib}: PlanSyntaxError: line 1, col 22: " in err
+            assert err.startswith(f"error: {lib}: line 2: bad plan text of frame_id 'f2': "
+                                  "PlanSyntaxError: line 1, col 22: ")
 
     @pytest.mark.parametrize("bad", ["directory", "not json", "taken"])
     def test_generate_checks_library_before_model_calls(self, tmp_path, base, golden_dir,
@@ -753,9 +780,9 @@ class TestEvaluateAndLibrary:
         assert "manual" in out
 
 
-# flag -> the argv that reads the undecodable file `bad` through that flag,
-# every other file valid (`ok`).
-UNDECODABLE = {
+# flag -> the argv that reads the file `bad` through that flag, every other
+# file valid (`ok`).
+INPUT_FILES = {
     "--plan": lambda bad, ok: ["validate", *ok["base"], "--plan", bad],
     "--initial": lambda bad, ok: ["validate", *ok["base"], "--plan", ok["plan"],
                                   "--initial", bad],
@@ -772,30 +799,84 @@ UNDECODABLE = {
                                    "--frame-id", "f"],
     "--scenarios": lambda bad, ok: ["evaluate", *ok["base"], "--library", ok["library"],
                                     "--scenarios", os.path.dirname(bad)],
+    "--library": lambda bad, ok: ["library", "ls", *ok["base"], "--library", bad],
+    "--transcript": lambda bad, ok: ["generate", *ok["base"], "--world", ok["world"],
+                                     "--transcript", bad],
 }
+# The JSON Lines stores read the file as bytes; the other inputs are text.
+STORES = ("--library", "--transcript")
 
 
 @pytest.fixture()
 def ok(tmp_path, base, golden_dir):
-    """The valid inputs of UNDECODABLE's argvs; `library` does not exist."""
+    """The valid inputs of INPUT_FILES's argvs; `library` does not exist."""
     return {"base": base, "plan": write(tmp_path / "p.plan", "kick_to_goal STRIKER {}\n"),
             "domain": base[1], "actions": base[3],
             "world": os.path.join(golden_dir, "frame_0.world"),
             "library": str(tmp_path / "out.jsonl")}
 
 
-@pytest.mark.parametrize("flag", UNDECODABLE)
+@pytest.mark.parametrize("flag", [flag for flag in INPUT_FILES if flag not in STORES])
 def test_undecodable_file_exit_two(tmp_path, ok, capsys, flag):
     (tmp_path / "in").mkdir()
     bad = tmp_path / "in" / "a.world"
     bad.write_bytes(b"\xffAGENT STRIKER OWN STRIKER 3.2 0.0 0.0\n")
-    assert main(UNDECODABLE[flag](str(bad), ok)) == 2
-    assert capsys.readouterr().err == f"error: {bad} is not UTF-8 text: invalid start byte\n"
+    assert main(INPUT_FILES[flag](str(bad), ok)) == 2
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text: invalid start byte\n"
     assert not os.path.exists(ok["library"])
 
 
+@pytest.mark.parametrize("flag", INPUT_FILES)
+def test_directory_in_place_of_an_input_file(tmp_path, ok, capsys, flag):
+    # For --scenarios, a directory among its *.world files.
+    bad = tmp_path / "in" / "a.world"
+    bad.mkdir(parents=True)
+    assert main(INPUT_FILES[flag](str(bad), ok)) == 2
+    assert capsys.readouterr() == ("", f"error: {bad}: Is a directory\n")
+    assert not os.path.exists(ok["library"])
+
+
+# A missing --library is an empty library, which `library ls` lists as nothing.
+@pytest.mark.parametrize("flag", [flag for flag in INPUT_FILES if flag != "--library"])
+def test_missing_input_file_exit_two(tmp_path, ok, capsys, flag):
+    bad = tmp_path / "in" / "a.world"
+    assert main(INPUT_FILES[flag](str(bad), ok)) == 2
+    expected = (f"{bad.parent}: no *.world files" if flag == "--scenarios"
+                else f"{bad}: No such file or directory")
+    assert capsys.readouterr() == ("", f"error: {expected}\n")
+    assert not os.path.exists(ok["library"])
+
+
+# (flag, file text, message): a file whose first line holds `{c}`, which
+# str.splitlines would take for a line break, and whose third line is at
+# fault.  A line ends only at a line feed, so the message names line 3.
+ODD_SPACE_FILES = [
+    ("--world", "AGENT STRIKER OWN STRIKER 3.2 0.0 0.0{c}\nBALL 0 0\nJUNK\n",
+     "line 3: unknown record: 'JUNK'"),
+    ("--domain", 'WAYPOINT A{c}0 0 "a"\nWAYPOINT B 1 0 "b"\nWAYPOINT A 2 0 "c"\n',
+     "line 3: duplicate waypoint A"),
+    ("--actions", "ACTION_ID:{c}shoot\nARGS: T : ROLE\nARGS:\n", "line 3: duplicate field ARGS"),
+    ("--plan", "kick_to_goal{c}STRIKER {}\n\nkick_to_goal {}\n",
+     "line 3, col 14: expected an agent id"),
+    ("--initial", "ball_held_by(STRIKER){c}\nat(STRIKER,CENTER_FIELD)\n!at(JOLLY,CENTER_FIELD)\n",
+     "line 3: initial facts must be positive"),
+]
+
+
+@pytest.mark.parametrize("c", ["\f", "\v", "\x1c", "\x85", "\u2028"], ids=ascii)
+@pytest.mark.parametrize("flag, text, message", ODD_SPACE_FILES,
+                         ids=[flag for flag, _, _ in ODD_SPACE_FILES])
+def test_line_numbers_count_line_feeds_only(tmp_path, ok, capsys, flag, text, message, c):
+    text = text.replace("{c}", c)
+    assert len(text.splitlines()) == 4
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text, encoding="utf-8")
+    assert main(INPUT_FILES[flag](str(bad), ok)) == 2
+    assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
+
+
 # (flag, file text, message): one parse error of each kind in the file read
-# through `flag` (with UNDECODABLE's argv), and the message after the file's
+# through `flag` (with INPUT_FILES's argv), and the message after the file's
 # path on main's one stderr line.
 MALFORMED = [
     pytest.param("--domain", 'WAYPOINT A 0 0 "a"\nWAYPOINT A 1 0 "b"\n',
@@ -859,7 +940,7 @@ MALFORMED = [
 @pytest.mark.parametrize("flag, text, message", MALFORMED)
 def test_malformed_file_exit_two(tmp_path, ok, capsys, flag, text, message):
     bad = write(tmp_path / "bad.txt", text)
-    assert main(UNDECODABLE[flag](bad, ok)) == 2
+    assert main(INPUT_FILES[flag](bad, ok)) == 2
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
     assert not os.path.exists(ok["library"])
 
@@ -901,62 +982,140 @@ KICKOFF_FACTS = "# kickoff\nball_held_by(STRIKER)\nat(STRIKER,CENTER_FIELD)\n"
 
 PACKAGED_DOMAIN_TEXT = read_text(os.path.join(DATA_DIR, "domain.txt"))
 PACKAGED_ACTIONS_TEXT = read_text(os.path.join(DATA_DIR, "actions.txt"))
+GOLDEN_DIR = os.path.join(DATA_DIR, "golden")
+GOLDEN_TRANSCRIPT_TEXT = read_text(os.path.join(GOLDEN_DIR, "transcript.txt"))
+LIBRARY_SCENARIOS = (
+    "SCENARIO:\nSTRIKER is at CENTER_FIELD\nJOLLY is at FORWARD_LEFT\nBALL is at CENTER_FIELD",
+    "SCENARIO:\nSTRIKER is at KICKING_POSITION\nBALL is at KICKING_POSITION",
+)
 
-# flag -> (the mutated texts of the file read through it, the parse of that
-# text alone, given the packaged domain and schemas).  `simulate` reads the
-# first four flags' files, `validate` the last.
+
+def library_line(frame_id, plan, scenario=LIBRARY_SCENARIOS[0]):
+    """One plan library record, as save_library writes it."""
+    return json.dumps({"created_at": "1970-01-01T00:00:00Z", "frame_id": frame_id,
+                       "plan": plan, "scenario": scenario}, sort_keys=True)
+
+
+# Four corpus plans under two scenarios.
+LIBRARY_TEXT = "".join(library_line(f"f{i}", plan, LIBRARY_SCENARIOS[i % 2]) + "\n"
+                       for i, plan in enumerate(CORPUS_PLAN_TEXTS[:4]))
+# Lines to insert into the stores: lines that are no record, and records
+# with a taken key or a text that does not parse.
+LIBRARY_LINE_INSERTS = COMMON_LINE_INSERTS + (
+    "{}", "[]", "null", library_line("f0", "kick_to_goal STRIKER {}\n"),
+    library_line("f9", "kick_to_goal STRIKER {"),
+    library_line("f9", "kick_to_goal STRIKER {}\n", "SCENARIO:\nSTRIKER is at NOWHERE"),
+    json.dumps({"created_at": 1, "frame_id": "f9", "plan": "", "scenario": ""}),
+)
+TRANSCRIPT_LINE_INSERTS = COMMON_LINE_INSERTS + (
+    "{}", "[]", '{"fingerprint": "a"}', '{"fingerprint": "a", "response": 7}',
+    '{"fingerprint": "a", "response": "SCENARIO:\\nSTRIKER is at CENTER_FIELD"}',
+)
+
+
+@st.composite
+def mutated_store(draw, text, inserts, field):
+    """The JSON Lines store `text` with, maybe, one record's `field` made a
+    mutated corpus plan, then after one to six `mutated_lines` mutations."""
+    records = [json.loads(line) for line in text.splitlines()]
+    if draw(st.booleans()):
+        records[draw(st.integers(0, len(records) - 1))][field] = draw(mutated_corpus_texts())
+    text = "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+    return draw(mutated_lines(text, inserts, LINE_WORDS))
+
+
+def argv_for(template, files):
+    """`template` with each flag that `files` holds followed by its path."""
+    return [arg for word in template
+            for arg in ((word, files[word]) if word in files else (word,))]
+
+
+SIMULATE = ("simulate", "--domain", "--actions", "--world", "--plan")
+# case -> (the flag whose file is mutated, the mutated texts of that file,
+# what reads that file alone, given its path and the packaged domain and
+# schemas, and the argv template of argv_for).
 FUZZED_FILES = {
-    "--domain": (mutated_lines(PACKAGED_DOMAIN_TEXT, DOMAIN_LINE_INSERTS, LINE_WORDS),
-                 lambda text, domain, schemas: cp.parse_domain_file(text)),
-    "--actions": (mutated_lines(PACKAGED_ACTIONS_TEXT, ACTION_LINE_INSERTS, LINE_WORDS),
-                  lambda text, domain, schemas: cp.parse_action_file(text)),
-    "--world": (mutated_lines(FULL_TEAM_WORLD, WORLD_LINE_INSERTS, LINE_WORDS),
-                lambda text, domain, schemas: cp.parse_world_file(text, domain)),
-    "--plan": (mutated_corpus_texts(),
-               lambda text, domain, schemas: cp.parse_plan(text, schemas, domain.roles,
-                                                           domain.waypoints)),
-    "--initial": (mutated_lines(KICKOFF_FACTS, FACT_LINE_INSERTS, LINE_WORDS),
-                  lambda text, domain, schemas: parse_facts_file(text)),
+    "--domain": ("--domain", mutated_lines(PACKAGED_DOMAIN_TEXT, DOMAIN_LINE_INSERTS, LINE_WORDS),
+                 lambda path, domain, schemas: cp.parse_domain_file(read_text(path)),
+                 SIMULATE),
+    "--actions": ("--actions",
+                  mutated_lines(PACKAGED_ACTIONS_TEXT, ACTION_LINE_INSERTS, LINE_WORDS),
+                  lambda path, domain, schemas: cp.parse_action_file(read_text(path)),
+                  SIMULATE),
+    "--world": ("--world", mutated_lines(FULL_TEAM_WORLD, WORLD_LINE_INSERTS, LINE_WORDS),
+                lambda path, domain, schemas: cp.parse_world_file(read_text(path), domain),
+                SIMULATE),
+    "--plan": ("--plan", mutated_corpus_texts(),
+               lambda path, domain, schemas: cp.parse_plan(read_text(path), schemas,
+                                                           domain.roles, domain.waypoints),
+               SIMULATE),
+    "--initial": ("--initial", mutated_lines(KICKOFF_FACTS, FACT_LINE_INSERTS, LINE_WORDS),
+                  lambda path, domain, schemas: parse_facts_file(read_text(path)),
+                  ("validate", "--domain", "--actions", "--initial", "--plan")),
+    **{f"--library {name}": (
+        "--library", mutated_store(LIBRARY_TEXT, LIBRARY_LINE_INSERTS, "plan"),
+        lambda path, domain, schemas: cp.load_library(path, schemas, domain.roles, domain),
+        (*command, "--domain", "--actions", "--library", *rest))
+       for name, command, rest in [
+           ("ls", ("library", "ls"), ()),
+           ("select", ("library", "select"), ("--world",)),
+           ("add", ("library", "add"), ("--plan", "--scenario", "--frame-id", "added")),
+           ("evaluate", ("evaluate",), ("--scenarios",)),
+       ]},
+    # The transcript replays the golden frame only.
+    "--transcript": ("--transcript",
+                     mutated_store(GOLDEN_TRANSCRIPT_TEXT, TRANSCRIPT_LINE_INSERTS, "response"),
+                     lambda path, domain, schemas: Transcript.load(path),
+                     ("generate", "--domain", "--actions", "--transcript",
+                      f"--world={os.path.join(GOLDEN_DIR, 'frame_0.world')}")),
 }
 
 
-@pytest.mark.parametrize("flag", FUZZED_FILES)
+@pytest.mark.parametrize("case", FUZZED_FILES)
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
-def test_mutated_input_file_exit_code(tmp_path_factory, data_dir, domain, schemas, flag,
+def test_mutated_input_file_exit_code(tmp_path_factory, data_dir, domain, schemas, case,
                                       data):
-    """One mutated input file, every other valid: exit 0, 1 or 2, never a
-    traceback.  When the file does not parse on its own, main exits 2 with
-    one line, `error: <that file>: <the parser's message>`, and prints
-    nothing else; at any other exit 2 it prints one `error:` line only."""
-    strategy, parse = FUZZED_FILES[flag]
+    """One mutated input file, every other valid: exit 0, 1 or 2, or 3 for
+    `generate`, and main lets no exception out, so no traceback follows.
+    When the file does not load on its own, main exits 2 with one line,
+    `error: <that file>: <the loader's message>`, and prints nothing else;
+    at any other exit 2 or 3 it prints one `error:` line only, or for
+    `generate` one `FAILED at stage` line."""
+    flag, strategy, load, template = FUZZED_FILES[case]
     text = data.draw(strategy, label="text")
     tmp = tmp_path_factory.mktemp("fuzz")
     files = {"--domain": os.path.join(data_dir, "domain.txt"),
              "--actions": os.path.join(data_dir, "actions.txt"),
              "--world": write(tmp / "w.world", FULL_TEAM_WORLD),
              "--plan": os.path.join(CORPUS_DIR, "p20_full_team.plan"),
-             "--initial": write(tmp / "kickoff.facts", KICKOFF_FACTS)}
+             "--initial": write(tmp / "kickoff.facts", KICKOFF_FACTS),
+             "--library": write(tmp / "lib.jsonl", LIBRARY_TEXT),
+             "--scenario": write(tmp / "s.scenario", LIBRARY_SCENARIOS[0] + "\n"),
+             "--scenarios": os.path.join(GOLDEN_DIR, "scenarios"),
+             "--transcript": os.path.join(GOLDEN_DIR, "transcript.txt")}
     path = files[flag] = write(tmp / "mutated.txt", text)
-    command = ["validate", "--initial"] if flag == "--initial" else ["simulate", "--world"]
-    argv = [command[0], *(arg for key in ("--domain", "--actions", command[1], "--plan")
-                          for arg in (key, files[key]))]
     try:
-        parse(text, domain, schemas)
+        load(path, domain, schemas)
         expected = None
     except errors.CoachPlanError as exc:
         expected = f"error: {path}: {exc}\n"
+    argv = argv_for(template, files)
+    generate = argv[0] == "generate"
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    event(f"exit {code}" + (", the file does not parse" if expected else ""))
+    event(f"exit {code}" + (", the file does not load" if expected else ""))
     if expected is not None:
         assert (code, out.getvalue(), err.getvalue()) == (2, "", expected)
-    assert code in (0, 1, 2)
-    if code == 2:
+    assert code in ((0, 1, 2, 3) if generate else (0, 1, 2))
+    if code in (2, 3):
         assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().startswith(("error: ", "FAILED at stage ") if generate
+                                         else "error: ")
         assert len(err.getvalue().splitlines()) == 1 and err.getvalue().endswith("\n")
+    elif code == 1 and generate:
+        assert err.getvalue().startswith("FAILED at stage validation:\n")
     else:
         assert err.getvalue() == ""
 

@@ -850,8 +850,8 @@ class TestPersistence:
     ])
     def test_bad_text_names_its_first_record(self, tmp_path, domain, schemas, roles,
                                              kick_plan, field, text, error):
-        # The bad text repeats on lines 3 and 5; the error names line 3,
-        # its frame id and the file.
+        # The bad text repeats on lines 3 and 5; the error names line 3 and
+        # its frame id (the CLI adds the file).
         path = tmp_path / "lib.jsonl"
         lib = cp.new_library()
         for i in range(5):
@@ -866,7 +866,7 @@ class TestPersistence:
         assert isinstance(exc.value.__cause__, error)
         message = str(exc.value)
         assert message.startswith("line 3: ")
-        assert f"bad {field} text of frame_id 'f3' in {path}: {error.__name__}: " in message
+        assert f"bad {field} text of frame_id 'f3': {error.__name__}: " in message
         assert str(exc.value.__cause__) in message
 
     def test_a_shared_bad_scenario_line_names_its_first_record_on_every_load(
@@ -888,7 +888,7 @@ class TestPersistence:
             assert exc.value.line == 2
             assert isinstance(exc.value.__cause__, MissingScenarioBlock)
             assert str(exc.value) == (
-                f"line 2: bad scenario text of frame_id 'f2' in {path}: MissingScenarioBlock: "
+                "line 2: bad scenario text of frame_id 'f2': MissingScenarioBlock: "
                 "unparseable scenario line: 'STRIKER stands at CENTER_FIELD'")
 
     @settings(max_examples=50, deadline=None)

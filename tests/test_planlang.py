@@ -163,9 +163,10 @@ class TestSerialize:
 
 def char_by_char_tokenize(text):
     """The oracle for _tokenize: it walks each line one character at a time
-    and returns (kind, value, line, column) tuples."""
+    and returns (kind, value, line, column) tuples.  A line ends only at a
+    line feed."""
     tokens = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0]
         col = 0
         while col < len(line):
@@ -192,9 +193,10 @@ def char_by_char_tokenize(text):
     return tokens
 
 
-# Plan characters, quotes, comments, and whitespace and line breaks beyond
-# ASCII: \x0b, \x0c, \x1c and \x85 end a line for splitlines, \xa0 and
-# \u3000 are spaces, \x1f is a space that ends no line.
+# Plan characters, quotes, comments, line feeds, and whitespace beyond
+# ASCII: \r, \x0b, \x0c, \x1c, \x1f, \x85, \u2028, \xa0 and \u3000 are
+# spaces inside a line (str.splitlines would end a line at the first six
+# but \x1f, \xa0 and \u3000).
 PLAN_CHARS = "aZ_9{}:,'\"# \t\n\r\x0b\x0c\x1c\x1f\x85\u2028\xa0\u3000.-\xe9"
 PLAN_PIECES = ["move_to", "STRIKER", "JOIN", "{", "}", ":", ",", "'", '"', "'A B'",
                " ", "\t", "#", "\n", "\r\n", "\x0b", "\x1c", "\x85", "\u2028", "\xa0",
@@ -219,9 +221,10 @@ def test_tokenizer_matches_char_by_char_oracle(text):
 
 @pytest.mark.parametrize("text, error", [
     ("move_to 'JOLLY", ("line 1, col 9: unterminated quote", 1, 9)),
-    ("a\x85\xa0b 'x#y'", ("line 2, col 4: unterminated quote", 2, 4)),
-    ("a\u2028 -", ("line 2, col 2: unexpected character '-'", 2, 2)),
+    ("a\x85\xa0b 'x#y'", ("line 1, col 6: unterminated quote", 1, 6)),
+    ("a\u2028 -", ("line 1, col 4: unexpected character '-'", 1, 4)),
     ("\x1f\xe9", ("line 1, col 2: unexpected character '\xe9'", 1, 2)),
+    ("a\x0c\nb\x1c\n\u2028-", ("line 3, col 2: unexpected character '-'", 3, 2)),
 ])
 def test_tokenizer_errors(text, error):
     assert outcome(_tokenize, text) == error
