@@ -7,16 +7,14 @@ with a full scan (stores hold tens of actions; no ANN structure).
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import math
 import os
 import re
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .domain import DATA_DIR, read_text
+from .domain import DATA_DIR, Record, read_text
 from .errors import (
     ConfigInvalid,
     DimMismatch,
@@ -70,11 +68,7 @@ class ActionSchema(NamedTuple):
         return [name for name, _ in self.args]
 
 
-@dataclass(frozen=True)
-class Embedding:
-    vector: tuple
-    dim: int
-
+class Embedding(Record, NamedTuple("Embedding", [("vector", tuple), ("dim", int)])):
     @functools.cached_property
     def scaled(self) -> tuple:
         """The vector times the power of two that brings its largest
@@ -275,6 +269,7 @@ class MockEmbeddingProvider:
         return emb
 
     def _embed(self, text):
+        import hashlib  # here: only a call that hashes loads OpenSSL
         vec = [0.0] * self.dim
         for token in re.findall(r"[a-z0-9_]+", text.lower()):
             h = hashlib.sha256(token.encode()).digest()

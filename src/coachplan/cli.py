@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import glob
-import hashlib
 import json
 import os
 import sys
@@ -70,6 +69,20 @@ def _parse_file(path, parse, *args, loader=False):
         raise CoachPlanError(f"{path}: {exc.strerror}") from exc
 
 
+def _write_file(path, write, *args):
+    """write(*args, path) for an output file: an OSError is raised again as
+    `<path>: <its strerror>`, as _parse_file names an input file."""
+    try:
+        write(*args, path)
+    except OSError as exc:
+        raise CoachPlanError(f"{path}: {exc.strerror}") from exc
+
+
+def _write_text(text, path):
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
 def _load_domain_actions(args):
     domain = _parse_file(args.domain, parse_domain_file)
     schemas = _parse_file(args.actions, parse_action_file)
@@ -88,7 +101,7 @@ def _chat_provider(args):
         if not args.transcript:
             raise CoachPlanError("--provider needs --transcript OUT to record into")
         if os.path.exists(args.transcript):
-            raise CoachPlanError(f"{args.transcript} exists; a live run records "
+            raise CoachPlanError(f"{args.transcript}: exists; a live run records "
                                  "into a new transcript file")
         return RecordingChatProvider(OpenAIChatProvider(model=args.provider))
     if args.transcript:
@@ -128,6 +141,7 @@ def _world_files(directory):
 
 
 def _config_hash(args, keys, **values):
+    import hashlib  # here: only a call that hashes loads OpenSSL
     payload = {k: getattr(args, k, None) for k in keys}
     payload.update(values)
     blob = json.dumps(payload, sort_keys=True, default=str)
@@ -160,13 +174,12 @@ def cmd_generate(args):
         )
     finally:
         if args.provider:  # kept even when a stage failed
-            chat.transcript.save(args.transcript)
+            _write_file(args.transcript, chat.transcript.save)
     if args.library:
         record = make_record(plan, scenario, args.frame_id, args.created_at)
-        planlib.save_library(planlib.add(lib, record), args.library)
+        _write_file(args.library, planlib.save_library, planlib.add(lib, record))
     if args.manifest:
-        with open(args.manifest, "w") as fh:
-            fh.write(manifest.to_json())
+        _write_file(args.manifest, _write_text, manifest.to_json())
     print(f"manifest_hash {manifest.manifest_hash()}")
     print(serialize_plan(plan), end="")
     return EXIT_OK
@@ -196,12 +209,11 @@ def cmd_simulate(args):
     config = _sim_config(args)
     policy = make_opponent_policy(args.opponents, seed=args.seed)
     result = run_match(fsms, world, domain, config, policy)
+    if args.trace_out:  # before any output, so that a failed write prints none
+        _write_file(args.trace_out, _write_text, result.trace_text())
     print(f"success={result.success} passes={result.passes} "
           f"scoring_time={result.scoring_time}")
-    if args.trace_out:
-        with open(args.trace_out, "w") as fh:
-            fh.write(result.trace_text())
-    elif args.trace:
+    if args.trace and not args.trace_out:
         sys.stdout.write(result.trace_text())
     return EXIT_OK
 
@@ -218,8 +230,8 @@ def cmd_evaluate(args):
         world = _parse_file(path, parse_world_file, domain)
         try:
             results.append(planlib.evaluate(lib, world, domain, config, policy, schemas))
-        except EmptyLibrary:
-            raise  # no world's fault
+        except EmptyLibrary as exc:  # no world's fault
+            raise CoachPlanError(f"{args.library}: {exc}") from exc
         except CoachPlanError as exc:
             raise CoachPlanError(f"{path}: {exc}") from exc
     metrics = aggregate(results)
@@ -243,7 +255,7 @@ def cmd_library_add(args):
     plan = _parse_file(args.plan, parse_plan, schemas, domain.roles, domain.waypoints)
     scenario = _parse_file(args.scenario, parse_scenario_block, domain)
     record = planlib.PlanRecord(plan, scenario, args.frame_id, args.created_at)
-    planlib.save_library(planlib.add(lib, record), args.library)
+    _write_file(args.library, planlib.save_library, planlib.add(lib, record))
     print(f"added {args.frame_id}")
     return EXIT_OK
 
@@ -251,7 +263,10 @@ def cmd_library_add(args):
 def cmd_library_select(args):
     domain, _, lib = _open_library(args)
     world = _parse_file(args.world, parse_world_file, domain)
-    record = planlib.select_plan(lib, world, domain)
+    try:
+        record = planlib.select_plan(lib, world, domain)
+    except EmptyLibrary as exc:
+        raise CoachPlanError(f"{args.library}: {exc}") from exc
     print(record.frame_id)
     print(serialize_scenario(scenario_from_world(world, domain)))
     print(serialize_plan(record.plan), end="")
@@ -260,24 +275,32 @@ def cmd_library_select(args):
 
 # --- argument parsing ------------------------------------------------------
 
+def _subcommand(subparsers, name, func, help, match=False, store=False):
+    """The parser of the subcommand `name`, which runs `func`, with the flags
+    several subcommands share, declared here once: --domain and --actions,
+    then the match flags (simulate, evaluate) or the library (library ...)."""
+    p = subparsers.add_parser(name, help=help)
+    p.set_defaults(func=func)
+    p.add_argument("--domain", required=True)
+    p.add_argument("--actions", required=True)
+    if match:
+        p.add_argument("--sim-config", help="JSON file overriding simulator defaults")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--opponents", default="STATIC",
+                       choices=["STATIC", "NEAREST_INTERCEPT"])
+    if store:
+        p.add_argument("--library", required=True, help="library file (JSON Lines)")
+    return p
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="coachplan",
         description="Offline multi-agent soccer plan generation, validation and simulation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Flags shared by several subcommands, each declared once.
-    domain_actions = argparse.ArgumentParser(add_help=False)
-    domain_actions.add_argument("--domain", required=True)
-    domain_actions.add_argument("--actions", required=True)
-    match = argparse.ArgumentParser(add_help=False)
-    match.add_argument("--sim-config", help="JSON file overriding simulator defaults")
-    match.add_argument("--seed", type=int, default=0)
-    match.add_argument("--opponents", default="STATIC",
-                       choices=["STATIC", "NEAREST_INTERCEPT"])
 
-    p = sub.add_parser("generate", parents=[domain_actions],
-                       help="run the four-stage generation pipeline")
+    p = _subcommand(sub, "generate", cmd_generate, "run the four-stage generation pipeline")
     p.add_argument("--world", required=True)
     p.add_argument("--transcript",
                    help="transcript to replay (offline mode); with --provider, "
@@ -292,48 +315,36 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--frame-id", default="frame_0")
     p.add_argument("--created-at", default="1970-01-01T00:00:00Z")
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("validate", parents=[domain_actions], help="validate a plan file")
+    p = _subcommand(sub, "validate", cmd_validate, "validate a plan file")
     p.add_argument("--plan", required=True)
     p.add_argument("--initial", help="initial facts file")
     p.add_argument("--format", choices=["human", "lines"], default="human")
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("simulate", parents=[domain_actions, match],
-                       help="run one plan in the simulator")
+    p = _subcommand(sub, "simulate", cmd_simulate, "run one plan in the simulator", match=True)
     p.add_argument("--plan", required=True)
     p.add_argument("--world", required=True)
     p.add_argument("--trace", action="store_true", help="print the event trace")
     p.add_argument("--trace-out", help="write the event trace to a file")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("evaluate", parents=[domain_actions, match],
-                       help="select and run plans over a scenario set")
+    p = _subcommand(sub, "evaluate", cmd_evaluate, "select and run plans over a scenario set",
+                    match=True)
     p.add_argument("--library", required=True)
     p.add_argument("--scenarios", required=True, help="directory of *.world files")
     p.add_argument("--format", choices=["table", "tsv"], default="table")
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("library", help="inspect or edit a plan library")
     library_sub = p.add_subparsers(dest="library_cmd", required=True)
-    store = argparse.ArgumentParser(add_help=False, parents=[domain_actions])
-    store.add_argument("--library", required=True, help="library file (JSON Lines)")
-
-    p = library_sub.add_parser("ls", parents=[store], help="list the stored plans")
-    p.set_defaults(func=cmd_library_ls)
-
-    p = library_sub.add_parser("add", parents=[store], help="store a plan and its scenario")
+    _subcommand(library_sub, "ls", cmd_library_ls, "list the stored plans", store=True)
+    p = _subcommand(library_sub, "add", cmd_library_add, "store a plan and its scenario",
+                    store=True)
     p.add_argument("--plan", required=True)
     p.add_argument("--scenario", required=True, help="file holding a SCENARIO: block")
     p.add_argument("--frame-id", required=True)
     p.add_argument("--created-at", default="1970-01-01T00:00:00Z")
-    p.set_defaults(func=cmd_library_add)
-
-    p = library_sub.add_parser("select", parents=[store],
-                               help="print the stored plan nearest to a world")
+    p = _subcommand(library_sub, "select", cmd_library_select,
+                    "print the stored plan nearest to a world", store=True)
     p.add_argument("--world", required=True)
-    p.set_defaults(func=cmd_library_select)
 
     return parser
 

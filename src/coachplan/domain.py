@@ -8,12 +8,11 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import (DuplicateSubject, EmptyDomain, EmptyInput, MissingRole, ParseError,
-                     UnknownWaypoint)
+from .errors import (DuplicateSubject, EmptyDomain, EmptyInput, FrozenRecord, MissingRole,
+                     ParseError, UnknownWaypoint)
 
 # SPL field, origin at center: 9.0 m x 6.0 m, own goal at x = -4.5.
 FIELD_X = 4.5
@@ -69,38 +68,54 @@ class WorldState(NamedTuple):
     ball: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Record:
+    """Base of the NamedTuple records that check their values in `__new__`
+    or cache derived values: `_make`, and so `_replace`, builds through the
+    constructor and its check, and no attribute can be set (FrozenRecord).
+    A record with a `cached_property` has an instance dict, which holds the
+    cached values only; the others declare `__slots__ = ()`."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __setattr__(self, name, value):
+        raise FrozenRecord(f"cannot assign to {name!r} of a frozen {type(self).__name__}")
+
+
+class Scenario(Record, NamedTuple("Scenario", [("assignments", tuple)])):
     """Ordered (subject, waypoint-token) assignments; subject is a role
     name, an OPPONENT_i marker, or BALL.  No subject appears twice."""
 
-    assignments: tuple  # of (subject, token)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, assignments):
         seen = set()
-        for subject, _ in self.assignments:
+        for subject, _ in assignments:
             if subject in seen:
                 raise DuplicateSubject(subject)
             seen.add(subject)
+        return tuple.__new__(cls, (assignments,))
 
 
-@dataclass(frozen=True)
-class PlanningGoal:
-    text: str
+class PlanningGoal(Record, NamedTuple("PlanningGoal", [("text", str)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.text.strip():
+    def __new__(cls, text):
+        if not text.strip():
             raise EmptyInput("planning goal must be non-empty")
+        return tuple.__new__(cls, (text,))
 
 
 class Tactics(NamedTuple):
     text: str = ""
 
 
-@dataclass(frozen=True)
-class Domain:
-    waypoints: dict  # token -> Waypoint, insertion ordered
-    roles: dict      # name -> Role, insertion ordered
+class Domain(Record, NamedTuple("Domain", [("waypoints", dict), ("roles", dict)])):
+    """waypoints: token -> Waypoint, roles: name -> Role, both insertion
+    ordered."""
 
     def waypoint(self, token: str) -> Waypoint:
         try:

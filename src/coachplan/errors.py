@@ -5,6 +5,10 @@ class CoachPlanError(Exception):
     """Base class for all library errors."""
 
 
+class FrozenRecord(CoachPlanError, AttributeError):
+    """An assignment to an attribute of a frozen record (`domain.Record`)."""
+
+
 # --- domain ---------------------------------------------------------------
 
 class EmptyDomain(CoachPlanError):

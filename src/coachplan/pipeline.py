@@ -6,9 +6,7 @@ reproducible from config plus transcript alone.
 """
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass, field
 
 from . import library as planlib
 from .actions import build_index, retrieve_actions
@@ -38,10 +36,10 @@ from .refine import (
 DEFAULT_GOAL = PlanningGoal("The own team should score a goal in the opponent's goal.")
 
 
-@dataclass
 class RunManifest:
-    config_hash: str
-    stages: dict = field(default_factory=dict)
+    def __init__(self, config_hash: str, stages=None):
+        self.config_hash = config_hash
+        self.stages = {} if stages is None else stages
 
     def record(self, stage: str, artifact):
         self.stages[stage] = artifact
@@ -51,6 +49,7 @@ class RunManifest:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def manifest_hash(self) -> str:
+        import hashlib  # here: only a call that hashes loads OpenSSL
         return hashlib.sha256(self.to_json().encode()).hexdigest()
 
 

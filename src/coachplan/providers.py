@@ -7,28 +7,24 @@ a mismatched response.
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import jsonl
+from .domain import Record
 from .errors import ProviderError, UnencodableText
 
 
-@dataclass(frozen=True)
-class ChatRequest:
-    system_text: str
-    user_text: str
-
-    def __post_init__(self):
-        for text in (self.system_text, self.user_text):
+class ChatRequest(Record, NamedTuple("ChatRequest", [("system_text", str), ("user_text", str)])):
+    def __new__(cls, system_text, user_text):
+        for text in (system_text, user_text):
             try:
                 text.encode()
             except UnicodeEncodeError as exc:
                 raise UnencodableText(f"prompt text is not UTF-8: {exc}") from None
+        return tuple.__new__(cls, (system_text, user_text))
 
     def canonical(self) -> str:
         return "\n".join(
@@ -51,6 +47,7 @@ class ChatRequest:
         """The sha256 of `canonical()`, hashed once per request: the replay
         lookup and the run manifest both read it.  It is no field, so
         equality and repr do not see it."""
+        import hashlib  # here: only a call that hashes loads OpenSSL
         return hashlib.sha256(self.canonical().encode()).hexdigest()
 
 
@@ -60,11 +57,11 @@ class ChatResponse(NamedTuple):
     latency: float = 0.0
 
 
-@dataclass
 class Transcript:
     """Ordered fingerprint -> response-text records."""
 
-    records: dict = field(default_factory=dict)
+    def __init__(self, records=None):
+        self.records = {} if records is None else records
 
     def add(self, fingerprint: str, text: str):
         if fingerprint in self.records:

@@ -18,7 +18,7 @@ from hypothesis import event, given, settings, strategies as st
 
 import coachplan as cp
 from coachplan import errors
-from coachplan.cli import build_parser, main
+from coachplan.cli import _parse_sim_config, build_parser, main
 from coachplan.domain import DATA_DIR, read_text
 from coachplan.providers import ChatRequest, Transcript
 from coachplan.refine import parse_facts_file
@@ -543,7 +543,8 @@ class TestLiveRecording:
                                             capsys):
         out = write(tmp_path / "out.jsonl", "keep me\n")
         assert self.generate(base, golden_dir, "--provider", "m1", "--transcript", out) == 2
-        assert "exists" in capsys.readouterr().err
+        assert capsys.readouterr() == (
+            "", f"error: {out}: exists; a live run records into a new transcript file\n")
         assert (tmp_path / "out.jsonl").read_text() == "keep me\n"
 
     def test_provider_needs_transcript(self, tmp_path, base, golden_dir, answers, capsys):
@@ -599,11 +600,25 @@ class TestEvaluateAndLibrary:
                                            "0.125\t1\t2.2\n")
 
     def test_evaluate_empty_library_exit_two(self, tmp_path, base, golden_dir, capsys):
+        lib = tmp_path / "none"
         assert main([
-            "evaluate", *base, "--library", str(tmp_path / "none"),
+            "evaluate", *base, "--library", str(lib),
             "--scenarios", os.path.join(golden_dir, "scenarios"),
         ]) == 2
-        assert capsys.readouterr().err == "error: library is empty\n"
+        assert capsys.readouterr() == ("", f"error: {lib}: library is empty\n")
+
+    @pytest.mark.parametrize("command", ["evaluate", "select"])
+    @pytest.mark.parametrize("lib_text", [None, ""], ids=["missing", "empty"])
+    def test_empty_library_is_named(self, tmp_path, base, golden_dir, capsys, command,
+                                    lib_text):
+        lib = tmp_path / "lib.jsonl"
+        if lib_text is not None:
+            lib.write_text(lib_text)
+        argv = (["evaluate", "--scenarios", os.path.join(golden_dir, "scenarios")]
+                if command == "evaluate"
+                else ["library", "select", "--world", os.path.join(golden_dir, "frame_0.world")])
+        assert main([*argv, *base, "--library", str(lib)]) == 2
+        assert capsys.readouterr() == ("", f"error: {lib}: library is empty\n")
 
     def test_evaluate_empty_dir_exit_two(self, tmp_path, base, lib_path, capsys):
         empty = tmp_path / "empty"
@@ -809,11 +824,15 @@ STORES = ("--library", "--transcript")
 
 @pytest.fixture()
 def ok(tmp_path, base, golden_dir):
-    """The valid inputs of INPUT_FILES's argvs; `library` does not exist."""
+    """The valid inputs of INPUT_FILES's and OUTPUT_FILES's argvs; `library`
+    does not exist."""
     return {"base": base, "plan": write(tmp_path / "p.plan", "kick_to_goal STRIKER {}\n"),
             "domain": base[1], "actions": base[3],
             "world": os.path.join(golden_dir, "frame_0.world"),
-            "library": str(tmp_path / "out.jsonl")}
+            "library": str(tmp_path / "out.jsonl"),
+            "scenario": write(tmp_path / "s.scenario",
+                              "SCENARIO:\nSTRIKER is at KICKING_POSITION\n"),
+            "transcript": os.path.join(golden_dir, "transcript.txt")}
 
 
 @pytest.mark.parametrize("flag", [flag for flag in INPUT_FILES if flag not in STORES])
@@ -845,6 +864,42 @@ def test_missing_input_file_exit_two(tmp_path, ok, capsys, flag):
                 else f"{bad}: No such file or directory")
     assert capsys.readouterr() == ("", f"error: {expected}\n")
     assert not os.path.exists(ok["library"])
+
+
+# flag -> the argv that writes the file `bad` through that flag, every input
+# valid (`ok`).  A live --transcript is written even when a stage fails: here
+# the coach's call, which finds no credentials.
+OUTPUT_FILES = {
+    "--trace-out": lambda bad, ok: ["simulate", *ok["base"], "--plan", ok["plan"],
+                                    "--world", ok["world"], "--trace-out", bad],
+    "--manifest": lambda bad, ok: ["generate", *ok["base"], "--world", ok["world"],
+                                   "--transcript", ok["transcript"], "--manifest", bad],
+    "--library": lambda bad, ok: ["generate", *ok["base"], "--world", ok["world"],
+                                  "--transcript", ok["transcript"], "--library", bad],
+    "library add --library": lambda bad, ok: ["library", "add", *ok["base"], "--library", bad,
+                                              "--plan", ok["plan"],
+                                              "--scenario", ok["scenario"], "--frame-id", "f"],
+    "live --transcript": lambda bad, ok: ["generate", *ok["base"], "--world", ok["world"],
+                                          "--provider", "m1", "--transcript", bad],
+}
+
+
+# A directory given as a library is read first and refused as an input, and
+# as a live transcript it is refused as existing; each message names it too.
+@pytest.mark.parametrize("where", ["directory", "missing directory"])
+@pytest.mark.parametrize("flag", OUTPUT_FILES)
+def test_unwritable_output_file_exit_two(tmp_path, ok, monkeypatch, capsys, flag, where):
+    monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+    if where == "directory":
+        bad = tmp_path / "out"
+        bad.mkdir()
+        message = ("exists; a live run records into a new transcript file"
+                   if flag == "live --transcript" else "Is a directory")
+    else:
+        bad = tmp_path / "missing" / "out"
+        message = "No such file or directory"
+    assert main(OUTPUT_FILES[flag](str(bad), ok)) == 2
+    assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
 
 
 # (flag, file text, message): a file whose first line holds `{c}`, which
@@ -1007,6 +1062,20 @@ LIBRARY_LINE_INSERTS = COMMON_LINE_INSERTS + (
     library_line("f9", "kick_to_goal STRIKER {}\n", "SCENARIO:\nSTRIKER is at NOWHERE"),
     json.dumps({"created_at": 1, "frame_id": "f9", "plan": "", "scenario": ""}),
 )
+# A sim config as JSON lines, and lines that give a field a bad, small or
+# unknown value, or break the JSON.
+SIM_CONFIG_TEXT = ('{\n"walk_speed": 0.25,\n"pass_speed": 2.0,\n"kick_speed": 4.0,\n'
+                   '"tick": 0.05,\n"timeout": 120.0\n}\n')
+SIM_CONFIG_LINE_INSERTS = COMMON_LINE_INSERTS + (
+    '"tick": 0.1,', '"tick": 0.2,', '"timeout": 1.0,', '"timeout": 1e308,', '"walk_speed": -1,',
+    '"walk_speed": true,', '"pass_speed": "fast",', '"kick_speed": NaN,', '"seed": 1,',
+    '"opponents": "STATIC",', "{", "}", "[", ",", '"tick"',
+)
+SCENARIO_LINE_INSERTS = COMMON_LINE_INSERTS + (
+    "SCENARIO:", "SCENARIO: STRIKER is at CENTER_FIELD", "COACH ADVICE:",
+    "STRIKER is at NOWHERE", "KEEPER is at CENTER_FIELD", "OPPONENT_1 is at FORWARD_LEFT",
+    "BALL is at KICKING_POSITION", "STRIKER is at", "is at CENTER_FIELD",
+)
 TRANSCRIPT_LINE_INSERTS = COMMON_LINE_INSERTS + (
     "{}", "[]", '{"fingerprint": "a"}', '{"fingerprint": "a", "response": 7}',
     '{"fingerprint": "a", "response": "SCENARIO:\\nSTRIKER is at CENTER_FIELD"}',
@@ -1052,6 +1121,16 @@ FUZZED_FILES = {
     "--initial": ("--initial", mutated_lines(KICKOFF_FACTS, FACT_LINE_INSERTS, LINE_WORDS),
                   lambda path, domain, schemas: parse_facts_file(read_text(path)),
                   ("validate", "--domain", "--actions", "--initial", "--plan")),
+    "--sim-config": ("--sim-config",
+                     mutated_lines(SIM_CONFIG_TEXT, SIM_CONFIG_LINE_INSERTS, LINE_WORDS),
+                     lambda path, domain, schemas: _parse_sim_config(read_text(path)),
+                     (*SIMULATE, "--sim-config")),
+    "--scenario": ("--scenario",
+                   mutated_lines(LIBRARY_SCENARIOS[0] + "\n", SCENARIO_LINE_INSERTS, LINE_WORDS),
+                   lambda path, domain, schemas: cp.parse_scenario_block(read_text(path),
+                                                                         domain),
+                   ("library", "add", "--domain", "--actions", "--library", "--plan",
+                    "--scenario", "--frame-id", "added")),
     **{f"--library {name}": (
         "--library", mutated_store(LIBRARY_TEXT, LIBRARY_LINE_INSERTS, "plan"),
         lambda path, domain, schemas: cp.load_library(path, schemas, domain.roles, domain),

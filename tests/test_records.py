@@ -1,8 +1,19 @@
-"""The plain value records are tuples: each keeps its repr, equality, hash,
-immutability and defaults."""
+"""The value records are tuples: each keeps its repr, equality, hash,
+immutability and defaults, and the records on `domain.Record` keep their
+constructor's check."""
+import os
+import subprocess
+import sys
+
 import pytest
 
 import coachplan as cp
+from coachplan import errors
+
+DOMAIN = (
+    {"CENTER_FIELD": cp.Waypoint("CENTER_FIELD", "the center spot", (0.0, 0.0))},
+    {"STRIKER": cp.Role("STRIKER", "scores", frozenset({"kick_to_goal"}))},
+)
 
 ACTION = cp.GroundedAction("pass_the_ball", "STRIKER",
                            (("SENDER", "STRIKER"), ("RECEIVER", "JOLLY")))
@@ -80,6 +91,23 @@ RECORDS = {
         "ValidationReport(violations=(Violation(step_index=1, kind='SELF_JOIN', "
         "message='x'),), final_state=frozenset({'at(STRIKER,CENTER)'}))",
         True),
+    # On domain.Record; each repr is the one it had as a frozen dataclass.
+    "Scenario": (
+        lambda: cp.Scenario((("STRIKER", "CENTER_FIELD"), ("BALL", "CENTER_FIELD"))),
+        "Scenario(assignments=(('STRIKER', 'CENTER_FIELD'), ('BALL', 'CENTER_FIELD')))",
+        True),
+    "PlanningGoal": (lambda: cp.PlanningGoal("Score a goal."),
+                     "PlanningGoal(text='Score a goal.')", True),
+    "Domain": (
+        lambda: cp.Domain(*DOMAIN),
+        "Domain(waypoints={'CENTER_FIELD': Waypoint(token='CENTER_FIELD', "
+        "description='the center spot', position=(0.0, 0.0))}, roles={'STRIKER': "
+        "Role(name='STRIKER', description='scores', allowed_actions=frozenset({'kick_to_goal'}))})",
+        False),
+    "Embedding": (lambda: cp.Embedding((1.0, 0.0), 2), "Embedding(vector=(1.0, 0.0), dim=2)",
+                  True),
+    "ChatRequest": (lambda: cp.ChatRequest("sys", "user"),
+                    "ChatRequest(system_text='sys', user_text='user')", True),
 }
 
 
@@ -108,3 +136,74 @@ def test_value_record_defaults():
     assert cp.Tactics().text == ""
     assert cp.ChatResponse("OK", "replay").latency == 0.0
     assert cp.Predicate("at", ("STRIKER", "CENTER_FIELD")).negated is False
+
+
+# name -> (fields that break its constructor's check, the error it raises).
+CHECKED = {
+    "Scenario": ({"assignments": (("BALL", "CENTER_FIELD"), ("BALL", "OUR_GOAL"))},
+                 errors.DuplicateSubject),
+    "PlanningGoal": ({"text": " "}, errors.EmptyInput),
+    "ChatRequest": ({"user_text": "\udcff"}, errors.UnencodableText),
+}
+
+
+@pytest.mark.parametrize("name", CHECKED)
+def test_replace_and_make_run_the_check(name):
+    fields, error = CHECKED[name]
+    record = RECORDS[name][0]()
+    with pytest.raises(error):
+        record._replace(**fields)
+    with pytest.raises(error):
+        type(record)._make(fields.get(f, getattr(record, f)) for f in record._fields)
+    with pytest.raises(error):
+        type(record)(**{**record._asdict(), **fields})
+    assert record._replace() == record
+
+
+@pytest.mark.parametrize("name", ["Scenario", "PlanningGoal", "Domain", "Embedding",
+                                  "ChatRequest"])
+def test_frozen_record(name):
+    record = RECORDS[name][0]()
+    for attr in (record._fields[0], "extra"):
+        with pytest.raises(errors.FrozenRecord, match=f"cannot assign to '{attr}' of a "
+                           f"frozen {name}"):
+            setattr(record, attr, None)
+    assert isinstance(record, cp.domain.Record)
+    # Only a record with cached values has an instance dict.
+    assert hasattr(record, "__dict__") == (name in CACHED)
+
+
+# name -> what reads its cached values, which live in the instance dict,
+# out of repr and equality.
+CACHED = {
+    "Domain": lambda d: (d._token_ids, d._distance_table, d._ranked_waypoints),
+    "Embedding": lambda e: e.norm,
+    "ChatRequest": lambda r: r.fingerprint(),
+}
+
+
+@pytest.mark.parametrize("name", CACHED)
+def test_cached_values_are_no_fields(name):
+    make, text, _ = RECORDS[name]
+    record = make()
+    CACHED[name](record)
+    assert vars(record) and repr(record) == text and record == make()
+
+
+def test_cli_import_defines_five_dataclasses_and_loads_no_hashlib():
+    # A fresh interpreter without `site` (-S): only `generate` hashes, so
+    # the CLI imports hashlib (and OpenSSL) in the functions that hash, and
+    # the dataclasses left are the ones whose readers need one.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cp.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = (
+        "import inspect, sys, coachplan.cli\n"
+        "print('hashlib' in sys.modules, sorted(\n"
+        "    c.__name__ for m in list(sys.modules.values()) if m.__name__.startswith('coachplan')\n"
+        "    for c in vars(m).values() if inspect.isclass(c) and c.__module__ == m.__name__\n"
+        "    and '__dataclass_fields__' in vars(c)))"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out == "False ['FSMState', 'Library', 'MatchResult', 'PlanRecord', 'SimConfig']\n"
