@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import glob
 import json
 import os
 import sys
@@ -133,11 +132,14 @@ def _parse_sim_config(text) -> SimConfig:
 
 
 def _world_files(directory):
-    """The *.world files in `directory`, in name order."""
-    paths = sorted(glob.glob(os.path.join(glob.escape(directory), "*.world")))
-    if not paths:
+    """The *.world files in `directory`, in name order, hidden names left out
+    as a shell's `*.world` leaves them.  A directory that cannot be listed
+    raises listdir's OSError."""
+    names = sorted(name for name in os.listdir(directory)
+                   if name.endswith(".world") and not name.startswith("."))
+    if not names:
         raise CoachPlanError("no *.world files")
-    return paths
+    return [os.path.join(directory, name) for name in names]
 
 
 def _config_hash(args, keys, **values):
@@ -357,8 +359,9 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # so a closed pipe shows here, not at exit
         return code
     except BrokenPipeError:
-        # Python flushes stdout again at exit; with nowhere to write it
-        # would report the pipe once more.
+        # stdout is flushed once more, by entry() before os._exit or, for
+        # an in-process caller of main(), by Python at exit; with nowhere
+        # to write, that flush would report the pipe again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
     except ValidationFailed as exc:
@@ -375,7 +378,17 @@ def main(argv=None) -> int:
 
 
 def entry():
-    raise SystemExit(main())
+    """The console script and `python -m coachplan.cli`.  After main()
+    returns, every output file is closed and the package has registered no
+    exit handler and started no thread, so what a normal exit would still do
+    is the interpreter's teardown: full garbage collections and module
+    cleanup, which nothing printed or written depends on.  The two streams
+    are flushed and the process leaves without it.  --help, a usage error and
+    an uncaught exception still leave through SystemExit."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import glob
+import hashlib
 import importlib
 import io
 import json
@@ -18,7 +19,7 @@ from hypothesis import event, given, settings, strategies as st
 
 import coachplan as cp
 from coachplan import errors
-from coachplan.cli import _parse_sim_config, build_parser, main
+from coachplan.cli import _parse_sim_config, build_parser, entry, main
 from coachplan.domain import DATA_DIR, read_text
 from coachplan.providers import ChatRequest, Transcript
 from coachplan.refine import parse_facts_file
@@ -629,6 +630,12 @@ class TestEvaluateAndLibrary:
         ]) == 2
         assert capsys.readouterr() == ("", f"error: {empty}: no *.world files\n")
 
+    def test_evaluate_file_in_place_of_dir_exit_two(self, tmp_path, base, lib_path, capsys):
+        world = write(tmp_path / "a.world", "BALL 0.0 0.0\n")
+        capsys.readouterr()
+        assert main(["evaluate", *base, "--library", lib_path, "--scenarios", world]) == 2
+        assert capsys.readouterr() == ("", f"error: {world}: Not a directory\n")
+
     def test_evaluate_dir_name_is_not_a_pattern(self, tmp_path, base, golden_dir, lib_path,
                                                 capsys):
         # `[1]` in a directory name is no glob character class.
@@ -859,10 +866,10 @@ def test_directory_in_place_of_an_input_file(tmp_path, ok, capsys, flag):
 @pytest.mark.parametrize("flag", [flag for flag in INPUT_FILES if flag != "--library"])
 def test_missing_input_file_exit_two(tmp_path, ok, capsys, flag):
     bad = tmp_path / "in" / "a.world"
-    assert main(INPUT_FILES[flag](str(bad), ok)) == 2
-    expected = (f"{bad.parent}: no *.world files" if flag == "--scenarios"
-                else f"{bad}: No such file or directory")
-    assert capsys.readouterr() == ("", f"error: {expected}\n")
+    argv = INPUT_FILES[flag](str(bad), ok)
+    named = argv[argv.index(flag) + 1]  # for --scenarios, the missing directory
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {named}: No such file or directory\n")
     assert not os.path.exists(ok["library"])
 
 
@@ -1321,49 +1328,165 @@ def test_package_raises_only_coachplan_errors():
     assert others == []
 
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(cp.__file__)))
+ROOT = os.path.dirname(SRC)
+# The golden `generate`, with its input paths spelled from the checkout's
+# root, as the manifest's config hash reads them.
+GOLDEN_GENERATE = ["generate",
+                   "--domain", "src/coachplan/data/domain.txt",
+                   "--actions", "src/coachplan/data/actions.txt",
+                   "--world", "src/coachplan/data/golden/frame_0.world",
+                   "--transcript", "src/coachplan/data/golden/transcript.txt"]
+GOLDEN_EVALUATE = ["evaluate",
+                   "--domain", "src/coachplan/data/domain.txt",
+                   "--actions", "src/coachplan/data/actions.txt",
+                   "--scenarios", "src/coachplan/data/golden/scenarios"]
+GOLDEN_HASH = "f18a9e001dadca0b954924cf9c0e7fcf157a9b6f63048aa96d5b32ea7657cf4d"
+
+
+def cli_env(**changes):
+    """os.environ with the package's source first on PYTHONPATH, then
+    `changes`; a change to None removes the variable."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    for name, value in changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
 def test_cli_import_loads_no_third_party_modules():
     # A fresh interpreter without `site` (-S), so that nothing the
     # environment imports at startup hides what the package loads: every
     # module `import coachplan.cli` loads is the package's or the standard
     # library's, and packaged data is read without importlib.resources.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cp.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     probe = (
         "import sys; before = set(sys.modules); import coachplan.cli; "
         "new = {name.split('.')[0] for name in set(sys.modules) - before}; "
         "print(sorted(new - set(sys.stdlib_module_names) - {'coachplan'}), "
         "'importlib.resources' in sys.modules, 'coachplan' in new)"
     )
-    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, check=True,
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=cli_env(), check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out == "[] False True\n"
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""])
-@pytest.mark.parametrize("command", ["generate", "simulate"])
+@pytest.mark.parametrize("command", ["generate", "simulate", "evaluate"])
 def test_closed_stdout_ends_quietly(tmp_path, base, golden_dir, command, unbuffered):
     # A reader that closes stdout early, as `coachplan ... | head` does.
     # The pipe's read end is closed before the command starts, so every
     # write fails, whether stdout is buffered or not.
     world = os.path.join(golden_dir, "frame_0.world")
+    lib = str(tmp_path / "lib.jsonl")
+    generate = ["generate", *base, "--world", world,
+                "--transcript", os.path.join(golden_dir, "transcript.txt"), "--library", lib]
     if command == "generate":
-        argv = ["generate", *base, "--world", world,
-                "--transcript", os.path.join(golden_dir, "transcript.txt"),
-                "--library", str(tmp_path / "lib.jsonl")]
-    else:
+        argv = generate
+    elif command == "simulate":
         argv = ["simulate", *base, "--world", world, "--trace",
                 "--plan", os.path.join(CORPUS_DIR, "p01_clear_shot.plan")]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cp.__file__)))
-    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    else:
+        assert main(generate) == 0
+        argv = ["evaluate", *base, "--library", lib,
+                "--scenarios", os.path.join(golden_dir, "scenarios")]
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run([sys.executable, "-m", "coachplan.cli", *argv], env=env,
+        proc = subprocess.run([sys.executable, "-m", "coachplan.cli", *argv],
+                              env=cli_env(PYTHONUNBUFFERED=unbuffered),
                               stdout=write_end, stderr=subprocess.PIPE, text=True,
                               timeout=60)
     finally:
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == ""
+
+
+class TestProcessExit:
+    """`python -m coachplan.cli` and the console script run `cli.entry()`,
+    which leaves through os._exit once main() returns.  Each call runs in a
+    fresh process from the checkout's root, with PYTHONUNBUFFERED unset and
+    stdout sent to a regular file, so stdout is block-buffered and output
+    that is not flushed before the process ends is lost."""
+
+    @staticmethod
+    def run(tmp_path, *argv):
+        """(exit code, stdout, stderr) of `python -m coachplan.cli *argv`."""
+        out = tmp_path / "stdout.txt"
+        with open(out, "w") as fh:
+            proc = subprocess.run([sys.executable, "-m", "coachplan.cli", *argv], cwd=ROOT,
+                                  env=cli_env(PYTHONUNBUFFERED=None), stdout=fh,
+                                  stderr=subprocess.PIPE, text=True, timeout=60)
+        return proc.returncode, out.read_text(), proc.stderr
+
+    def test_golden_generate(self, tmp_path):
+        lib, manifest = tmp_path / "lib.jsonl", tmp_path / "manifest.json"
+        code, out, err = self.run(tmp_path, *GOLDEN_GENERATE, "--library", str(lib),
+                                  "--manifest", str(manifest))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(manifest.read_bytes()).hexdigest() == GOLDEN_HASH
+        plan = json.loads(manifest.read_text())["stages"]["synchronizer"]["plan"]
+        assert out == f"manifest_hash {GOLDEN_HASH}\n{plan}"
+        (line,) = lib.read_text().splitlines(keepends=True)
+        assert line.endswith("\n") and json.loads(line)["plan"] == plan
+
+    def test_golden_evaluate(self, tmp_path, golden_dir):
+        lib = str(tmp_path / "lib.jsonl")
+        assert self.run(tmp_path, *GOLDEN_GENERATE, "--library", lib)[0] == 0
+        with open(os.path.join(golden_dir, "report.txt")) as fh:
+            assert self.run(tmp_path, *GOLDEN_EVALUATE, "--library", lib) == (0, fh.read(), "")
+
+    def test_violations(self, tmp_path):
+        assert self.run(tmp_path, "validate", *GOLDEN_GENERATE[1:5],
+                        "--plan", os.path.join(CORPUS_DIR, "p03_pass_receive_shoot.plan")) == (
+            1, "1 violation(s):\n"
+               "STEP 1: [PRECONDITION] pass_the_ball STRIKER: requires ball_held_by(STRIKER)\n",
+            "")
+
+    def test_entry_flushes_before_it_leaves(self, monkeypatch):
+        # main() flushes stdout on its normal path, so the calls above would
+        # pass without entry()'s flushes; here main leaves both streams with
+        # text in their buffers, which os._exit would lose.
+        out, err = io.TextIOWrapper(io.BytesIO()), io.TextIOWrapper(io.BytesIO())
+
+        def leave(code):
+            raise SystemExit((code, out.buffer.getvalue(), err.buffer.getvalue()))
+
+        def unflushed_main():
+            out.write("to stdout")
+            err.write("to stderr")
+            return 1
+
+        monkeypatch.setattr(sys, "stdout", out)
+        monkeypatch.setattr(sys, "stderr", err)
+        monkeypatch.setattr("coachplan.cli.main", unflushed_main)
+        monkeypatch.setattr(os, "_exit", leave)
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == (1, b"to stdout", b"to stderr")
+
+    def test_usage_error(self, tmp_path):
+        code, out, err = self.run(tmp_path, "validate")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: coachplan validate")
+
+
+def test_cli_registers_no_exit_handler_and_starts_no_thread(tmp_path):
+    # entry() ends the process with os._exit, so an exit handler would not
+    # run and a thread would not be joined.  A change that adds either must
+    # flush or join it before entry() leaves, and update this probe.
+    # No `site` (-S), whose hooks may register exit handlers of their own.
+    lib = str(tmp_path / "lib.jsonl")
+    probe = (
+        "import atexit, contextlib, io, sys, threading; from coachplan.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main({GOLDEN_GENERATE + ['--library', lib]!r}),\n"
+        f"             main({GOLDEN_EVALUATE + ['--library', lib]!r})]\n"
+        "print(codes, atexit._ncallbacks(), threading.active_count())"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", probe], cwd=ROOT, env=cli_env(),
+                         check=True, capture_output=True, text=True, timeout=60).stdout
+    assert out == "[0, 0] 0 1\n"
